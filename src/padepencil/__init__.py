@@ -56,7 +56,7 @@ from .filtering import (
     pm2,
     reduced_poles,
 )
-from .numerics import SvdResult, eigenvalues, polynomial_roots, qr_solve, svd
+from .numerics import SvdResult, eigenvalues, horner, polynomial_roots, qr_solve, svd
 from .pencil import (
     HankelBlocks,
     Pm1Result,
@@ -105,6 +105,7 @@ __all__ = [
     "eigenvalues",
     "qr_solve",
     "polynomial_roots",
+    "horner",
     "Conformation",
     "RationalApproximant",
     "dm_denominator",

@@ -8,61 +8,103 @@ import numpy as np
 
 from .baseline import RationalApproximant
 from .errors import PoleHit, ZeroPole
-from .numerics import polynomial_roots
+from .numerics import complex_from_parts, horner, polynomial_roots
 from .pencil import PoleResidueForm
 
 
-def _horner(coeffs: np.ndarray, z: complex) -> complex:
-    acc = 0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+def _mark_pole_hits(value, hit, z):
+    """Scalar: raise PoleHit on a hit.  Array: inf at the hits."""
+    if np.ndim(value) == 0:
+        if hit:
+            raise PoleHit(f"evaluation point z={z} is a pole")
+        return value
+    value[hit] = np.inf
+    return value
 
 
-def eval_rational(ra: RationalApproximant, z: complex) -> complex:
+def eval_rational(ra: RationalApproximant, z):
     """Evaluate numerator/denominator by Horner's rule.
 
-    Raises PoleHit when the denominator vanishes exactly at z.
+    ``z`` is a scalar or an array of points.  Where the denominator
+    vanishes exactly, an array gives inf and a scalar raises PoleHit.
     """
-    den = _horner(ra.denom, z)
-    if den == 0:
-        raise PoleHit(f"denominator vanishes at z={z}")
-    return _horner(ra.numer, z) / den
+    den = horner(ra.denom, z)
+    with np.errstate(all="ignore"):
+        value = horner(ra.numer, z) / den
+    return _mark_pole_hits(value, den == 0, z)
 
 
-def eval_pole_residue(prf: PoleResidueForm, z: complex) -> complex:
+def _c_quot(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) by CPython's complex division (Smith's
+    algorithm: scale by the larger part of the divisor), elementwise.
+    Returns the real and imaginary parts; NaN where the divisor is NaN."""
+    big_re = np.abs(br) >= np.abs(bi)
+    nan = np.isnan(br) | np.isnan(bi)
+    ratio = np.where(big_re, bi / br, br / bi)
+    denom = np.where(big_re, br + bi * ratio, br * ratio + bi)
+    re = np.where(big_re, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(big_re, ai - ar * ratio, ai * ratio - ar) / denom
+    return np.where(nan, np.nan, re), np.where(nan, np.nan, im)
+
+
+def _c_powu(zr, zi, n: int):
+    """z**n for an integer n >= 1 by CPython's binary powering, in parts."""
+    rr, ri = np.ones_like(zr), np.zeros_like(zr)
+    pr, pi = zr, zi
+    mask = 1
+    while mask <= n:
+        if n & mask:
+            rr, ri = rr * pr - ri * pi, rr * pi + ri * pr
+        mask <<= 1
+        pr, pi = pr * pr - pi * pi, pr * pi + pi * pr
+    return rr, ri
+
+
+def eval_pole_residue(prf: PoleResidueForm, z):
     """Evaluate head(z) + z^shift * sum_j e_j/(1 - z/p_j).
 
-    Each tail term is computed as e_j p_j/(p_j - z), which is exact and
-    avoids overflow for large |z|.  A term whose pole sits at the origin
-    is the limit of a vanishing contribution and is skipped when its
-    weight is zero; with nonzero weight it is meaningless and raises
-    ZeroPole.  Evaluation exactly on a pole raises PoleHit.
+    ``z`` is a scalar or an array of points.  Each tail term is computed
+    as e_j p_j/(p_j - z), which is exact and avoids overflow for large
+    |z|; the arithmetic follows Python complex numbers step by step.  A
+    term whose pole sits at the origin is the limit of a vanishing
+    contribution and is skipped when its weight is zero; with nonzero
+    weight it is meaningless and raises ZeroPole.  Exactly on a pole an
+    array gives inf and a scalar raises PoleHit.
     """
-    z = complex(z)
-    acc = 0j
-    for p, e in prf.terms:
-        if p == 0:
-            if e != 0:
-                raise ZeroPole(f"term with weight {e} has its pole at the origin")
-            continue
-        if z == p:
-            raise PoleHit(f"evaluation point z={z} is a pole")
-        acc += e * p / (p - z)
-    if prf.shift:
-        acc *= z**prf.shift
-    return _horner(prf.head, z) + acc
+    if any(p == 0 and e != 0 for p, e in prf.terms):
+        raise ZeroPole("a term with nonzero weight has its pole at the origin")
+    z = np.asarray(z, dtype=complex)
+    zr, zi = z.real, z.imag
+    acc_r, acc_i = np.zeros(z.shape), np.zeros(z.shape)
+    hit = np.zeros(z.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for p, e in prf.terms:
+            if p == 0:
+                continue
+            hit |= z == p
+            ep = e * p
+            qr, qi = _c_quot(ep.real, ep.imag, p.real - zr, p.imag - zi)
+            acc_r, acc_i = acc_r + qr, acc_i + qi
+        if prf.shift:
+            pr, pi = _c_powu(zr, zi, prf.shift)
+            acc_r, acc_i = acc_r * pr - acc_i * pi, acc_r * pi + acc_i * pr
+        value = horner(prf.head, z) + complex_from_parts(acc_r, acc_i)[()]
+    return _mark_pole_hits(value, hit, z)
 
 
-def poles_and_zeros(ra: RationalApproximant) -> tuple[np.ndarray, np.ndarray]:
+def poles_and_zeros(ra: RationalApproximant, *, zero_numerator_ok: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Roots of the denominator and numerator, each sorted by
-    magnitude then phase.  An identically-zero numerator raises AllZero."""
+    magnitude then phase.  An identically-zero numerator raises AllZero,
+    or with ``zero_numerator_ok`` gives no zeros."""
 
     def _sorted(roots: np.ndarray) -> np.ndarray:
         order = np.lexsort((np.angle(roots), np.abs(roots)))
         return roots[order]
 
-    return _sorted(polynomial_roots(ra.denom)), _sorted(polynomial_roots(ra.numer))
+    poles = _sorted(polynomial_roots(ra.denom))
+    if zero_numerator_ok and not np.any(ra.numer):
+        return poles, np.array([], dtype=complex)
+    return poles, _sorted(polynomial_roots(ra.numer))
 
 
 def unit_disk_mesh(spacing: float) -> np.ndarray:
@@ -75,22 +117,19 @@ def unit_disk_mesh(spacing: float) -> np.ndarray:
     if not 0 < spacing <= 1:
         raise ValueError(f"spacing must be in (0, 1], got {spacing}")
     N = int(np.ceil(1.0 / spacing)) + 1
-    pts = []
-    for i in range(-N, N + 1):
-        for j in range(-N, N + 1):
-            x, y = i * spacing, j * spacing
-            if np.hypot(x, y) <= 1.0:
-                pts.append(x + 1j * y)
-    return np.array(pts, dtype=complex)
+    i, j = np.mgrid[-N : N + 1, -N : N + 1]
+    x, y = i * spacing, j * spacing
+    inside = np.hypot(x, y) <= 1.0
+    return complex_from_parts(x[inside], y[inside])
 
 
 @dataclass(frozen=True)
 class ErrorSweep:
     """Pointwise absolute errors over a set of evaluation points.
 
-    ``flagged`` marks points where either function hit a pole; such
-    points carry an infinite error and are excluded from honest maxima
-    by downstream consumers.  ``max_error`` is max(errors) including
+    ``flagged`` marks points where either function is non-finite, such
+    as a pole hit; such points carry an infinite error and are excluded
+    from honest maxima by downstream consumers.  ``max_error`` is max(errors) including
     flagged points, with ``argmax_point`` the location where it occurs.
     """
 
@@ -104,21 +143,22 @@ class ErrorSweep:
 def error_sweep(approx, reference, points) -> ErrorSweep:
     """Absolute error |approx(z) - reference(z)| over the given points.
 
-    Both arguments are callables of one complex argument.  PoleHit or
-    ZeroDivisionError at a point records an infinite, flagged error
-    rather than aborting the sweep.
+    Both arguments are callables that take the whole array of points and
+    return an array of values (or a scalar, broadcast to every point).
+    A point where either value is non-finite, such as a pole hit, is
+    flagged and carries an infinite error rather than aborting the
+    sweep.  No numpy floating-point warning escapes.
     """
     points = np.atleast_1d(np.asarray(points, dtype=complex))
     if points.size == 0:
         raise ValueError("need at least one evaluation point")
-    errors = np.empty(points.size, dtype=float)
-    flagged = np.zeros(points.size, dtype=bool)
-    for i, z in enumerate(points):
-        try:
-            errors[i] = abs(approx(z) - reference(z))
-        except (PoleHit, ZeroDivisionError):
-            errors[i] = np.inf
-            flagged[i] = True
+    with np.errstate(all="ignore"):
+        a = np.broadcast_to(np.asarray(approx(points), dtype=complex), points.shape)
+        r = np.broadcast_to(np.asarray(reference(points), dtype=complex), points.shape)
+        d = a - r
+        errors = np.hypot(d.real, d.imag)
+    flagged = ~(np.isfinite(a) & np.isfinite(r))
+    errors[flagged] = np.inf
     imax = int(np.argmax(errors))
     return ErrorSweep(
         points=points,

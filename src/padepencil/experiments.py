@@ -29,7 +29,7 @@ import numpy as np
 from .approximant import ErrorSweep, error_sweep, eval_pole_residue, eval_rational, poles_and_zeros, unit_disk_mesh
 from .baseline import Conformation, RationalApproximant, dm_denominator, numerator_from_denominator, svd_denominator
 from .classify import classify_roots
-from .errors import AllZero, ApproximationError
+from .errors import ApproximationError
 from .filtering import FilterParams, pm2
 from .pencil import PoleResidueForm, _head_for, build_blocks, pm1, pm1_poles, pm1_residues
 from .series import PowerSeries, gen_geometric_noisy, gen_log_series
@@ -109,11 +109,7 @@ def approximate_series(
     else:
         prf, ra, report = pm2(s, conf, FilterParams(t=t, origin_radius=origin_radius))
         final_l = report.final_l
-    poles = poles_and_zeros(ra)[0]
-    try:
-        zeros = poles_and_zeros(ra)[1]
-    except AllZero:
-        zeros = np.array([], dtype=complex)
+    poles, zeros = poles_and_zeros(ra, zero_numerator_ok=True)
     return MethodResult(ra, prf, report, poles, zeros, final_l)
 
 
@@ -316,7 +312,7 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
     conf = Conformation(m=m, k=0)
     s = gen_log_series(n).truncate(conf.n)
     mesh = MESH_RADIUS * unit_disk_mesh(MESH_SPACING / MESH_RADIUS)
-    ref = lambda z: np.log(1.2 - complex(z))
+    ref = lambda z: np.log(1.2 - z)
 
     result = {
         "experiment": "log_branch",

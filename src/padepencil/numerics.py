@@ -1,8 +1,9 @@
-"""Thin wrappers around the dense linear-algebra kernels.
+"""Thin wrappers around the dense linear-algebra kernels, plus the
+polynomial primitives (roots and Horner evaluation).
 
 Everything downstream (denominator solves, pencil eigenproblems, residue
-systems) goes through these four routines so that error mapping and rank
-policy live in one place.
+systems, evaluation) goes through these routines so that error mapping
+and rank policy live in one place.
 """
 
 from __future__ import annotations
@@ -119,3 +120,35 @@ def polynomial_roots(coeffs) -> np.ndarray:
     if c.size == 1:
         return np.array([], dtype=complex)
     return np.polynomial.polynomial.polyroots(c)
+
+
+def complex_from_parts(re, im) -> np.ndarray:
+    """Complex array with exactly the given real and imaginary parts.
+
+    ``re + 1j*im`` would not do: the product 1j*im turns an infinite
+    imaginary part into a NaN real part and can flip the sign of zeros.
+    """
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def horner(coeffs, z):
+    """Evaluate sum_j c_j z^j (lowest order first) by Horner's rule.
+
+    ``z`` may be a scalar or an array; the result has its shape (a numpy
+    complex scalar for a scalar).  Each complex product is written out in
+    real and imaginary parts, in the order of numpy's scalar complex
+    multiply, so every point gets the same bits as a point-by-point
+    evaluation; numpy's array multiply may fuse the products and does
+    not.  Overflow gives inf or NaN without a warning.
+    """
+    z = np.asarray(z, dtype=complex)
+    zr, zi = z.real, z.imag
+    ar = np.zeros(z.shape)
+    ai = np.zeros(z.shape)
+    with np.errstate(all="ignore"):
+        for c in np.asarray(coeffs, dtype=complex)[::-1]:
+            ar, ai = ar * zr - ai * zi + c.real, ar * zi + ai * zr + c.imag
+    return complex_from_parts(ar, ai)[()]

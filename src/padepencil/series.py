@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFinite
+from .numerics import horner
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,10 @@ class PowerSeries:
         return PowerSeries(self.coeffs[:n], t=self.t)
 
 
-def eval_truncated(s: PowerSeries, z: complex) -> complex:
-    """Evaluate the truncated polynomial sum c_j z^j by Horner's rule."""
-    acc = 0j
-    for c in s.coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+def eval_truncated(s: PowerSeries, z):
+    """Evaluate the truncated polynomial sum c_j z^j by Horner's rule at
+    a scalar or an array of points."""
+    return horner(s.coeffs, z)
 
 
 def gen_geometric_noisy(n: int, eps: float, rng: np.random.Generator | None = None) -> PowerSeries:

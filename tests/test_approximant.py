@@ -1,19 +1,35 @@
 """Tests for approximant evaluation, meshes and error sweeps."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from padepencil import (
     AllZero,
+    DuplicatePole,
     PoleHit,
     PoleResidueForm,
+    PowerSeries,
     RationalApproximant,
     ZeroPole,
     error_sweep,
     eval_pole_residue,
     eval_rational,
+    eval_truncated,
+    horner,
     poles_and_zeros,
     unit_disk_mesh,
+)
+
+from helpers import (
+    loop_unit_disk_mesh,
+    pointwise_error_sweep,
+    scalar_eval_pole_residue,
+    scalar_eval_rational,
+    scalar_horner,
 )
 
 
@@ -124,7 +140,7 @@ class TestErrorSweep:
         assert sweep.argmax_point == 1.0
 
     def test_reference_zero_division_is_flagged(self):
-        sweep = error_sweep(lambda z: 0.0, lambda z: 1.0 / complex(z), np.array([0.0, 1.0]))
+        sweep = error_sweep(lambda z: 0.0, lambda z: 1.0 / z, np.array([0.0, 1.0]))
         assert sweep.flagged[0]
         assert not sweep.flagged[1]
 
@@ -137,3 +153,156 @@ class TestErrorSweep:
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             error_sweep(lambda z: z, lambda z: z, [])
+
+
+class TestArrayEvaluation:
+    def test_rational_array_marks_pole_hits(self):
+        ra = RationalApproximant([1.0], [1.0, -1.0])
+        vals = eval_rational(ra, np.array([0.5, 1.0, 2.0]))
+        assert vals.shape == (3,)
+        assert vals[1] == np.inf
+        np.testing.assert_allclose(vals[[0, 2]], [2.0, -1.0])
+
+    def test_pole_residue_array_marks_pole_hits(self):
+        prf = PoleResidueForm(head=[1.0], shift=1, terms=[(2.0, 1.0)])
+        vals = eval_pole_residue(prf, np.array([[0.0, 2.0]]))
+        assert vals.shape == (1, 2)
+        assert vals[0, 0] == 1.0 and vals[0, 1] == np.inf
+
+    def test_origin_pole_with_weight_rejected_for_arrays(self):
+        prf = PoleResidueForm(head=[], shift=0, terms=[(0.0, 1.0), (2.0, 1.0)])
+        with pytest.raises(ZeroPole):
+            eval_pole_residue(prf, np.array([0.5, 2.0]))
+
+    def test_truncated_series_uses_horner(self):
+        s = PowerSeries([1.0, -2.0, 0.5j])
+        z = np.array([0.0, 1.0, 0.3 - 0.2j])
+        np.testing.assert_array_equal(eval_truncated(s, z), horner(s.coeffs, z))
+        assert eval_truncated(s, 2.0) == 1 - 4 + 2j
+
+
+# -- bitwise agreement with point-by-point evaluation
+
+_part = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_coeff = st.builds(complex, _part, _part)
+_point = st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinity=False)
+
+
+def _bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.int64)
+
+
+def _assert_matches_pointwise(new, old, points):
+    """new(points) against old(z) at each point: same bits, and inf
+    (array) where old raised PoleHit (scalar); also new(z) per point."""
+    got = new(points)
+    assert got.shape == points.shape
+    for z, g in zip(points, got):
+        try:
+            want = old(z)
+        except PoleHit:
+            assert g == np.inf
+            with pytest.raises(PoleHit):
+                new(z)
+            continue
+        np.testing.assert_array_equal(_bits(g), _bits(want))
+        np.testing.assert_array_equal(_bits(new(z)), _bits(want))
+
+
+@st.composite
+def rational_and_points(draw):
+    points = draw(st.lists(_point, min_size=1, max_size=12))
+    numer = draw(st.lists(_coeff, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        # (z - r) * q(z) with r one of the points: an exact pole hit
+        r = draw(st.sampled_from(points))
+        denom = [-r, 1.0 + 0j]
+    else:
+        denom = draw(st.lists(_coeff, min_size=1, max_size=8))
+    assume(any(denom))
+    return RationalApproximant(numer, denom), np.array(points, dtype=complex)
+
+
+@st.composite
+def pole_residue_and_points(draw):
+    head = draw(st.lists(_coeff, max_size=3))
+    poles = draw(st.lists(_point.filter(lambda p: p != 0), min_size=0, max_size=6, unique=True))
+    weights = draw(st.lists(_coeff, min_size=len(poles), max_size=len(poles)))
+    terms = list(zip(poles, weights))
+    if draw(st.booleans()):
+        terms.append((0j, 0j))  # zero-weight origin term, skipped
+    points = draw(st.lists(_point, min_size=1, max_size=12))
+    if poles:
+        points += draw(st.lists(st.sampled_from(poles), max_size=3))  # exact hits
+    try:
+        prf = PoleResidueForm(head=head, shift=len(head), terms=terms)
+    except DuplicatePole:
+        assume(False)
+    return prf, np.array(points, dtype=complex)
+
+
+_SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestBitwiseAgainstPointwise:
+    @_SETTINGS
+    @given(st.lists(_coeff, min_size=1, max_size=10), st.lists(_point, min_size=1, max_size=12))
+    def test_horner(self, coeffs, points):
+        coeffs, points = np.array(coeffs, dtype=complex), np.array(points, dtype=complex)
+        got = horner(coeffs, points)
+        want = [scalar_horner(coeffs, z) for z in points]
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @_SETTINGS
+    @given(rational_and_points())
+    def test_eval_rational(self, case):
+        ra, points = case
+        _assert_matches_pointwise(lambda z: eval_rational(ra, z), lambda z: scalar_eval_rational(ra, z), points)
+
+    @_SETTINGS
+    @given(pole_residue_and_points())
+    def test_eval_pole_residue(self, case):
+        prf, points = case
+        _assert_matches_pointwise(
+            lambda z: eval_pole_residue(prf, z), lambda z: scalar_eval_pole_residue(prf, z), points
+        )
+
+    @_SETTINGS
+    @given(rational_and_points(), pole_residue_and_points())
+    def test_error_sweep(self, rcase, pcase):
+        ra, points = rcase
+        prf, _ = pcase
+        sweep = error_sweep(lambda z: eval_rational(ra, z), lambda z: eval_pole_residue(prf, z), points)
+        errors, flagged = pointwise_error_sweep(
+            lambda z: scalar_eval_rational(ra, z), lambda z: scalar_eval_pole_residue(prf, z), points
+        )
+        np.testing.assert_array_equal(sweep.flagged, flagged)
+        np.testing.assert_array_equal(sweep.errors.view(np.int64), errors.view(np.int64))
+        imax = int(np.argmax(errors))
+        assert sweep.max_error == errors[imax]
+        assert sweep.argmax_point == points[imax]
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.5, 0.1, 0.03, 0.02])
+    def test_unit_disk_mesh(self, spacing):
+        mesh = unit_disk_mesh(spacing)
+        want = loop_unit_disk_mesh(spacing)
+        assert mesh.shape == want.shape
+        np.testing.assert_array_equal(_bits(mesh), _bits(want))
+
+
+class TestErrorSweepWarnings:
+    def test_no_warning_on_flagged_points(self):
+        ra = RationalApproximant([1.0], [1.0, -1.0])  # 1/(1-z), pole at 1
+        prf = PoleResidueForm(head=[], shift=0, terms=[(2.0, 1.0)])  # pole at 2
+        pts = np.array([0.0, 0.5, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            on_denominator = error_sweep(lambda z: eval_rational(ra, z), lambda z: 0.0, pts)
+            on_pole = error_sweep(lambda z: eval_pole_residue(prf, z), lambda z: 0.0, pts)
+            on_reference = error_sweep(lambda z: 0.0, lambda z: 1.0 / z, pts)
+        assert list(on_denominator.flagged) == [False, False, True, False]
+        assert list(on_pole.flagged) == [False, False, False, True]
+        assert list(on_reference.flagged) == [True, False, False, False]
+        for sweep in (on_denominator, on_pole, on_reference):
+            assert np.all(sweep.errors[sweep.flagged] == np.inf)
+            assert np.all(np.isfinite(sweep.errors[~sweep.flagged]))

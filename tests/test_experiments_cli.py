@@ -50,6 +50,36 @@ class TestApproximateSeries:
         with pytest.raises(ValueError):
             approximate_series(s, Conformation(m=10, k=-1), "aaa")
 
+    @pytest.mark.parametrize(
+        "method, coeffs, m, k, expected_poles",
+        [
+            ("svd", [0, 1], 1, -1, [0.0]),
+            ("pm1", [0, 1], 1, -1, [0.0]),
+            ("pm2", [0, 0, 1, 1, 1, 1], 2, 0, [2.0 / 3.0]),
+        ],
+    )
+    def test_zero_numerator_gives_no_zeros(self, method, coeffs, m, k, expected_poles):
+        from padepencil import FilterParams, PowerSeries, pm1, pm2, polynomial_roots, svd_denominator
+
+        s = PowerSeries(coeffs)
+        conf = Conformation(m=m, k=k)
+        res = approximate_series(s, conf, method)
+        assert not np.any(res.rational.numer)
+        assert res.zeros.size == 0
+        # the poles are the denominator's roots and final_l is the solver's own
+        np.testing.assert_array_equal(res.poles, polynomial_roots(res.rational.denom))
+        np.testing.assert_allclose(res.poles, expected_poles, atol=1e-12)
+        if method == "svd":
+            np.testing.assert_array_equal(res.rational.denom, svd_denominator(s, conf))
+            assert res.final_l == m
+        elif method == "pm1":
+            np.testing.assert_array_equal(res.rational.denom, pm1(s, conf).rational.denom)
+            assert res.final_l == m
+        else:
+            direct = pm2(s, conf, FilterParams())
+            np.testing.assert_array_equal(res.rational.denom, direct.rational.denom)
+            assert res.final_l == direct.report.final_l == 1
+
 
 class TestGeometricNoise:
     CFG = dict(experiment="geometric-noise", n=20, m=10, k=-1,
