@@ -1,5 +1,6 @@
 """Tests for approximant evaluation, meshes and error sweeps."""
 
+import cmath
 import warnings
 
 import numpy as np
@@ -144,6 +145,12 @@ class TestErrorSweep:
         assert sweep.flagged[0]
         assert not sweep.flagged[1]
 
+    def test_overflow_is_flagged(self):
+        ra = RationalApproximant([4j], [2.2250738585072014e-308j])  # 4/tiny overflows to inf
+        sweep = error_sweep(lambda z: eval_rational(ra, z), lambda z: 0.0, np.array([0.0]))
+        assert sweep.flagged[0]
+        assert sweep.errors[0] == np.inf
+
     def test_max_and_argmax(self):
         pts = np.array([0.0, 1.0, 2.0])
         sweep = error_sweep(lambda z: z * z, lambda z: 0.0, pts)
@@ -207,6 +214,19 @@ def _assert_matches_pointwise(new, old, points):
             continue
         np.testing.assert_array_equal(_bits(g), _bits(want))
         np.testing.assert_array_equal(_bits(new(z)), _bits(want))
+
+
+def _expected_sweep(approx, reference, points):
+    """The old point-by-point sweep, plus its one intended change: a
+    point where either value is non-finite without raising (an
+    overflow) is flagged too, with error inf."""
+    errors, flagged = pointwise_error_sweep(approx, reference, points)
+    with np.errstate(all="ignore"):
+        for i, z in enumerate(points):
+            if not flagged[i] and not (cmath.isfinite(approx(z)) and cmath.isfinite(reference(z))):
+                errors[i] = np.inf
+                flagged[i] = True
+    return errors, flagged
 
 
 @st.composite
@@ -273,7 +293,7 @@ class TestBitwiseAgainstPointwise:
         ra, points = rcase
         prf, _ = pcase
         sweep = error_sweep(lambda z: eval_rational(ra, z), lambda z: eval_pole_residue(prf, z), points)
-        errors, flagged = pointwise_error_sweep(
+        errors, flagged = _expected_sweep(
             lambda z: scalar_eval_rational(ra, z), lambda z: scalar_eval_pole_residue(prf, z), points
         )
         np.testing.assert_array_equal(sweep.flagged, flagged)
