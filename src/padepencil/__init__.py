@@ -20,6 +20,7 @@ from .approximant import (
 from .baseline import (
     Conformation,
     RationalApproximant,
+    combined_window,
     dm_denominator,
     numerator_from_denominator,
     svd_denominator,
@@ -62,7 +63,6 @@ from .pencil import (
     Pm1Result,
     PoleResidueForm,
     build_blocks,
-    combined_window,
     pm1,
     pm1_poles,
     pm1_residues,

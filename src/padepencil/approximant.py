@@ -8,7 +8,7 @@ import numpy as np
 
 from .baseline import RationalApproximant
 from .errors import PoleHit, ZeroPole
-from .numerics import complex_from_parts, horner, polynomial_roots
+from .numerics import complex_from_parts, horner, polynomial_roots, root_order
 from .pencil import PoleResidueForm
 
 
@@ -92,19 +92,12 @@ def eval_pole_residue(prf: PoleResidueForm, z):
     return _mark_pole_hits(value, hit, z)
 
 
-def poles_and_zeros(ra: RationalApproximant, *, zero_numerator_ok: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of the denominator and numerator, each sorted by
-    magnitude then phase.  An identically-zero numerator raises AllZero,
-    or with ``zero_numerator_ok`` gives no zeros."""
-
-    def _sorted(roots: np.ndarray) -> np.ndarray:
-        order = np.lexsort((np.angle(roots), np.abs(roots)))
-        return roots[order]
-
-    poles = _sorted(polynomial_roots(ra.denom))
-    if zero_numerator_ok and not np.any(ra.numer):
-        return poles, np.array([], dtype=complex)
-    return poles, _sorted(polynomial_roots(ra.numer))
+def poles_and_zeros(ra: RationalApproximant) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the denominator and numerator, each sorted by magnitude
+    then phase.  An identically-zero numerator gives no zeros."""
+    poles = polynomial_roots(ra.denom)
+    zeros = polynomial_roots(ra.numer) if np.any(ra.numer) else np.array([], dtype=complex)
+    return poles[root_order(poles)], zeros[root_order(zeros)]
 
 
 def unit_disk_mesh(spacing: float) -> np.ndarray:

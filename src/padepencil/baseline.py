@@ -94,54 +94,59 @@ def _require_length(s: PowerSeries, conf: Conformation) -> None:
         )
 
 
-def _coeff_window(s: PowerSeries, lo: int, hi: int) -> np.ndarray:
-    """Coefficients c_lo..c_hi inclusive, with c_j = 0 for j < 0."""
-    return np.array([s.coeff(j) if j >= 0 else 0j for j in range(lo, hi + 1)])
+def combined_window(s: PowerSeries, conf: Conformation) -> np.ndarray:
+    """The (2m-l) x (l+1) Hankel window with entry c_{k+1+i+j} at (i, j).
+
+    Coefficients with negative index are zero.  Every solver reads this
+    window: slicing off its last or first column yields the pencil
+    blocks C1 and C2, and at l = m its columns reversed form the direct
+    and SVD systems.
+    """
+    m, k, l = conf.m, conf.k, conf.l
+    if m < 1:
+        raise ValueError("the pencil needs a denominator degree m >= 1")
+    _require_length(s, conf)
+    lead = max(-(k + 1), 0)
+    vals = np.concatenate((np.zeros(lead, dtype=complex), s.coeffs[k + 1 + lead : conf.n]))
+    rows = 2 * m - l
+    return sla.hankel(vals[:rows], vals[rows - 1 :])
 
 
 def dm_denominator(s: PowerSeries, conf: Conformation) -> np.ndarray:
     """Denominator b_0..b_m by the direct Toeplitz solve, b_0 = 1.
 
-    Raises DegenerateError when the linear system is numerically
-    singular (the LU factorization hits a zero pivot), which for exact
-    coefficients of a function with fewer than m poles is the expected
-    outcome.
+    The system is the window H at l = m with its columns reversed:
+    H[:, -2::-1] b_tail = -H[:, -1].  Raises DegenerateError when it is
+    numerically singular (the LU factorization hits a zero pivot),
+    which for exact coefficients of a function with fewer than m poles
+    is the expected outcome.
     """
-    _require_length(s, conf)
-    m, k = conf.m, conf.k
-    if m == 0:
+    if conf.m == 0:
+        _require_length(s, conf)
         return np.array([1.0 + 0j])
-    # Row r, column i-1 holds c_{m+k+1+r-i}: Toeplitz with first column
-    # c_{m+k}..c_{2m+k-1} and first row c_{m+k}..c_{k+1}.
-    col = _coeff_window(s, m + k, 2 * m + k - 1)
-    row = _coeff_window(s, k + 1, m + k)[::-1]
-    A = sla.toeplitz(col, row)
-    rhs = -_coeff_window(s, m + k + 1, 2 * m + k)
+    H = combined_window(s, Conformation(conf.m, conf.k))
     try:
-        b_tail = np.linalg.solve(A, rhs)
+        b_tail = np.linalg.solve(H[:, -2::-1], -H[:, -1])
     except np.linalg.LinAlgError as exc:
-        raise DegenerateError(f"direct {m}x{m} denominator system is singular: {exc}") from exc
+        raise DegenerateError(f"direct {conf.m}x{conf.m} denominator system is singular: {exc}") from exc
     if not np.all(np.isfinite(b_tail)):
         raise DegenerateError("direct denominator solve produced non-finite coefficients")
     return np.concatenate(([1.0 + 0j], b_tail))
 
 
 def svd_denominator(s: PowerSeries, conf: Conformation) -> np.ndarray:
-    """Denominator b_0..b_m as the null direction of the m x (m+1) system.
+    """Denominator b_0..b_m as the null direction of the m x (m+1) system
+    H[:, ::-1] b = 0 (the window at l = m, columns reversed).
 
     The returned vector is scaled so its largest-magnitude entry is
     exactly 1.  Unlike the direct method this never fails on singular
     systems; degeneracy shows up as b_0 = 0 instead.
     """
-    _require_length(s, conf)
-    m, k = conf.m, conf.k
-    if m == 0:
+    if conf.m == 0:
+        _require_length(s, conf)
         return np.array([1.0 + 0j])
-    col = _coeff_window(s, m + k + 1, 2 * m + k)
-    row = _coeff_window(s, k + 1, m + k + 1)[::-1]
-    C = sla.toeplitz(col, row)
-    result = svd(C)
-    b = result.Vh[-1].conj()
+    H = combined_window(s, Conformation(conf.m, conf.k))
+    b = svd(H[:, ::-1]).Vh[-1].conj()
     pivot = int(np.argmax(np.abs(b)))
     return b / b[pivot]
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import complex_pairs
+
 
 @dataclass(frozen=True)
 class RootTaxonomy:
@@ -30,13 +32,12 @@ class RootTaxonomy:
     unclassified: tuple
 
     def to_dict(self) -> dict:
-        pair = lambda z: [float(z.real), float(z.imag)]
         return {
-            "system_poles": [pair(p) for p in self.system_poles],
-            "doublets": [[pair(p), pair(z)] for p, z in self.doublets],
-            "far_poles": [pair(p) for p in self.far_poles],
-            "far_zeros": [pair(z) for z in self.far_zeros],
-            "unclassified": [[kind, pair(z)] for kind, z in self.unclassified],
+            "system_poles": complex_pairs(self.system_poles),
+            "doublets": [complex_pairs([p, z]) for p, z in self.doublets],
+            "far_poles": complex_pairs(self.far_poles),
+            "far_zeros": complex_pairs(self.far_zeros),
+            "unclassified": [[kind, *complex_pairs([z])] for kind, z in self.unclassified],
         }
 
 

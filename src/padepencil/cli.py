@@ -23,7 +23,8 @@ import numpy as np
 
 from .baseline import Conformation
 from .errors import ApproximationError
-from .experiments import ExperimentConfig, approximate_series, run_geometric_noise, run_log_branch
+from .experiments import METHODS, ExperimentConfig, approximate_series, run_geometric_noise, run_log_branch
+from .numerics import complex_pairs
 from .series import PowerSeries
 
 
@@ -72,10 +73,6 @@ def load_coefficients(path: str) -> np.ndarray:
     return np.array(values, dtype=complex)
 
 
-def _pairs(values) -> list:
-    return [[float(np.real(v)), float(np.imag(v))] for v in np.atleast_1d(values)]
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -94,11 +91,11 @@ def _approximation_payload(args) -> dict:
     return {
         "method": args.method,
         "conformation": {"m": conf.m, "k": conf.k, "final_l": res.final_l},
-        "numer": _pairs(res.rational.numer),
-        "denom": _pairs(res.rational.denom),
-        "poles": _pairs(res.poles),
-        "zeros": _pairs(res.zeros),
-        "residues": _pairs(res.prf.weights) if res.prf is not None else [],
+        "numer": complex_pairs(res.rational.numer),
+        "denom": complex_pairs(res.rational.denom),
+        "poles": complex_pairs(res.poles),
+        "zeros": complex_pairs(res.zeros),
+        "residues": complex_pairs(res.prf.weights) if res.prf is not None else [],
         "report": res.report.to_dict() if res.report is not None else None,
     }
 
@@ -136,7 +133,6 @@ def cli_poles(args) -> int:
 
 def cli_geometric(args) -> int:
     cfg = ExperimentConfig(
-        experiment="geometric_noise",
         n=args.n,
         m=args.m,
         k=args.k,
@@ -155,10 +151,8 @@ def cli_geometric(args) -> int:
 
 def cli_log_branch(args) -> int:
     cfg = ExperimentConfig(
-        experiment="log_branch",
         n=args.n,
         t=args.t,
-        seed=args.seed,
         origin_radius=args.origin_radius,
         output_path=args.out,
     )
@@ -169,7 +163,7 @@ def cli_log_branch(args) -> int:
 
 def _add_common_approx_flags(p) -> None:
     p.add_argument("--coeffs", required=True, help="coefficient file (JSON array or 're im' lines)")
-    p.add_argument("--method", choices=["dm", "svd", "pm1", "pm2"], default="pm2")
+    p.add_argument("--method", choices=METHODS, default="pm2")
     p.add_argument("--m", type=int, required=True, help="denominator degree")
     p.add_argument("--k", type=int, default=0, help="numerator degree offset (degree m+k)")
     p.add_argument("--n", type=int, default=None, help="use only the first n coefficients")
@@ -195,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_sub = p_exp.add_subparsers(dest="experiment", parser_class=_Parser)
 
     p_geo = exp_sub.add_parser("geometric-noise", help="noise study on 1/(1-z)")
-    p_geo.add_argument("--method", choices=["dm", "svd", "pm1", "pm2"], default="pm2")
+    p_geo.add_argument("--method", choices=METHODS, default="pm2")
     p_geo.add_argument("--m", type=int, default=10)
     p_geo.add_argument("--k", type=int, default=-1)
     p_geo.add_argument("--n", type=int, default=20)
@@ -210,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_log = exp_sub.add_parser("log-branch", help="branch-cut study on ln(1.2-z)")
     p_log.add_argument("--n", type=int, default=41)
     p_log.add_argument("--t", type=float, default=None)
-    p_log.add_argument("--seed", type=int, default=101)
     p_log.add_argument("--origin-radius", type=float, default=1e-3)
     p_log.add_argument("--out", default=None, help="base path for .json output")
     p_log.set_defaults(func=cli_log_branch)

@@ -31,7 +31,8 @@ from .baseline import Conformation, RationalApproximant, dm_denominator, numerat
 from .classify import classify_roots
 from .errors import ApproximationError
 from .filtering import FilterParams, pm2
-from .pencil import PoleResidueForm, _head_for, build_blocks, pm1, pm1_poles, pm1_residues
+from .numerics import complex_pairs
+from .pencil import PoleResidueForm, _square_fit, build_blocks, pm1, pm1_poles
 from .series import PowerSeries, gen_geometric_noisy, gen_log_series
 
 METHODS = ("dm", "svd", "pm1", "pm2")
@@ -55,7 +56,6 @@ RAY_MAX_IM = 0.05
 class ExperimentConfig:
     """Inputs of one experiment run; see the runner docstrings."""
 
-    experiment: str = "geometric_noise"
     n: int = 20
     m: int = 10
     k: int = -1
@@ -109,7 +109,7 @@ def approximate_series(
     else:
         prf, ra, report = pm2(s, conf, FilterParams(t=t, origin_radius=origin_radius))
         final_l = report.final_l
-    poles, zeros = poles_and_zeros(ra, zero_numerator_ok=True)
+    poles, zeros = poles_and_zeros(ra)
     return MethodResult(ra, prf, report, poles, zeros, final_l)
 
 
@@ -283,16 +283,9 @@ def pruned_square_refit(
     information from the deleted poles is reassimilated, which is
     precisely what limits this baseline's accuracy.
     """
-    blocks = build_blocks(s, conf)
-    all_poles = pm1_poles(blocks, rank_rtol=0.0)
+    all_poles = pm1_poles(build_blocks(s, conf), rank_rtol=0.0)
     kept = np.array([p for p in all_poles if on_ray(p, min_re, max_im) and abs(p) > origin_radius])
-    e = pm1_residues(s, kept, conf, use_all_rows=False)
-    head, shift = _head_for(s, conf.k)
-    return PoleResidueForm(head=head, shift=shift, terms=tuple(zip(kept, e)))
-
-
-def _root_payload(roots) -> list:
-    return [[float(p.real), float(p.imag)] for p in roots]
+    return _square_fit(s, kept, conf)
 
 
 def run_log_branch(cfg: ExperimentConfig) -> dict:
@@ -335,10 +328,10 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
             "final_l": res.final_l,
             "max_mesh_error": _unflagged_max(sweep),
             "n_flagged": int(np.count_nonzero(sweep.flagged)),
-            "poles": _root_payload(res.poles),
-            "zeros": _root_payload(res.zeros),
+            "poles": complex_pairs(res.poles),
+            "zeros": complex_pairs(res.zeros),
             "n_off_ray_poles": len(off_ray),
-            "off_ray_poles": _root_payload(off_ray),
+            "off_ray_poles": complex_pairs(off_ray),
         }
         if res.report is not None:
             entry["report"] = res.report.to_dict()

@@ -26,10 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .baseline import Conformation, RationalApproximant
-from .errors import Collapse, InsufficientCoefficients, NonTerminating, RankDeficient
-from .numerics import SvdResult, eigenvalues, qr_solve, svd
-from .pencil import PoleResidueForm, _head_for, combined_window, residue_system, to_rational
+from .baseline import Conformation, RationalApproximant, _require_length, combined_window
+from .errors import Collapse, NonTerminating, RankDeficient
+from .numerics import SvdResult, complex_pairs, qr_solve, svd
+from .pencil import PoleResidueForm, _pencil_poles, _with_head, residue_system, to_rational
 from .series import PowerSeries
 
 
@@ -49,15 +49,11 @@ class FilterParams:
     max_iterations : int, optional
         Upper bound on filtering passes; defaults to m + 1, which a
         loop that shrinks l each pass can never exceed.
-    batch_origin_drop : bool, optional
-        Remove all origin poles found in one pass together (default);
-        set False to remove one per pass.
     """
 
     t: float | None = None
     origin_radius: float = 1e-3
     max_iterations: int | None = None
-    batch_origin_drop: bool = True
 
     def __post_init__(self):
         if self.t is not None and not self.t > 0:
@@ -97,7 +93,7 @@ class SpuriousPoleReport:
                 }
                 for it in self.iterations
             ],
-            "origin_poles_removed": [[float(p.real), float(p.imag)] for p in self.origin_poles_removed],
+            "origin_poles_removed": complex_pairs(self.origin_poles_removed),
             "d_matrix_reductions": self.d_matrix_reductions,
             "final_l": self.final_l,
             "defect_estimate": self.defect_estimate,
@@ -142,27 +138,7 @@ def reduced_poles(C: np.ndarray, svd_result: SvdResult) -> np.ndarray:
     weights = np.zeros(l + 1)
     weights[: svd_result.sigma.size] = svd_result.sigma
     W = weights[:, None] * svd_result.Vh
-    X = qr_solve(W[:, 1:], W[:, :l])
-    lam = eigenvalues(X)
-    order = np.lexsort((np.angle(lam), np.abs(lam)))
-    return lam[order]
-
-
-def _zero_series_result(s: PowerSeries, conf: Conformation) -> Pm2Result:
-    """The zero approximant, reported as fully collapsed."""
-    k = conf.k
-    head = np.zeros(k + 1, dtype=complex) if k >= 0 else np.array([], dtype=complex)
-    prf = PoleResidueForm(head=head, shift=k + 1 if k >= 0 else 0, terms=())
-    ra = RationalApproximant(numer=np.zeros(max(k, 0) + 1, dtype=complex), denom=np.array([1.0 + 0j]))
-    report = SpuriousPoleReport(
-        iterations=(),
-        origin_poles_removed=(),
-        d_matrix_reductions=0,
-        final_l=0,
-        defect_estimate=2 * conf.m,
-        head_only=True,
-    )
-    return Pm2Result(prf, ra, report)
+    return _pencil_poles(W[:, 1:], W[:, :l])
 
 
 def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) -> Pm2Result:
@@ -183,12 +159,9 @@ def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) 
     m, k = conf.m, conf.k
     if m < 1:
         raise ValueError("filtering needs a denominator degree m >= 1")
-    if len(s) < conf.n:
-        raise InsufficientCoefficients(
-            f"[{m + k}/{m}] needs {conf.n} coefficients, series has {len(s)}"
-        )
+    _require_length(s, conf)
     if not np.any(s.coeffs[: conf.n]):
-        return _zero_series_result(s, conf)
+        return _headonly_result(s, conf, (), (), 0)
     t = params.t if params.t is not None else s.t
     max_passes = params.max_iterations if params.max_iterations is not None else m + 1
 
@@ -197,87 +170,75 @@ def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) 
     d_reductions = 0
     l = conf.l
     passes = 0
-    poles = weights = None
 
-    while True:
+    while l > 0:
         passes += 1
         if passes > max_passes:
             raise NonTerminating(f"filtering did not settle within {max_passes} passes")
         H = combined_window(s, Conformation(m=m, k=k, l=l))
         sr = svd(H)
-        if l > 1:
-            # The filter targets the numerical rank: the window keeps
-            # rank_hat = (#sigma - n_s) usable directions, and a pencil
-            # of size rank_hat is the largest the data supports.  On the
-            # first pass (l = m, row-limited spectrum) this equals the
-            # plain reduction l - n_s; on later column-limited passes
-            # the spectrum carries one extra entry and the plain
-            # reduction would overshoot by one, losing a genuine pole.
-            rank_hat = sr.sigma.size - count_filtered(sr.sigma, t)
-            new_l = max(1, min(l, rank_hat))
-            iterations.append(FilterIteration(l, sr.sigma.copy(), l - new_l))
-            if new_l < l:
-                l = new_l
-                continue
-        else:
-            iterations.append(FilterIteration(l, sr.sigma.copy(), 0))
+        # The filter targets the numerical rank: the window keeps
+        # rank_hat = (#sigma - n_s) usable directions, and a pencil of
+        # size rank_hat is the largest the data supports.  On the first
+        # pass (l = m, row-limited spectrum) this equals the plain
+        # reduction l - n_s; on later column-limited passes the spectrum
+        # carries one extra entry and the plain reduction would
+        # overshoot by one, losing a genuine pole.  At l = 1 new_l is 1.
+        rank_hat = sr.sigma.size - count_filtered(sr.sigma, t)
+        new_l = max(1, min(l, rank_hat))
+        iterations.append(FilterIteration(l, sr.sigma.copy(), l - new_l))
+        if new_l < l:
+            l = new_l
+            continue
 
         try:
             lam = reduced_poles(H, sr)
         except RankDeficient:
             l -= 1
-            if l == 0:
-                return _headonly_result(s, conf, iterations, origin_removed, d_reductions)
             continue
 
         inside = np.abs(lam) <= params.origin_radius
         if np.any(inside):
-            if params.batch_origin_drop:
-                dropped = lam[inside]
-            else:
-                dropped = lam[[int(np.argmin(np.abs(lam)))]]
-            origin_removed.extend(complex(p) for p in dropped)
-            l -= dropped.size
-            if l == 0:
-                return _headonly_result(s, conf, iterations, origin_removed, d_reductions)
+            origin_removed.extend(complex(p) for p in lam[inside])
+            l -= int(np.count_nonzero(inside))
             continue
 
         D, rhs = residue_system(s, lam, conf, use_all_rows=True)
-        dsig = np.linalg.svd(D, compute_uv=False)
-        if dsig[-1] < 10.0 ** (-t) * dsig[0]:
+        # An overflowing power of a tiny spurious pole leaves D
+        # non-finite: the worst conditioning there is, kept from LAPACK.
+        ok = np.all(np.isfinite(D))
+        if ok:
+            dsig = np.linalg.svd(D, compute_uv=False)
+            ok = not dsig[-1] < 10.0 ** (-t) * dsig[0]
+        if not ok:
             d_reductions += 1
             l -= 1
-            if l == 0:
-                return _headonly_result(s, conf, iterations, origin_removed, d_reductions)
             continue
 
-        poles = lam
-        weights = qr_solve(D, rhs, rtol=0.0)
-        break
-
-    head, shift = _head_for(s, k)
-    prf = PoleResidueForm(head=head, shift=shift, terms=tuple(zip(poles, weights)))
-    ra = to_rational(prf, s, conf)
-    report = SpuriousPoleReport(
-        iterations=tuple(iterations),
-        origin_poles_removed=tuple(origin_removed),
-        d_matrix_reductions=d_reductions,
-        final_l=l,
-        defect_estimate=2 * (m - l),
-        head_only=False,
-    )
-    return Pm2Result(prf, ra, report)
+        prf = _with_head(s, k, lam, qr_solve(D, rhs, rtol=0.0))
+        report = SpuriousPoleReport(
+            iterations=tuple(iterations),
+            origin_poles_removed=tuple(origin_removed),
+            d_matrix_reductions=d_reductions,
+            final_l=l,
+            defect_estimate=2 * (m - l),
+        )
+        return Pm2Result(prf, to_rational(prf, s, conf), report)
+    return _headonly_result(s, conf, iterations, origin_removed, d_reductions)
 
 
 def _headonly_result(s, conf, iterations, origin_removed, d_reductions) -> Pm2Result:
-    """Everything filtered away: fall back to the head polynomial if any."""
-    if conf.k < 0:
-        raise Collapse(
-            f"filtering removed every pole and k={conf.k} < 0 leaves no polynomial part"
-        )
-    head, shift = _head_for(s, conf.k)
+    """No poles left: the head polynomial over 1, reported as fully
+    collapsed.  A zero series gives the zero approximant for any k;
+    otherwise k < 0 leaves no polynomial part and raises Collapse."""
+    k = conf.k
+    zero = not np.any(s.coeffs[: conf.n])
+    if k < 0 and not zero:
+        raise Collapse(f"filtering removed every pole and k={k} < 0 leaves no polynomial part")
+    shift = max(k + 1, 0)
+    head = np.zeros(shift, dtype=complex) if zero else s.coeffs[:shift]
     prf = PoleResidueForm(head=head, shift=shift, terms=())
-    ra = to_rational(prf, s, conf)
+    numer = head if shift else np.zeros(1, dtype=complex)
     report = SpuriousPoleReport(
         iterations=tuple(iterations),
         origin_poles_removed=tuple(origin_removed),
@@ -286,4 +247,4 @@ def _headonly_result(s, conf, iterations, origin_removed, d_reductions) -> Pm2Re
         defect_estimate=2 * conf.m,
         head_only=True,
     )
-    return Pm2Result(prf, ra, report)
+    return Pm2Result(prf, RationalApproximant(numer=numer, denom=np.array([1.0 + 0j])), report)

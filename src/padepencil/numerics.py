@@ -122,6 +122,16 @@ def polynomial_roots(coeffs) -> np.ndarray:
     return np.polynomial.polynomial.polyroots(c)
 
 
+def root_order(z) -> np.ndarray:
+    """Indices that sort the complex values z by magnitude, then phase."""
+    return np.lexsort((np.angle(z), np.abs(z)))
+
+
+def complex_pairs(values) -> list:
+    """JSON form of complex values: a list of [re, im] float pairs."""
+    return [[float(v.real), float(v.imag)] for v in np.atleast_1d(values)]
+
+
 def complex_from_parts(re, im) -> np.ndarray:
     """Complex array with exactly the given real and imaginary parts.
 

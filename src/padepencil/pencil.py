@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
-from .baseline import Conformation, RationalApproximant, numerator_from_denominator
+from .baseline import Conformation, RationalApproximant, combined_window, numerator_from_denominator
 from .errors import Collapse, DuplicatePole, InsufficientCoefficients, NonFinite, RankDeficient, SingularVandermonde
-from .numerics import DEFAULT_RANK_RTOL, eigenvalues, qr_solve
+from .numerics import DEFAULT_RANK_RTOL, eigenvalues, qr_solve, root_order
 from .series import PowerSeries
 
 
@@ -63,14 +62,20 @@ class PoleResidueForm:
         if self.shift != head.size:
             raise ValueError(f"shift={self.shift} inconsistent with head length {head.size}")
         terms = tuple((complex(p), complex(e)) for p, e in self.terms)
-        for p, e in terms:
-            if not (np.isfinite(p) and np.isfinite(e)):
-                raise NonFinite("pole-residue terms must be finite")
-        for i in range(len(terms)):
-            for j in range(i + 1, len(terms)):
-                pi, pj = terms[i][0], terms[j][0]
-                if abs(pi - pj) <= 1e-12 * max(abs(pi), abs(pj)):
-                    raise DuplicatePole(f"poles {pi} and {pj} coincide to relative 1e-12")
+        pe = np.array(terms, dtype=complex).reshape(-1, 2)
+        if not np.isfinite(pe).all():
+            raise NonFinite("pole-residue terms must be finite")
+        if len(terms) > 1:
+            # Moduli by hypot, as Python's abs takes them (np.abs may
+            # differ in the last bit); the first pair i < j is reported.
+            p = pe[:, 0]
+            with np.errstate(over="ignore"):
+                a = np.hypot(p.real, p.imag)
+                d = p[:, None] - p
+                close = np.hypot(d.real, d.imag) <= 1e-12 * np.maximum(a[:, None], a)
+            i, j = np.nonzero(np.triu(close, 1))
+            if i.size:
+                raise DuplicatePole(f"poles {terms[i[0]][0]} and {terms[j[0]][0]} coincide to relative 1e-12")
         terms = tuple(sorted(terms, key=lambda pe: (abs(pe[0]), np.angle(pe[0]))))
         object.__setattr__(self, "terms", terms)
 
@@ -88,35 +93,24 @@ class Pm1Result(NamedTuple):
     rational: RationalApproximant
 
 
-def _head_for(s: PowerSeries, k: int) -> tuple[np.ndarray, int]:
-    """Head coefficients and shift for numerator offset k."""
-    if k >= 0:
-        return s.coeffs[: k + 1].copy(), k + 1
-    return np.array([], dtype=complex), 0
-
-
-def combined_window(s: PowerSeries, conf: Conformation) -> np.ndarray:
-    """The (2m-l) x (l+1) Hankel window with entry c_{k+1+i+j} at (i, j).
-
-    Coefficients with negative index are zero.  Slicing off the last or
-    first column yields the pencil blocks C1 and C2.
-    """
-    m, k, l = conf.m, conf.k, conf.l
-    if m < 1:
-        raise ValueError("the pencil needs a denominator degree m >= 1")
-    if len(s) < conf.n:
-        raise InsufficientCoefficients(
-            f"[{m + k}/{m}] needs {conf.n} coefficients, series has {len(s)}"
-        )
-    vals = np.array([s.coeff(j) if j >= 0 else 0j for j in range(k + 1, 2 * m + k + 1)])
-    rows = 2 * m - l
-    return sla.hankel(vals[:rows], vals[rows - 1 :])
+def _with_head(s: PowerSeries, k: int, poles=(), weights=()) -> PoleResidueForm:
+    """Pole-residue form with the given terms and the series head for
+    numerator offset k: c_0..c_k (shift k+1) when k >= 0, else none."""
+    shift = max(k + 1, 0)
+    return PoleResidueForm(head=s.coeffs[:shift], shift=shift, terms=tuple(zip(poles, weights)))
 
 
 def build_blocks(s: PowerSeries, conf: Conformation) -> HankelBlocks:
     """Assemble the shifted Hankel pair for conformation [m+k/m] at size l."""
     H = combined_window(s, conf)
     return HankelBlocks(C1=H[:, :-1], C2=H[:, 1:])
+
+
+def _pencil_poles(A: np.ndarray, B: np.ndarray, rank_rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
+    """Eigenvalues of the least-squares solve of A X = B, sorted by
+    magnitude then phase."""
+    lam = eigenvalues(qr_solve(A, B, rtol=rank_rtol))
+    return lam[root_order(lam)]
 
 
 def pm1_poles(blocks: HankelBlocks, rank_rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
@@ -126,10 +120,7 @@ def pm1_poles(blocks: HankelBlocks, rank_rtol: float = DEFAULT_RANK_RTOL) -> np.
     sorted by magnitude then phase.  ``rank_rtol`` is passed through to
     the QR rank check; 0 disables it, reproducing an unguarded solve.
     """
-    X = qr_solve(blocks.C2, blocks.C1, rtol=rank_rtol)
-    lam = eigenvalues(X)
-    order = np.lexsort((np.angle(lam), np.abs(lam)))
-    return lam[order]
+    return _pencil_poles(blocks.C2, blocks.C1, rank_rtol)
 
 
 def residue_system(s: PowerSeries, poles, conf: Conformation, use_all_rows: bool):
@@ -148,19 +139,15 @@ def residue_system(s: PowerSeries, poles, conf: Conformation, use_all_rows: bool
         raise InsufficientCoefficients(
             f"residue system needs {rows} equations, series provides {rhs_all.size}"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A tiny spurious pole overflows d**r to inf; callers reject a
+    # non-finite matrix, so the overflow is expected and not warned about.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d = np.where(poles != 0, 1.0 / poles, np.inf)
         D = d[None, :] ** np.arange(rows)[:, None]
     return D, rhs_all[:rows]
 
 
-def pm1_residues(
-    s: PowerSeries,
-    poles,
-    conf: Conformation,
-    use_all_rows: bool = False,
-    rank_rtol: float = DEFAULT_RANK_RTOL,
-) -> np.ndarray:
+def pm1_residues(s: PowerSeries, poles, conf: Conformation, use_all_rows: bool = False) -> np.ndarray:
     """Weights e_j solving the Vandermonde system D e = c in the
     inverse poles d_j = 1/p_j.
 
@@ -170,7 +157,8 @@ def pm1_residues(
     exactly the first l rows (a square solve).  A pole at the origin is
     tolerated only while no row actually needs its inverse, i.e. in the
     single-row square case; otherwise the matrix is non-finite and
-    SingularVandermonde is raised, as it is for (near-)coincident poles.
+    SingularVandermonde is raised, as it is for (near-)coincident poles
+    and for powers that overflow.
     """
     poles = np.atleast_1d(np.asarray(poles, dtype=complex))
     if poles.size == 0:
@@ -179,10 +167,9 @@ def pm1_residues(
     if not np.all(np.isfinite(D)):
         raise SingularVandermonde("inverse-pole powers are non-finite (pole at the origin)")
     try:
-        e = qr_solve(D, rhs, rtol=rank_rtol)
+        return qr_solve(D, rhs)
     except RankDeficient as exc:
         raise SingularVandermonde(f"residue system is rank deficient: {exc}") from exc
-    return e
 
 
 def to_rational(prf: PoleResidueForm, s: PowerSeries, conf: Conformation) -> RationalApproximant:
@@ -209,6 +196,12 @@ def to_rational(prf: PoleResidueForm, s: PowerSeries, conf: Conformation) -> Rat
     return RationalApproximant(numer=numer, denom=denom)
 
 
+def _square_fit(s: PowerSeries, poles, conf: Conformation) -> PoleResidueForm:
+    """Pole-residue form of the given poles, with weights from the square
+    residue system (see pm1_residues)."""
+    return _with_head(s, conf.k, poles, pm1_residues(s, poles, conf))
+
+
 def pm1(s: PowerSeries, conf: Conformation) -> Pm1Result:
     """Full pencil solve at l = m: poles, square residue system, both forms.
 
@@ -218,9 +211,5 @@ def pm1(s: PowerSeries, conf: Conformation) -> Pm1Result:
     """
     if conf.l != conf.m:
         raise ValueError(f"unfiltered pencil requires l = m, got l={conf.l}, m={conf.m}")
-    blocks = build_blocks(s, conf)
-    poles = pm1_poles(blocks)
-    e = pm1_residues(s, poles, conf, use_all_rows=False)
-    head, shift = _head_for(s, conf.k)
-    prf = PoleResidueForm(head=head, shift=shift, terms=tuple(zip(poles, e)))
+    prf = _square_fit(s, pm1_poles(build_blocks(s, conf)), conf)
     return Pm1Result(prf, to_rational(prf, s, conf))

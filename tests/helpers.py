@@ -3,13 +3,15 @@
 These deliberately avoid the package's own construction paths: series
 coefficients come from polynomial long division or explicit partial
 fractions, so round-trip tests compare two independent computations.
-The point-by-point evaluators at the end are the bitwise reference for
-the package's array evaluators.
+The point-by-point evaluators, the Toeplitz solvers and the loops at
+the end are the bitwise references for the package's array code.
 """
 
 import numpy as np
+import scipy.linalg as sla
 
-from padepencil import PoleHit, ZeroPole
+from padepencil import DegenerateError, DuplicatePole, InsufficientCoefficients, PoleHit, ZeroPole
+from padepencil.numerics import svd
 
 
 def maclaurin_of_rational(numer, denom, n):
@@ -119,3 +121,82 @@ def pointwise_error_sweep(approx, reference, points):
             errors[i] = np.inf
             flagged[i] = True
     return errors, flagged
+
+
+# The coefficient windows as the package built them before every solver
+# read one Hankel window: an entry-by-entry list for the pencil window and
+# Toeplitz matrices for the direct and SVD systems, kept verbatim as the
+# bitwise reference for ``combined_window``, ``dm_denominator`` and
+# ``svd_denominator``.
+
+
+def _require_length(s, conf):
+    if len(s) < conf.n:
+        raise InsufficientCoefficients(
+            f"[{conf.m + conf.k}/{conf.m}] needs {conf.n} coefficients, series has {len(s)}"
+        )
+
+
+def _coeff_window(s, lo, hi):
+    """Coefficients c_lo..c_hi inclusive, with c_j = 0 for j < 0."""
+    return np.array([s.coeff(j) if j >= 0 else 0j for j in range(lo, hi + 1)])
+
+
+def toeplitz_dm_denominator(s, conf):
+    _require_length(s, conf)
+    m, k = conf.m, conf.k
+    if m == 0:
+        return np.array([1.0 + 0j])
+    # Row r, column i-1 holds c_{m+k+1+r-i}: Toeplitz with first column
+    # c_{m+k}..c_{2m+k-1} and first row c_{m+k}..c_{k+1}.
+    col = _coeff_window(s, m + k, 2 * m + k - 1)
+    row = _coeff_window(s, k + 1, m + k)[::-1]
+    A = sla.toeplitz(col, row)
+    rhs = -_coeff_window(s, m + k + 1, 2 * m + k)
+    try:
+        b_tail = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateError(f"direct {m}x{m} denominator system is singular: {exc}") from exc
+    if not np.all(np.isfinite(b_tail)):
+        raise DegenerateError("direct denominator solve produced non-finite coefficients")
+    return np.concatenate(([1.0 + 0j], b_tail))
+
+
+def toeplitz_svd_denominator(s, conf):
+    _require_length(s, conf)
+    m, k = conf.m, conf.k
+    if m == 0:
+        return np.array([1.0 + 0j])
+    col = _coeff_window(s, m + k + 1, 2 * m + k)
+    row = _coeff_window(s, k + 1, m + k + 1)[::-1]
+    C = sla.toeplitz(col, row)
+    result = svd(C)
+    b = result.Vh[-1].conj()
+    pivot = int(np.argmax(np.abs(b)))
+    return b / b[pivot]
+
+
+def list_combined_window(s, conf):
+    m, k, l = conf.m, conf.k, conf.l
+    if m < 1:
+        raise ValueError("the pencil needs a denominator degree m >= 1")
+    if len(s) < conf.n:
+        raise InsufficientCoefficients(
+            f"[{m + k}/{m}] needs {conf.n} coefficients, series has {len(s)}"
+        )
+    vals = np.array([s.coeff(j) if j >= 0 else 0j for j in range(k + 1, 2 * m + k + 1)])
+    rows = 2 * m - l
+    return sla.hankel(vals[:rows], vals[rows - 1 :])
+
+
+def loop_pole_residue_terms(terms):
+    """The terms of ``PoleResidueForm`` as its pairwise Python double
+    loop checked and sorted them, kept verbatim as the reference for
+    the broadcast check."""
+    terms = tuple((complex(p), complex(e)) for p, e in terms)
+    for i in range(len(terms)):
+        for j in range(i + 1, len(terms)):
+            pi, pj = terms[i][0], terms[j][0]
+            if abs(pi - pj) <= 1e-12 * max(abs(pi), abs(pj)):
+                raise DuplicatePole(f"poles {pi} and {pj} coincide to relative 1e-12")
+    return tuple(sorted(terms, key=lambda pe: (abs(pe[0]), np.angle(pe[0]))))

@@ -66,7 +66,7 @@ def oracle_suite():
 def log_study():
     """Branch-cut experiment on 41 coefficients, cached."""
     if not _log_cache:
-        _log_cache.update(run_log_branch(ExperimentConfig(experiment="log_branch", n=41, t=14.0)))
+        _log_cache.update(run_log_branch(ExperimentConfig(n=41, t=14.0)))
     return _log_cache
 
 

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from padepencil import (
-    AllZero,
     DuplicatePole,
     PoleHit,
     PoleResidueForm,
@@ -92,10 +91,11 @@ class TestPolesAndZeros:
         np.testing.assert_allclose(poles, [1.0, -3.0], atol=1e-12)
         np.testing.assert_allclose(zeros, [-1.0, 2.0], atol=1e-12)
 
-    def test_zero_numerator_raises(self):
-        ra = RationalApproximant([0.0], [1.0, 1.0])
-        with pytest.raises(AllZero):
-            poles_and_zeros(ra)
+    def test_zero_numerator_gives_no_zeros(self):
+        ra = RationalApproximant([0.0, 0.0], [1.0, 1.0])
+        poles, zeros = poles_and_zeros(ra)
+        np.testing.assert_allclose(poles, [-1.0], atol=1e-15)
+        assert zeros.shape == (0,) and zeros.dtype == complex
 
 
 class TestUnitDiskMesh:

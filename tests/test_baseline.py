@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padepencil import (
     Collapse,
@@ -9,6 +11,7 @@ from padepencil import (
     DegenerateError,
     PowerSeries,
     RationalApproximant,
+    combined_window,
     dm_denominator,
     gen_from_poles,
     gen_geometric_noisy,
@@ -17,7 +20,13 @@ from padepencil import (
     svd_denominator,
 )
 
-from helpers import maclaurin_of_rational, random_oracle
+from helpers import (
+    list_combined_window,
+    maclaurin_of_rational,
+    random_oracle,
+    toeplitz_dm_denominator,
+    toeplitz_svd_denominator,
+)
 
 
 class TestConformation:
@@ -186,3 +195,47 @@ class TestNumeratorFromDenominator:
             a = numerator_from_denominator(s, b, conf)
             again = maclaurin_of_rational(a, b, conf.n)
             np.testing.assert_allclose(again, s.coeffs, atol=1e-7 * np.abs(s.coeffs).max())
+
+
+@st.composite
+def window_cases(draw):
+    """A series and a conformation [m+k/m] at size l, m 1-40, k from -m
+    (so leading window entries are the zeros of negative indices) up to
+    5.  Coefficients are random with magnitudes 1e-3..1e3, noisy
+    1/(1-z), or either with some entries exactly zero."""
+    m = draw(st.integers(1, 40))
+    k = draw(st.integers(-m, 5))
+    l = draw(st.integers(1, m))
+    n = 2 * m + k + 1 + draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        c = 10.0 ** rng.uniform(-3, 3, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    else:
+        c = 1.0 + 1e-6 * rng.uniform(-1, 1, n)
+    if draw(st.booleans()):
+        c = np.where(rng.uniform(size=n) < 0.2, 0.0, c)
+    return PowerSeries(c), Conformation(m, k, l)
+
+
+def _outcome(solve, s, conf):
+    """Result bits, or the error type and message."""
+    try:
+        return solve(s, conf).view(np.int64).tolist()
+    except DegenerateError as exc:
+        return type(exc), str(exc)
+
+
+class TestOneWindow:
+    """The direct and SVD systems read the Hankel window with its columns
+    reversed, bit for bit as the Toeplitz matrices they were built from."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(window_cases())
+    def test_bitwise_against_toeplitz(self, case):
+        s, conf = case
+        H = combined_window(s, conf)
+        assert H.dtype == complex
+        np.testing.assert_array_equal(H.view(np.int64), list_combined_window(s, conf).view(np.int64))
+        full = Conformation(conf.m, conf.k)
+        assert _outcome(dm_denominator, s, conf) == _outcome(toeplitz_dm_denominator, s, full)
+        assert _outcome(svd_denominator, s, conf) == _outcome(toeplitz_svd_denominator, s, full)

@@ -1,13 +1,15 @@
 """Tests for the experiment harness and command-line interface."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from padepencil import Conformation, gen_log_series
-from padepencil.cli import load_coefficients, main
+from padepencil.cli import build_parser, load_coefficients, main
 from padepencil.experiments import (
+    METHODS,
     ExperimentConfig,
     approximate_series,
     on_ray,
@@ -82,7 +84,7 @@ class TestApproximateSeries:
 
 
 class TestGeometricNoise:
-    CFG = dict(experiment="geometric-noise", n=20, m=10, k=-1,
+    CFG = dict(n=20, m=10, k=-1,
                eps_list=(1e-6,), samples=2, seed=101, method="pm2")
 
     def test_rows_and_summary(self):
@@ -120,7 +122,7 @@ class TestGeometricNoise:
 
     def test_failures_are_recorded_not_raised(self):
         # dm on an m far beyond the true rank fails on noiseless data
-        cfg = ExperimentConfig(experiment="geometric-noise", n=20, m=10, k=-1,
+        cfg = ExperimentConfig(n=20, m=10, k=-1,
                                eps_list=(0.0,), samples=1, seed=101, method="dm")
         out = run_geometric_noise(cfg)
         row = out["rows"][0]
@@ -131,7 +133,7 @@ class TestGeometricNoise:
 
 class TestLogBranch:
     def test_small_study_structure(self, tmp_path):
-        cfg = ExperimentConfig(experiment="log-branch", n=21, t=14.0,
+        cfg = ExperimentConfig(n=21, t=14.0,
                                output_path=str(tmp_path / "log"))
         out = run_log_branch(cfg)
         assert out["conformation"] == {"m": 10, "k": 0}
@@ -147,7 +149,7 @@ class TestLogBranch:
         assert data["mesh"]["points"] == 7845
 
     def test_repeat_run_is_identical(self):
-        cfg = ExperimentConfig(experiment="log-branch", n=21)
+        cfg = ExperimentConfig(n=21)
         assert json.dumps(run_log_branch(cfg)) == json.dumps(run_log_branch(cfg))
 
     def test_pruned_baseline_keeps_only_ray_poles(self):
@@ -262,3 +264,22 @@ class TestCli:
         assert rc == 0
         data = json.loads((tmp_path / "log.json").read_text())
         assert data["pm2"]["failed"] is False
+
+    def test_log_branch_has_no_seed_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "log-branch", "--seed", "1"])
+        assert exc.value.code == 3
+
+    def test_method_choices_are_the_registry(self):
+        def method_choices(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from method_choices(sub)
+                elif "--method" in action.option_strings:
+                    yield parser.prog, action.choices
+
+        found = dict(method_choices(build_parser()))
+        assert set(found) == {"padepencil approximate", "padepencil poles",
+                              "padepencil experiment geometric-noise"}
+        assert all(tuple(choices) == METHODS for choices in found.values())

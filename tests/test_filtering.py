@@ -1,5 +1,7 @@
 """Tests for the iterated spurious-pole filter."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,6 @@ class TestFilterParams:
         assert p.t is None
         assert p.origin_radius == 1e-3
         assert p.max_iterations is None
-        assert p.batch_origin_drop
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -184,14 +185,6 @@ class TestPm2:
         np.testing.assert_allclose(ra.numer, [0.0])
         np.testing.assert_allclose(ra.denom, [1.0])
 
-    def test_cubic_monomial_origin_poles_one_per_pass(self):
-        s = PowerSeries([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-        conf = Conformation(m=3, k=0)
-        prf, ra, report = pm2(s, conf, FilterParams(t=14, batch_origin_drop=False))
-        assert report.head_only
-        assert [it.l_before for it in report.iterations] == [3, 2, 1]
-        assert len(report.origin_poles_removed) == 2
-
     def test_collapse_when_no_polynomial_part_remains(self):
         with pytest.raises(Collapse):
             pm2(PowerSeries([1.0, 0.0]), Conformation(m=1, k=-1))
@@ -223,6 +216,25 @@ class TestPm2:
         for it in d["iterations"]:
             assert set(it) == {"l_before", "singular_values", "n_s_removed"}
             assert all(isinstance(v, float) for v in it["singular_values"])
+
+    @pytest.mark.parametrize("m, seed", [(60, 9), (90, 26)])
+    def test_wide_magnitude_input_shrinks_l_quietly(self, m, seed, capfd):
+        # Magnitudes 10^(6 cos(2 pi j/7) +- 0.5), random phases: a tiny
+        # spurious pole overflows the residue Vandermonde.  That pass
+        # must count as a conditioning reduction: no NonFinite, no
+        # numpy warning, and no LAPACK complaint about the inf matrix
+        # (the second case used to print one from DLASCL).
+        rng = np.random.default_rng(seed)
+        expo = 6.0 * np.cos(2 * np.pi * np.arange(2 * m) / 7) + rng.uniform(-0.5, 0.5, 2 * m)
+        s = PowerSeries(10.0**expo * np.exp(2j * np.pi * rng.uniform(size=2 * m)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prf, ra, report = pm2(s, Conformation(m=m, k=-1))
+        out, err = capfd.readouterr()
+        assert "DLASCL" not in out + err
+        assert report.d_matrix_reductions >= 1
+        assert 1 <= report.final_l == len(prf.terms) < m
+        assert np.all(np.isfinite(prf.poles)) and np.all(np.isfinite(ra.denom))
 
     def test_approximant_matches_function_inside_disk(self):
         # end to end: the filtered PA of a noisy geometric series still

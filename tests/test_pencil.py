@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padepencil import (
     Collapse,
@@ -27,7 +29,7 @@ from padepencil import (
     to_rational,
 )
 
-from helpers import greedy_match_error, random_oracle
+from helpers import greedy_match_error, loop_pole_residue_terms, random_oracle
 
 
 class TestWindow:
@@ -149,6 +151,30 @@ class TestPoleResidueForm:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFinite):
             PoleResidueForm(head=[], shift=0, terms=[(np.inf, 1.0)])
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_duplicate_check_and_order_match_the_pairwise_loop(self, data):
+        # Poles over 200 decades, some repeated with a relative offset
+        # around the 1e-12 threshold or shared magnitudes (phase ties).
+        n = data.draw(st.integers(0, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        poles = list(10.0 ** rng.uniform(-100, 100, n) * np.exp(2j * np.pi * rng.uniform(size=n)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            if poles:
+                p = poles[data.draw(st.integers(0, len(poles) - 1))]
+                rel = data.draw(st.sampled_from([0.0, 1e-13, 9.9e-13, 1e-12, 1.01e-12, 1e-11]))
+                twist = data.draw(st.sampled_from([1.0, 1j, -1.0, np.exp(0.3j)]))
+                poles.insert(data.draw(st.integers(0, len(poles))), p * (1 + rel * twist))
+        terms = [(p, complex(i, -i)) for i, p in enumerate(poles)]
+        try:
+            want = loop_pole_residue_terms(terms)
+        except DuplicatePole as exc:
+            with pytest.raises(DuplicatePole) as got:
+                PoleResidueForm(head=[], shift=0, terms=terms)
+            assert str(got.value) == str(exc)
+        else:
+            assert PoleResidueForm(head=[], shift=0, terms=terms).terms == want
 
 
 class TestToRational:
