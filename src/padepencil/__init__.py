@@ -35,7 +35,6 @@ from .errors import (
     DuplicatePole,
     InsufficientCoefficients,
     NonFinite,
-    NonTerminating,
     PoleHit,
     RankDeficient,
     SingularVandermonde,
@@ -93,7 +92,6 @@ __all__ = [
     "PoleHit",
     "AllZero",
     "Collapse",
-    "NonTerminating",
     "PowerSeries",
     "eval_truncated",
     "gen_geometric_noisy",

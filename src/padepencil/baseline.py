@@ -1,9 +1,9 @@
 """Classical Pade solvers: direct linear system and SVD null vector.
 
 Shared here are the two container types used by every solver:
-:class:`Conformation` fixes the degree pair [m+k / m] (and the working
-pencil size ``l``), and :class:`RationalApproximant` holds a numerator /
-denominator coefficient pair.
+:class:`Conformation` fixes the degree pair [m+k / m], and
+:class:`RationalApproximant` holds a numerator / denominator coefficient
+pair.
 
 A rational function with numerator degree m+k and denominator degree m
 is determined by its first n = 2m+k+1 series coefficients.  The direct
@@ -30,7 +30,7 @@ from .series import PowerSeries
 
 @dataclass(frozen=True)
 class Conformation:
-    """Degree selection [m+k / m] and working pencil size l.
+    """Degree selection [m+k / m].
 
     Parameters
     ----------
@@ -39,27 +39,16 @@ class Conformation:
     k : int
         Numerator-degree offset; the numerator has degree m + k, so
         k >= -m.
-    l : int, optional
-        Effective number of poles carried by the pencil solvers.
-        Defaults to m; must satisfy 1 <= l <= m (0 when m = 0).
     """
 
     m: int
     k: int
-    l: int = -1  # sentinel: replaced by m in __post_init__
 
     def __post_init__(self):
         if self.m < 0:
             raise ValueError(f"denominator degree must be >= 0, got m={self.m}")
         if self.k < -self.m:
             raise ValueError(f"need k >= -m, got k={self.k} with m={self.m}")
-        if self.l == -1:
-            object.__setattr__(self, "l", self.m)
-        if self.m == 0:
-            if self.l != 0:
-                raise ValueError(f"m=0 admits only l=0, got l={self.l}")
-        elif not 1 <= self.l <= self.m:
-            raise ValueError(f"need 1 <= l <= m={self.m}, got l={self.l}")
 
     @property
     def n(self) -> int:
@@ -94,17 +83,17 @@ def _require_length(s: PowerSeries, conf: Conformation) -> None:
         )
 
 
-def combined_window(s: PowerSeries, conf: Conformation) -> np.ndarray:
+def combined_window(s: PowerSeries, conf: Conformation, l: int) -> np.ndarray:
     """The (2m-l) x (l+1) Hankel window with entry c_{k+1+i+j} at (i, j).
 
-    Coefficients with negative index are zero.  Every solver reads this
-    window: slicing off its last or first column yields the pencil
-    blocks C1 and C2, and at l = m its columns reversed form the direct
-    and SVD systems.
+    ``l`` is the working pole count, 1 <= l <= m.  Coefficients with
+    negative index are zero.  Every solver reads this window: slicing
+    off its last or first column yields the pencil blocks C1 and C2, and
+    at l = m its columns reversed form the direct and SVD systems.
     """
-    m, k, l = conf.m, conf.k, conf.l
-    if m < 1:
-        raise ValueError("the pencil needs a denominator degree m >= 1")
+    m, k = conf.m, conf.k
+    if not 1 <= l <= m:
+        raise ValueError(f"the pencil needs 1 <= l <= m, got l={l} with m={m}")
     _require_length(s, conf)
     lead = max(-(k + 1), 0)
     vals = np.concatenate((np.zeros(lead, dtype=complex), s.coeffs[k + 1 + lead : conf.n]))
@@ -124,7 +113,7 @@ def dm_denominator(s: PowerSeries, conf: Conformation) -> np.ndarray:
     if conf.m == 0:
         _require_length(s, conf)
         return np.array([1.0 + 0j])
-    H = combined_window(s, Conformation(conf.m, conf.k))
+    H = combined_window(s, conf, conf.m)
     try:
         b_tail = np.linalg.solve(H[:, -2::-1], -H[:, -1])
     except np.linalg.LinAlgError as exc:
@@ -145,7 +134,7 @@ def svd_denominator(s: PowerSeries, conf: Conformation) -> np.ndarray:
     if conf.m == 0:
         _require_length(s, conf)
         return np.array([1.0 + 0j])
-    H = combined_window(s, Conformation(conf.m, conf.k))
+    H = combined_window(s, conf, conf.m)
     b = svd(H[:, ::-1]).Vh[-1].conj()
     pivot = int(np.argmax(np.abs(b)))
     return b / b[pivot]

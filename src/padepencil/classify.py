@@ -16,6 +16,15 @@ import numpy as np
 
 from .numerics import complex_pairs
 
+#: Stage tolerances: a system pole lies within max(SYSTEM_TOL_PER_EPS *
+#: eps, SYSTEM_TOL_FLOOR) of its expected location, a doublet's pole and
+#: zero within DOUBLET_TOL of each other, and a far root at magnitude
+#: FAR_TOL or more.
+SYSTEM_TOL_FLOOR = 1e-2
+SYSTEM_TOL_PER_EPS = 1e3
+DOUBLET_TOL = 0.3
+FAR_TOL = 3.0
+
 
 @dataclass(frozen=True)
 class RootTaxonomy:
@@ -41,25 +50,18 @@ class RootTaxonomy:
         }
 
 
-def classify_roots(
-    poles,
-    zeros,
-    expected_system,
-    eps: float = 0.0,
-    system_tol: float | None = None,
-    doublet_tol: float = 0.3,
-    far_tol: float = 3.0,
-) -> RootTaxonomy:
+def classify_roots(poles, zeros, expected_system, eps: float = 0.0) -> RootTaxonomy:
     """Sort computed roots into system poles, doublets and far strays.
 
     Classification happens in three greedy stages:
 
     1. each expected system location claims its nearest unclaimed pole
-       within ``system_tol`` (default max(1e3*eps, 1e-2), widening with
-       the noise level);
+       within max(1e3*eps, 1e-2), a tolerance that widens with the
+       noise level;
     2. remaining poles pair with zeros into doublets, closest pairs
-       first, while the pair distance is <= ``doublet_tol``;
-    3. remaining roots of magnitude >= ``far_tol`` are far poles/zeros.
+       first, while the pair distance is <= 0.3 (``DOUBLET_TOL``);
+    3. remaining roots of magnitude >= 3 (``FAR_TOL``) are far
+       poles/zeros.
 
     Whatever survives all three stages lands in ``unclassified``.
 
@@ -71,14 +73,11 @@ def classify_roots(
         Locations where genuine poles are expected.
     eps : float, optional
         Coefficient noise amplitude used to widen the system tolerance.
-    system_tol, doublet_tol, far_tol : float, optional
-        Stage tolerances; see above.
     """
     poles = list(np.atleast_1d(np.asarray(poles, dtype=complex))) if np.size(poles) else []
     zeros = list(np.atleast_1d(np.asarray(zeros, dtype=complex))) if np.size(zeros) else []
     expected = list(np.atleast_1d(np.asarray(expected_system, dtype=complex))) if np.size(expected_system) else []
-    if system_tol is None:
-        system_tol = max(1e3 * eps, 1e-2)
+    system_tol = max(SYSTEM_TOL_PER_EPS * eps, SYSTEM_TOL_FLOOR)
 
     pole_used = [False] * len(poles)
     zero_used = [False] * len(zeros)
@@ -104,7 +103,7 @@ def classify_roots(
     )
     doublets = []
     for d, i, j in pairs:
-        if d > doublet_tol:
+        if d > DOUBLET_TOL:
             break
         if pole_used[i] or zero_used[j]:
             continue
@@ -115,14 +114,14 @@ def classify_roots(
     for i, p in enumerate(poles):
         if pole_used[i]:
             continue
-        if abs(p) >= far_tol:
+        if abs(p) >= FAR_TOL:
             far_poles.append(p)
         else:
             leftovers.append(("pole", p))
     for j, z in enumerate(zeros):
         if zero_used[j]:
             continue
-        if abs(z) >= far_tol:
+        if abs(z) >= FAR_TOL:
             far_zeros.append(z)
         else:
             leftovers.append(("zero", z))

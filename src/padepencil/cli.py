@@ -136,7 +136,7 @@ def cli_geometric(args) -> int:
         n=args.n,
         m=args.m,
         k=args.k,
-        eps_list=tuple(args.eps) if args.eps else (1e-3, 1e-6, 1e-10),
+        eps_list=tuple(args.eps) if args.eps else ExperimentConfig.eps_list,
         samples=args.samples,
         seed=args.seed,
         t=args.t,
@@ -188,23 +188,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="stock reproducibility studies")
     exp_sub = p_exp.add_subparsers(dest="experiment", parser_class=_Parser)
 
+    defaults = ExperimentConfig()
     p_geo = exp_sub.add_parser("geometric-noise", help="noise study on 1/(1-z)")
-    p_geo.add_argument("--method", choices=METHODS, default="pm2")
-    p_geo.add_argument("--m", type=int, default=10)
-    p_geo.add_argument("--k", type=int, default=-1)
-    p_geo.add_argument("--n", type=int, default=20)
+    p_geo.add_argument("--method", choices=METHODS, default=defaults.method)
+    p_geo.add_argument("--m", type=int, default=defaults.m)
+    p_geo.add_argument("--k", type=int, default=defaults.k)
+    p_geo.add_argument("--n", type=int, default=defaults.n)
     p_geo.add_argument("--eps", type=float, action="append", default=None, help="repeatable noise amplitude")
-    p_geo.add_argument("--samples", type=int, default=10)
-    p_geo.add_argument("--seed", type=int, default=101)
-    p_geo.add_argument("--t", type=float, default=None)
-    p_geo.add_argument("--origin-radius", type=float, default=1e-3)
+    p_geo.add_argument("--samples", type=int, default=defaults.samples)
+    p_geo.add_argument("--seed", type=int, default=defaults.seed)
+    p_geo.add_argument("--t", type=float, default=defaults.t)
+    p_geo.add_argument("--origin-radius", type=float, default=defaults.origin_radius)
     p_geo.add_argument("--out", default=None, help="base path for .samples.csv/.summary.json")
     p_geo.set_defaults(func=cli_geometric)
 
     p_log = exp_sub.add_parser("log-branch", help="branch-cut study on ln(1.2-z)")
     p_log.add_argument("--n", type=int, default=41)
-    p_log.add_argument("--t", type=float, default=None)
-    p_log.add_argument("--origin-radius", type=float, default=1e-3)
+    p_log.add_argument("--t", type=float, default=defaults.t)
+    p_log.add_argument("--origin-radius", type=float, default=defaults.origin_radius)
     p_log.add_argument("--out", default=None, help="base path for .json output")
     p_log.set_defaults(func=cli_log_branch)
 

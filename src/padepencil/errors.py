@@ -52,7 +52,3 @@ class AllZero(ApproximationError):
 
 class Collapse(ApproximationError):
     """Filtering removed every pole and no polynomial part remains."""
-
-
-class NonTerminating(ApproximationError):
-    """The filtering loop exceeded its iteration budget."""

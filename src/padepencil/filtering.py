@@ -15,8 +15,10 @@ remaining poles are trustworthy:
    10^-t) indicates a still-redundant pole set.
 
 Every reduction re-enters the loop from the rebuilt window, so the
-report carries the full trajectory.  The defect estimate 2(m - final_l)
-counts how many series coefficients carried no usable information.
+report carries the full trajectory.  Every pass either returns or lowers
+l by at least one, so the loop ends within m passes.  The defect
+estimate 2(m - final_l) counts how many series coefficients carried no
+usable information.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baseline import Conformation, RationalApproximant, _require_length, combined_window
-from .errors import Collapse, NonTerminating, RankDeficient
+from .errors import Collapse, RankDeficient
 from .numerics import SvdResult, complex_pairs, qr_solve, svd
 from .pencil import PoleResidueForm, _pencil_poles, _with_head, residue_system, to_rational
 from .series import PowerSeries
@@ -46,22 +48,16 @@ class FilterParams:
     origin_radius : float, optional
         Eigenvalues with magnitude <= this are deleted as spurious
         origin poles.
-    max_iterations : int, optional
-        Upper bound on filtering passes; defaults to m + 1, which a
-        loop that shrinks l each pass can never exceed.
     """
 
     t: float | None = None
     origin_radius: float = 1e-3
-    max_iterations: int | None = None
 
     def __post_init__(self):
         if self.t is not None and not self.t > 0:
             raise ValueError(f"t must be positive, got {self.t}")
         if not 0 < self.origin_radius < 1:
             raise ValueError(f"origin_radius must lie in (0, 1), got {self.origin_radius}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 class FilterIteration(NamedTuple):
@@ -81,7 +77,11 @@ class SpuriousPoleReport:
     d_matrix_reductions: int
     final_l: int
     defect_estimate: int
-    head_only: bool = False
+
+    @property
+    def head_only(self) -> bool:
+        """Whether filtering removed every pole."""
+        return self.final_l == 0
 
     def to_dict(self) -> dict:
         return {
@@ -120,21 +120,22 @@ def count_filtered(sigma, t: float) -> int:
     return int(np.count_nonzero(sigma < 10.0 ** (-t) * sigma[0]))
 
 
-def reduced_poles(C: np.ndarray, svd_result: SvdResult) -> np.ndarray:
+def reduced_poles(svd_result: SvdResult) -> np.ndarray:
     """Eigenvalues of the pencil restricted to the retained directions.
 
-    With C = U S Vh the least-squares pencil solve C2^+ C1 equals the
-    solution of  min || S_hat V2h X - S_hat V1h ||_F  where V1h/V2h are
-    the first/last l columns of Vh and S_hat pads the singular values
-    with zeros to the full column count: the unitary factor U drops out,
-    but each row must keep its singular-value weight.  Raises
-    RankDeficient when the weighted system loses rank, in which case the
-    caller shrinks l and retries.
+    ``svd_result`` is the full SVD C = U S Vh of the (2m-l) x (l+1)
+    window, so l is read from the square Vh.  The least-squares pencil
+    solve C2^+ C1 equals the solution of
+    min || S_hat V2h X - S_hat V1h ||_F  where V1h/V2h are the
+    first/last l columns of Vh and S_hat pads the singular values with
+    zeros to the full column count: the unitary factor U drops out, but
+    each row must keep its singular-value weight.  Raises RankDeficient
+    when the weighted system loses rank, in which case the caller
+    shrinks l and retries.
     """
-    C = np.asarray(C)
-    l = C.shape[1] - 1
+    l = svd_result.Vh.shape[0] - 1
     if l < 1:
-        raise ValueError(f"window must have at least 2 columns, got shape {C.shape}")
+        raise ValueError(f"window must have at least 2 columns, got {l + 1}")
     weights = np.zeros(l + 1)
     weights[: svd_result.sigma.size] = svd_result.sigma
     W = weights[:, None] * svd_result.Vh
@@ -145,9 +146,9 @@ def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) 
     """Pencil solve with iterated spurious-pole filtering.
 
     Runs the detection loop described in the module docstring starting
-    from l = conf.l (by default m) and returns the surviving poles with
-    overdetermined-least-squares residues, the equivalent rational
-    approximant, and the filtering report.
+    from l = m and returns the surviving poles with overdetermined
+    least-squares residues, the equivalent rational approximant, and the
+    filtering report.
 
     If every pole is removed, a non-negative k degrades to the bare head
     polynomial (report.head_only is set); a negative k raises Collapse.
@@ -163,20 +164,14 @@ def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) 
     if not np.any(s.coeffs[: conf.n]):
         return _headonly_result(s, conf, (), (), 0)
     t = params.t if params.t is not None else s.t
-    max_passes = params.max_iterations if params.max_iterations is not None else m + 1
 
     iterations: list[FilterIteration] = []
     origin_removed: list[complex] = []
     d_reductions = 0
-    l = conf.l
-    passes = 0
+    l = m
 
     while l > 0:
-        passes += 1
-        if passes > max_passes:
-            raise NonTerminating(f"filtering did not settle within {max_passes} passes")
-        H = combined_window(s, Conformation(m=m, k=k, l=l))
-        sr = svd(H)
+        sr = svd(combined_window(s, conf, l))
         # The filter targets the numerical rank: the window keeps
         # rank_hat = (#sigma - n_s) usable directions, and a pencil of
         # size rank_hat is the largest the data supports.  On the first
@@ -192,7 +187,7 @@ def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) 
             continue
 
         try:
-            lam = reduced_poles(H, sr)
+            lam = reduced_poles(sr)
         except RankDeficient:
             l -= 1
             continue
@@ -237,7 +232,7 @@ def _headonly_result(s, conf, iterations, origin_removed, d_reductions) -> Pm2Re
         raise Collapse(f"filtering removed every pole and k={k} < 0 leaves no polynomial part")
     shift = max(k + 1, 0)
     head = np.zeros(shift, dtype=complex) if zero else s.coeffs[:shift]
-    prf = PoleResidueForm(head=head, shift=shift, terms=())
+    prf = PoleResidueForm(head=head, terms=())
     numer = head if shift else np.zeros(1, dtype=complex)
     report = SpuriousPoleReport(
         iterations=tuple(iterations),
@@ -245,6 +240,5 @@ def _headonly_result(s, conf, iterations, origin_removed, d_reductions) -> Pm2Re
         d_matrix_reductions=d_reductions,
         final_l=0,
         defect_estimate=2 * conf.m,
-        head_only=True,
     )
     return Pm2Result(prf, RationalApproximant(numer=numer, denom=np.array([1.0 + 0j])), report)

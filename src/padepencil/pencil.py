@@ -43,14 +43,12 @@ class PoleResidueForm:
     """Head polynomial plus shifted simple-pole expansion.
 
     Represents  head(z) + z^shift * sum_j e_j / (1 - z/p_j)  where
-    ``terms`` holds (p_j, e_j) pairs.  The head carries c_0..c_k when
-    k >= 0 (so shift = k+1) and is empty with shift 0 otherwise; the
-    invariant shift == len(head) is enforced.  Terms are stored sorted
-    by pole magnitude, then phase.
+    ``terms`` holds (p_j, e_j) pairs and shift = len(head).  The head
+    carries c_0..c_k when k >= 0 (so shift = k+1) and is empty
+    otherwise.  Terms are stored sorted by pole magnitude, then phase.
     """
 
     head: np.ndarray
-    shift: int
     terms: tuple
 
     def __post_init__(self):
@@ -59,8 +57,6 @@ class PoleResidueForm:
             raise NonFinite("head coefficients must be finite")
         head.flags.writeable = False
         object.__setattr__(self, "head", head)
-        if self.shift != head.size:
-            raise ValueError(f"shift={self.shift} inconsistent with head length {head.size}")
         terms = tuple((complex(p), complex(e)) for p, e in self.terms)
         pe = np.array(terms, dtype=complex).reshape(-1, 2)
         if not np.isfinite(pe).all():
@@ -80,6 +76,11 @@ class PoleResidueForm:
         object.__setattr__(self, "terms", terms)
 
     @property
+    def shift(self) -> int:
+        """Power of z multiplying the pole terms: the head length."""
+        return self.head.size
+
+    @property
     def poles(self) -> np.ndarray:
         return np.array([p for p, _ in self.terms], dtype=complex)
 
@@ -96,13 +97,12 @@ class Pm1Result(NamedTuple):
 def _with_head(s: PowerSeries, k: int, poles=(), weights=()) -> PoleResidueForm:
     """Pole-residue form with the given terms and the series head for
     numerator offset k: c_0..c_k (shift k+1) when k >= 0, else none."""
-    shift = max(k + 1, 0)
-    return PoleResidueForm(head=s.coeffs[:shift], shift=shift, terms=tuple(zip(poles, weights)))
+    return PoleResidueForm(head=s.coeffs[: max(k + 1, 0)], terms=tuple(zip(poles, weights)))
 
 
 def build_blocks(s: PowerSeries, conf: Conformation) -> HankelBlocks:
-    """Assemble the shifted Hankel pair for conformation [m+k/m] at size l."""
-    H = combined_window(s, conf)
+    """Assemble the shifted Hankel pair for conformation [m+k/m] at l = m."""
+    H = combined_window(s, conf, conf.m)
     return HankelBlocks(C1=H[:, :-1], C2=H[:, 1:])
 
 
@@ -147,23 +147,21 @@ def residue_system(s: PowerSeries, poles, conf: Conformation, use_all_rows: bool
     return D, rhs_all[:rows]
 
 
-def pm1_residues(s: PowerSeries, poles, conf: Conformation, use_all_rows: bool = False) -> np.ndarray:
-    """Weights e_j solving the Vandermonde system D e = c in the
+def pm1_residues(s: PowerSeries, poles, conf: Conformation) -> np.ndarray:
+    """Weights e_j solving the square Vandermonde system D e = c in the
     inverse poles d_j = 1/p_j.
 
-    Row r of D holds d_j^r; the right-hand side is c_{k+1}, c_{k+2}, ...
-    for k >= 0 and c_0, c_1, ... otherwise.  With ``use_all_rows`` the
-    full overdetermined system is solved by least squares, otherwise
-    exactly the first l rows (a square solve).  A pole at the origin is
-    tolerated only while no row actually needs its inverse, i.e. in the
-    single-row square case; otherwise the matrix is non-finite and
-    SingularVandermonde is raised, as it is for (near-)coincident poles
-    and for powers that overflow.
+    Row r of D holds d_j^r for the first l = len(poles) rows; the
+    right-hand side is c_{k+1}, c_{k+2}, ... for k >= 0 and c_0, c_1,
+    ... otherwise.  A pole at the origin is tolerated only while no row
+    actually needs its inverse, i.e. in the single-row case; otherwise
+    the matrix is non-finite and SingularVandermonde is raised, as it is
+    for (near-)coincident poles and for powers that overflow.
     """
     poles = np.atleast_1d(np.asarray(poles, dtype=complex))
     if poles.size == 0:
         raise ValueError("need at least one pole to solve for residues")
-    D, rhs = residue_system(s, poles, conf, use_all_rows)
+    D, rhs = residue_system(s, poles, conf, use_all_rows=False)
     if not np.all(np.isfinite(D)):
         raise SingularVandermonde("inverse-pole powers are non-finite (pole at the origin)")
     try:
@@ -206,10 +204,8 @@ def pm1(s: PowerSeries, conf: Conformation) -> Pm1Result:
     """Full pencil solve at l = m: poles, square residue system, both forms.
 
     Returns the pole-residue form and the equivalent rational
-    approximant.  Requires conf.l == m (no filtering here; that is the
-    job of the iterated variant).
+    approximant.  No filtering here; that is the job of the iterated
+    variant.
     """
-    if conf.l != conf.m:
-        raise ValueError(f"unfiltered pencil requires l = m, got l={conf.l}, m={conf.m}")
     prf = _square_fit(s, pm1_poles(build_blocks(s, conf)), conf)
     return Pm1Result(prf, to_rational(prf, s, conf))

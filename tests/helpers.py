@@ -176,8 +176,8 @@ def toeplitz_svd_denominator(s, conf):
     return b / b[pivot]
 
 
-def list_combined_window(s, conf):
-    m, k, l = conf.m, conf.k, conf.l
+def list_combined_window(s, conf, l):
+    m, k = conf.m, conf.k
     if m < 1:
         raise ValueError("the pencil needs a denominator degree m >= 1")
     if len(s) < conf.n:

@@ -35,23 +35,11 @@ class TestConformation:
         assert Conformation(m=10, k=-1).n == 20
         assert Conformation(m=2, k=5).n == 10
 
-    def test_default_window_size_is_m(self):
-        assert Conformation(m=4, k=0).l == 4
-        assert Conformation(m=4, k=0, l=2).l == 2
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Conformation(m=-1, k=0)
         with pytest.raises(ValueError):
-            Conformation(m=2, k=0, l=0)
-        with pytest.raises(ValueError):
-            Conformation(m=2, k=0, l=3)
-        with pytest.raises(ValueError):
             Conformation(m=2, k=-4)  # numerator degree below -1
-        # degree-zero denominator admits only an empty window
-        assert Conformation(m=0, k=2).l == 0
-        with pytest.raises(ValueError):
-            Conformation(m=0, k=2, l=1)
 
 
 class TestRationalApproximant:
@@ -214,7 +202,7 @@ def window_cases(draw):
         c = 1.0 + 1e-6 * rng.uniform(-1, 1, n)
     if draw(st.booleans()):
         c = np.where(rng.uniform(size=n) < 0.2, 0.0, c)
-    return PowerSeries(c), Conformation(m, k, l)
+    return PowerSeries(c), Conformation(m, k), l
 
 
 def _outcome(solve, s, conf):
@@ -232,10 +220,9 @@ class TestOneWindow:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(window_cases())
     def test_bitwise_against_toeplitz(self, case):
-        s, conf = case
-        H = combined_window(s, conf)
+        s, conf, l = case
+        H = combined_window(s, conf, l)
         assert H.dtype == complex
-        np.testing.assert_array_equal(H.view(np.int64), list_combined_window(s, conf).view(np.int64))
-        full = Conformation(conf.m, conf.k)
-        assert _outcome(dm_denominator, s, conf) == _outcome(toeplitz_dm_denominator, s, full)
-        assert _outcome(svd_denominator, s, conf) == _outcome(toeplitz_svd_denominator, s, full)
+        np.testing.assert_array_equal(H.view(np.int64), list_combined_window(s, conf, l).view(np.int64))
+        assert _outcome(dm_denominator, s, conf) == _outcome(toeplitz_dm_denominator, s, conf)
+        assert _outcome(svd_denominator, s, conf) == _outcome(toeplitz_svd_denominator, s, conf)

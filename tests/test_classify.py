@@ -32,7 +32,7 @@ def test_doublet_pairing_prefers_closest_pairs():
 
 
 def test_doublet_distance_cap():
-    tax = classify_roots([0.5], [0.9], [], doublet_tol=0.3)
+    tax = classify_roots([0.5], [0.9], [])
     assert not tax.doublets
     assert ("pole", 0.5 + 0j) in tax.unclassified
     assert ("zero", 0.9 + 0j) in tax.unclassified

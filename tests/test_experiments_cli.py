@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -257,6 +258,11 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "geo.samples.csv").exists()
         assert (tmp_path / "geo.summary.json").exists()
+
+    def test_geometric_flag_defaults_are_the_config_defaults(self, capsys):
+        assert main(["experiment", "geometric-noise"]) == 0
+        printed = json.loads(capsys.readouterr().out)["config"]
+        assert printed == json.loads(json.dumps(asdict(ExperimentConfig())))
 
     def test_log_branch_experiment(self, tmp_path, capsys):
         out = tmp_path / "log"

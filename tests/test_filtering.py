@@ -4,11 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padepencil import (
     Collapse,
     Conformation,
-    NonTerminating,
     PowerSeries,
     build_blocks,
     count_filtered,
@@ -46,20 +47,20 @@ class TestCountFiltered:
     def test_rank_one_window(self):
         # 1-pole series fit with m=5: all but one direction filterable
         s = gen_geometric_noisy(10, 0.0)
-        H = combined_window(s, Conformation(m=5, k=-1))
+        H = combined_window(s, Conformation(m=5, k=-1), 5)
         assert count_filtered(svd(H).sigma, t=12) == 4
 
 
 class TestReducedPoles:
     def test_geometric_pole(self):
         s = gen_geometric_noisy(2, 0.0)
-        H = combined_window(s, Conformation(m=1, k=-1))
-        np.testing.assert_allclose(reduced_poles(H, svd(H)), [1.0], atol=1e-14)
+        H = combined_window(s, Conformation(m=1, k=-1), 1)
+        np.testing.assert_allclose(reduced_poles(svd(H)), [1.0], atol=1e-14)
 
     def test_degenerate_quadratic_origin_pole(self):
         s = gen_quadratic_eps(0.0)
-        H = combined_window(s, Conformation(m=1, k=0))
-        np.testing.assert_allclose(reduced_poles(H, svd(H)), [0.0], atol=1e-14)
+        H = combined_window(s, Conformation(m=1, k=0), 1)
+        np.testing.assert_allclose(reduced_poles(svd(H)), [0.0], atol=1e-14)
 
     def test_equivalent_to_plain_pencil(self):
         # with l = m and nothing filtered the reduced eigenproblem is the
@@ -68,15 +69,13 @@ class TestReducedPoles:
         true_p, true_w = random_oracle(rng, 2)
         conf = Conformation(m=2, k=-1)
         s = gen_from_poles(true_p, true_w, conf.n)
-        H = combined_window(s, conf)
-        lam = reduced_poles(H, svd(H))
+        lam = reduced_poles(svd(combined_window(s, conf, conf.m)))
         direct = pm1_poles(build_blocks(s, conf))
         np.testing.assert_allclose(lam, direct, atol=1e-9 * np.abs(direct).max())
 
     def test_single_column_window_rejected(self):
         with pytest.raises(ValueError):
-            H = np.ones((3, 1))
-            reduced_poles(H, svd(H))
+            reduced_poles(svd(np.ones((3, 1))))
 
 
 class TestFilterParams:
@@ -84,15 +83,12 @@ class TestFilterParams:
         p = FilterParams()
         assert p.t is None
         assert p.origin_radius == 1e-3
-        assert p.max_iterations is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             FilterParams(t=0.0)
         with pytest.raises(ValueError):
             FilterParams(origin_radius=1.5)
-        with pytest.raises(ValueError):
-            FilterParams(max_iterations=0)
 
 
 class TestPm2:
@@ -189,11 +185,38 @@ class TestPm2:
         with pytest.raises(Collapse):
             pm2(PowerSeries([1.0, 0.0]), Conformation(m=1, k=-1))
 
-    def test_iteration_budget_enforced(self):
-        conf = Conformation(m=5, k=-1)
-        s = gen_geometric_noisy(conf.n, 0.0)
-        with pytest.raises(NonTerminating):
-            pm2(s, conf, FilterParams(max_iterations=1))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_every_pass_lowers_l(self, data):
+        # Each pass returns or lowers l by at least one, so pm2 needs no
+        # pass budget: the trajectory starts at m and strictly falls.
+        m = data.draw(st.integers(1, 30))
+        conf = Conformation(m, data.draw(st.integers(-1, 3)))
+        n = conf.n
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["geometric", "wide", "zero", "polynomial"]))
+        if kind == "geometric":
+            s = gen_geometric_noisy(n, 10.0 ** -rng.uniform(1, 12), rng)
+        elif kind == "wide":
+            amp, period = rng.uniform(1, 6), int(rng.integers(3, 12))
+            expo = amp * np.cos(2 * np.pi * np.arange(n) / period) + rng.uniform(-0.5, 0.5, n)
+            s = PowerSeries(10.0**expo * np.exp(2j * np.pi * rng.uniform(size=n)))
+        elif kind == "zero":
+            s = PowerSeries(np.zeros(n))
+        else:
+            degree = int(rng.integers(0, max(conf.k, 0) + 1))
+            s = PowerSeries(np.where(np.arange(n) <= degree, rng.uniform(-1, 1, n), 0.0))
+        try:
+            report = pm2(s, conf).report
+        except Collapse:
+            return
+        ls = [it.l_before for it in report.iterations]
+        assert len(ls) <= m
+        assert all(a > b for a, b in zip(ls, ls[1:]))
+        if kind == "zero":
+            assert ls == [] and report.head_only
+        else:
+            assert ls[0] == m and report.final_l <= ls[-1]
 
     def test_zero_series_short_circuits(self):
         prf, ra, report = pm2(PowerSeries(np.zeros(10)), Conformation(m=4, k=1))
