@@ -9,6 +9,8 @@ over-parameterization.  Helpers cover evaluation, root taxonomy, and
 two reproducible experiment harnesses.
 """
 
+from types import ModuleType as _ModuleType
+
 from .approximant import (
     ErrorSweep,
     error_sweep,
@@ -79,64 +81,5 @@ from .series import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproximationError",
-    "ZeroPole",
-    "NonFinite",
-    "ConvergenceFailure",
-    "RankDeficient",
-    "DegenerateError",
-    "SingularVandermonde",
-    "DuplicatePole",
-    "InsufficientCoefficients",
-    "PoleHit",
-    "AllZero",
-    "Collapse",
-    "PowerSeries",
-    "eval_truncated",
-    "gen_geometric_noisy",
-    "gen_log_series",
-    "gen_from_poles",
-    "gen_quadratic_eps",
-    "SvdResult",
-    "svd",
-    "eigenvalues",
-    "qr_solve",
-    "polynomial_roots",
-    "horner",
-    "Conformation",
-    "RationalApproximant",
-    "dm_denominator",
-    "svd_denominator",
-    "numerator_from_denominator",
-    "HankelBlocks",
-    "PoleResidueForm",
-    "Pm1Result",
-    "combined_window",
-    "build_blocks",
-    "pm1_poles",
-    "pm1_residues",
-    "residue_system",
-    "to_rational",
-    "pm1",
-    "FilterParams",
-    "FilterIteration",
-    "SpuriousPoleReport",
-    "Pm2Result",
-    "count_filtered",
-    "reduced_poles",
-    "pm2",
-    "ErrorSweep",
-    "eval_rational",
-    "eval_pole_residue",
-    "poles_and_zeros",
-    "unit_disk_mesh",
-    "error_sweep",
-    "RootTaxonomy",
-    "classify_roots",
-    "ExperimentConfig",
-    "approximate_series",
-    "run_geometric_noise",
-    "run_log_branch",
-    "pruned_square_refit",
-]
+#: Every name imported above; the submodules themselves are not exported.
+__all__ = [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)]

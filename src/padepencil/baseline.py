@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import Collapse, DegenerateError, InsufficientCoefficients, NonFinite
 from .numerics import svd
@@ -65,14 +64,14 @@ class RationalApproximant:
 
     def __post_init__(self):
         for name in ("numer", "denom"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=complex)).copy()
+            arr = np.array(getattr(self, name), dtype=complex, ndmin=1)
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError(f"{name} must be a non-empty 1-D array")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise NonFinite(f"{name} coefficients must be finite")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if not np.any(self.denom):
+        if not self.denom.any():
             raise ValueError("denominator must not be identically zero")
 
 
@@ -97,8 +96,7 @@ def combined_window(s: PowerSeries, conf: Conformation, l: int) -> np.ndarray:
     _require_length(s, conf)
     lead = max(-(k + 1), 0)
     vals = np.concatenate((np.zeros(lead, dtype=complex), s.coeffs[k + 1 + lead : conf.n]))
-    rows = 2 * m - l
-    return sla.hankel(vals[:rows], vals[rows - 1 :])
+    return vals[np.arange(2 * m - l)[:, None] + np.arange(l + 1)]
 
 
 def dm_denominator(s: PowerSeries, conf: Conformation) -> np.ndarray:
@@ -118,7 +116,7 @@ def dm_denominator(s: PowerSeries, conf: Conformation) -> np.ndarray:
         b_tail = np.linalg.solve(H[:, -2::-1], -H[:, -1])
     except np.linalg.LinAlgError as exc:
         raise DegenerateError(f"direct {conf.m}x{conf.m} denominator system is singular: {exc}") from exc
-    if not np.all(np.isfinite(b_tail)):
+    if not np.isfinite(b_tail).all():
         raise DegenerateError("direct denominator solve produced non-finite coefficients")
     return np.concatenate(([1.0 + 0j], b_tail))
 

@@ -161,7 +161,7 @@ def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) 
     if m < 1:
         raise ValueError("filtering needs a denominator degree m >= 1")
     _require_length(s, conf)
-    if not np.any(s.coeffs[: conf.n]):
+    if not s.coeffs[: conf.n].any():
         return _headonly_result(s, conf, (), (), 0)
     t = params.t if params.t is not None else s.t
 
@@ -193,7 +193,7 @@ def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) 
             continue
 
         inside = np.abs(lam) <= params.origin_radius
-        if np.any(inside):
+        if inside.any():
             origin_removed.extend(complex(p) for p in lam[inside])
             l -= int(np.count_nonzero(inside))
             continue
@@ -201,7 +201,7 @@ def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) 
         D, rhs = residue_system(s, lam, conf, use_all_rows=True)
         # An overflowing power of a tiny spurious pole leaves D
         # non-finite: the worst conditioning there is, kept from LAPACK.
-        ok = np.all(np.isfinite(D))
+        ok = np.isfinite(D).all()
         if ok:
             dsig = np.linalg.svd(D, compute_uv=False)
             ok = not dsig[-1] < 10.0 ** (-t) * dsig[0]
@@ -227,7 +227,7 @@ def _headonly_result(s, conf, iterations, origin_removed, d_reductions) -> Pm2Re
     collapsed.  A zero series gives the zero approximant for any k;
     otherwise k < 0 leaves no polynomial part and raises Collapse."""
     k = conf.k
-    zero = not np.any(s.coeffs[: conf.n])
+    zero = not s.coeffs[: conf.n].any()
     if k < 0 and not zero:
         raise Collapse(f"filtering removed every pole and k={k} < 0 leaves no polynomial part")
     shift = max(k + 1, 0)

@@ -11,12 +11,14 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import get_lapack_funcs
 
 from .errors import AllZero, ConvergenceFailure, NonFinite, RankDeficient
 
 #: Relative threshold below which a triangular pivot counts as a rank drop.
 DEFAULT_RANK_RTOL = 1e-14
+
+_geqrf, _ungqr, _trtrs = get_lapack_funcs(("geqrf", "ungqr", "trtrs"), dtype=complex)
 
 
 class SvdResult(NamedTuple):
@@ -41,7 +43,7 @@ def svd(A) -> SvdResult:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.size == 0:
         raise ValueError(f"need a non-empty 2-D matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NonFinite("matrix contains non-finite entries")
     try:
         U, sigma, Vh = np.linalg.svd(A, full_matrices=True)
@@ -55,7 +57,7 @@ def eigenvalues(A) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ValueError(f"need a non-empty square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NonFinite("matrix contains non-finite entries")
     try:
         return np.linalg.eigvals(A)
@@ -65,6 +67,13 @@ def eigenvalues(A) -> np.ndarray:
 
 def qr_solve(A, B, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     """Least-squares solve of A X = B via economy QR and back substitution.
+
+    The LAPACK calls are those of ``scipy.linalg.qr(mode="economic")``
+    and ``solve_triangular``, made directly: zgeqrf and zungqr on a
+    Fortran copy of A at their queried optimal workspace, then ztrtrs on
+    R^T as a lower triangle with trans=1.  Q must stay Fortran-ordered:
+    with a C-ordered Q (as ``np.linalg.qr`` returns it) Q^H B takes
+    another BLAS path and other last bits.
 
     Parameters
     ----------
@@ -80,6 +89,10 @@ def qr_solve(A, B, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     -------
     numpy.ndarray
         The minimizer of ||A X - B||_2, same trailing shape as B.
+
+    Raises ValueError for bad shapes, NonFinite for NaN/inf entries and
+    RankDeficient for a pivot ratio below rtol or, with rtol=0, an
+    exactly zero pivot (ztrtrs info > 0).
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -87,19 +100,23 @@ def qr_solve(A, B, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
         raise ValueError(f"need p >= q >= 1, got shape {A.shape}")
     if B.shape[0] != A.shape[0]:
         raise ValueError(f"rhs has {B.shape[0]} rows, expected {A.shape[0]}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise NonFinite("least-squares system contains non-finite entries")
-    Q, R = sla.qr(A, mode="economic")
-    diag = np.abs(np.diag(R))
+    qr, tau, work, _ = _geqrf(A, lwork=-1)
+    qr, tau, _, _ = _geqrf(A, lwork=int(work[0].real))
+    _, work, _ = _ungqr(qr, tau, lwork=-1)
+    Q, _, _ = _ungqr(qr, tau, lwork=int(work[0].real))
+    diag = np.abs(qr.diagonal())
     if rtol > 0 and diag.min() < rtol * diag.max():
         raise RankDeficient(
             f"triangular factor has pivot ratio {diag.min() / max(diag.max(), 1e-300):.3e}"
             f" below rtol={rtol:.1e}"
         )
-    try:
-        return sla.solve_triangular(R, Q.conj().T @ B)
-    except sla.LinAlgError as exc:  # exactly-zero pivot with rtol=0
-        raise RankDeficient(f"triangular solve hit a zero pivot: {exc}") from exc
+    # ztrtrs reads only the lower triangle of R^T: no triu needed.
+    X, info = _trtrs(qr[: A.shape[1]].T, Q.conj().T @ B, lower=1, trans=1)
+    if info > 0:  # exactly-zero pivot with rtol=0
+        raise RankDeficient(f"triangular solve hit a zero pivot at diagonal {info - 1}")
+    return X
 
 
 def polynomial_roots(coeffs) -> np.ndarray:
@@ -112,7 +129,7 @@ def polynomial_roots(coeffs) -> np.ndarray:
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if c.size == 0:
         raise ValueError("empty coefficient array")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise NonFinite("polynomial coefficients must be finite")
     c = np.trim_zeros(c, "b")
     if c.size == 0:
@@ -120,6 +137,21 @@ def polynomial_roots(coeffs) -> np.ndarray:
     if c.size == 1:
         return np.array([], dtype=complex)
     return np.polynomial.polynomial.polyroots(c)
+
+
+def poly_from_roots(roots) -> np.ndarray:
+    """Monic polynomial with the given roots (at least one), lowest order
+    first, with the bits of numpy's ``polyfromroots``: linear factors of
+    the sorted roots multiplied pairwise in its order, without its
+    per-product validation."""
+    factors = [np.array([-r, 1.0 + 0j]) for r in np.sort(np.asarray(roots, dtype=complex))]
+    while len(factors) > 1:
+        half, odd = divmod(len(factors), 2)
+        products = [np.convolve(factors[i], factors[i + half]) for i in range(half)]
+        if odd:
+            products[0] = np.convolve(products[0], factors[-1])
+        factors = products
+    return factors[0]
 
 
 def root_order(z) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .baseline import Conformation, RationalApproximant, combined_window, numerator_from_denominator
 from .errors import Collapse, DuplicatePole, InsufficientCoefficients, NonFinite, RankDeficient, SingularVandermonde
-from .numerics import DEFAULT_RANK_RTOL, eigenvalues, qr_solve, root_order
+from .numerics import DEFAULT_RANK_RTOL, eigenvalues, poly_from_roots, qr_solve, root_order
 from .series import PowerSeries
 
 
@@ -52,28 +52,23 @@ class PoleResidueForm:
     terms: tuple
 
     def __post_init__(self):
-        head = np.asarray(self.head, dtype=complex).reshape(-1).copy()
-        if not np.all(np.isfinite(head)):
+        head = np.array(self.head, dtype=complex).reshape(-1)
+        if not np.isfinite(head).all():
             raise NonFinite("head coefficients must be finite")
         head.flags.writeable = False
         object.__setattr__(self, "head", head)
-        terms = tuple((complex(p), complex(e)) for p, e in self.terms)
-        pe = np.array(terms, dtype=complex).reshape(-1, 2)
+        pe = np.array(self.terms, dtype=complex).reshape(len(self.terms), 2)
         if not np.isfinite(pe).all():
             raise NonFinite("pole-residue terms must be finite")
-        if len(terms) > 1:
-            # Moduli by hypot, as Python's abs takes them (np.abs may
-            # differ in the last bit); the first pair i < j is reported.
-            p = pe[:, 0]
-            with np.errstate(over="ignore"):
-                a = np.hypot(p.real, p.imag)
-                d = p[:, None] - p
-                close = np.hypot(d.real, d.imag) <= 1e-12 * np.maximum(a[:, None], a)
-            i, j = np.nonzero(np.triu(close, 1))
-            if i.size:
-                raise DuplicatePole(f"poles {terms[i[0]][0]} and {terms[j[0]][0]} coincide to relative 1e-12")
-        terms = tuple(sorted(terms, key=lambda pe: (abs(pe[0]), np.angle(pe[0]))))
-        object.__setattr__(self, "terms", terms)
+        p = pe[:, 0]
+        # Moduli by hypot, as Python's abs takes them (np.abs may differ
+        # in the last bit); ties in (modulus, angle) keep input order.
+        with np.errstate(over="ignore"):
+            a = np.hypot(p.real, p.imag)
+        order = np.lexsort((np.angle(p), a))
+        if p.size > 1:
+            _reject_duplicates(p, a, order)
+        object.__setattr__(self, "terms", tuple(zip(*pe[order].T.tolist())))
 
     @property
     def shift(self) -> int:
@@ -87,6 +82,34 @@ class PoleResidueForm:
     @property
     def weights(self) -> np.ndarray:
         return np.array([e for _, e in self.terms], dtype=complex)
+
+
+def _reject_duplicates(p, a, order) -> None:
+    """Raise DuplicatePole for the first pair i < j with |p_i - p_j| <=
+    1e-12 max(|p_i|, |p_j|).
+
+    Such a pair has moduli within a relative 1e-12, so each pole is
+    compared only with the poles after it in modulus ``order`` whose
+    modulus lies in that band, widened for rounding and, where 1e-12 of
+    a modulus underflows, by 1e-300.  An infinite modulus is close to
+    every pole."""
+    n = p.size
+    s = a[order]
+    with np.errstate(over="ignore"):
+        top = s * (1 + 4e-12) + 1e-300 if s[-1] < np.inf else np.full(n, np.inf)
+        count = np.searchsorted(s, top, side="right") - np.arange(1, n + 1)
+        if not count.any():
+            return
+        first = np.repeat(np.arange(n), count)
+        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(count) - count, count)
+        i, j = order[first], order[second]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        d = p[i] - p[j]
+        close = np.hypot(d.real, d.imag) <= 1e-12 * np.maximum(a[i], a[j])
+    if close.any():
+        k = np.lexsort((j[close], i[close]))[0]
+        pi, pj = complex(p[i[close][k]]), complex(p[j[close][k]])
+        raise DuplicatePole(f"poles {pi} and {pj} coincide to relative 1e-12")
 
 
 class Pm1Result(NamedTuple):
@@ -162,7 +185,7 @@ def pm1_residues(s: PowerSeries, poles, conf: Conformation) -> np.ndarray:
     if poles.size == 0:
         raise ValueError("need at least one pole to solve for residues")
     D, rhs = residue_system(s, poles, conf, use_all_rows=False)
-    if not np.all(np.isfinite(D)):
+    if not np.isfinite(D).all():
         raise SingularVandermonde("inverse-pole powers are non-finite (pole at the origin)")
     try:
         return qr_solve(D, rhs)
@@ -185,7 +208,7 @@ def to_rational(prf: PoleResidueForm, s: PowerSeries, conf: Conformation) -> Rat
         if conf.k < 0:
             raise Collapse("no poles and k < 0 leaves nothing to represent")
         return RationalApproximant(numer=prf.head, denom=np.array([1.0 + 0j]))
-    denom = np.polynomial.polynomial.polyfromroots(prf.poles)
+    denom = poly_from_roots(prf.poles)
     if denom[0] != 0:
         denom = denom / denom[0]
     else:

@@ -35,10 +35,10 @@ class PowerSeries:
     t: float = 15.0
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).copy()
+        arr = np.array(self.coeffs, dtype=complex, ndmin=1)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficient array must be 1-D and non-empty")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFinite("series coefficients must be finite")
         if not self.t > 0:
             raise ValueError(f"accuracy estimate t must be positive, got {self.t}")

@@ -3,15 +3,24 @@
 These deliberately avoid the package's own construction paths: series
 coefficients come from polynomial long division or explicit partial
 fractions, so round-trip tests compare two independent computations.
-The point-by-point evaluators, the Toeplitz solvers and the loops at
-the end are the bitwise references for the package's array code.
+The point-by-point evaluators, the Toeplitz solvers, the loops and the
+scipy and polyfromroots paths at the end are the bitwise references
+for the package's array code and its direct LAPACK calls.
 """
 
 import numpy as np
 import scipy.linalg as sla
 
-from padepencil import DegenerateError, DuplicatePole, InsufficientCoefficients, PoleHit, ZeroPole
-from padepencil.numerics import svd
+from padepencil import (
+    DegenerateError,
+    DuplicatePole,
+    InsufficientCoefficients,
+    NonFinite,
+    PoleHit,
+    RankDeficient,
+    ZeroPole,
+)
+from padepencil.numerics import DEFAULT_RANK_RTOL, svd
 
 
 def maclaurin_of_rational(numer, denom, n):
@@ -200,3 +209,40 @@ def loop_pole_residue_terms(terms):
             if abs(pi - pj) <= 1e-12 * max(abs(pi), abs(pj)):
                 raise DuplicatePole(f"poles {pi} and {pj} coincide to relative 1e-12")
     return tuple(sorted(terms, key=lambda pe: (abs(pe[0]), np.angle(pe[0]))))
+
+
+# The least-squares solve and the pole-residue denominator as the
+# package computed them through scipy.linalg.qr, solve_triangular and
+# numpy's polyfromroots, kept verbatim as the bitwise references for
+# ``qr_solve`` and ``to_rational``.
+
+
+def scipy_qr_solve(A, B, rtol=DEFAULT_RANK_RTOL):
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] == 0:
+        raise ValueError(f"need p >= q >= 1, got shape {A.shape}")
+    if B.shape[0] != A.shape[0]:
+        raise ValueError(f"rhs has {B.shape[0]} rows, expected {A.shape[0]}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise NonFinite("least-squares system contains non-finite entries")
+    Q, R = sla.qr(A, mode="economic")
+    diag = np.abs(np.diag(R))
+    if rtol > 0 and diag.min() < rtol * diag.max():
+        raise RankDeficient(
+            f"triangular factor has pivot ratio {diag.min() / max(diag.max(), 1e-300):.3e}"
+            f" below rtol={rtol:.1e}"
+        )
+    try:
+        return sla.solve_triangular(R, Q.conj().T @ B)
+    except sla.LinAlgError as exc:  # exactly-zero pivot with rtol=0
+        raise RankDeficient(f"triangular solve hit a zero pivot: {exc}") from exc
+
+
+def polyfromroots_denominator(poles):
+    denom = np.polynomial.polynomial.polyfromroots(poles)
+    if denom[0] != 0:
+        denom = denom / denom[0]
+    else:
+        denom = denom / denom[np.argmax(np.abs(denom))]
+    return denom

@@ -1,16 +1,23 @@
 """Tests for the shared linear-algebra wrappers."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padepencil import AllZero, NonFinite, RankDeficient
 from padepencil.numerics import (
     DEFAULT_RANK_RTOL,
     eigenvalues,
+    poly_from_roots,
     polynomial_roots,
     qr_solve,
     svd,
 )
+
+from helpers import scipy_qr_solve
 
 
 class TestSvd:
@@ -97,6 +104,92 @@ class TestQrSolve:
         a = np.array([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(RankDeficient):
             qr_solve(a, np.ones(2), rtol=0.0)
+
+
+@st.composite
+def qr_cases(draw):
+    """Least-squares systems from 1 x 1 to 201 x 200 at magnitudes 1e+-8:
+    well and badly scaled columns, repeated (rank-deficient) and zero
+    (exact zero pivot) columns, real matrices and non-finite entries."""
+    q = draw(st.one_of(st.integers(1, 12), st.sampled_from([33, 64, 129, 200])))
+    p = min(q + draw(st.integers(0, 20)), 201) if q == 200 else q + draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = 10.0 ** draw(st.floats(-8, 8)) * (rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q)))
+    nrhs = draw(st.sampled_from([None, 1, 3]))
+    shape = (p,) if nrhs is None else (p, nrhs)
+    B = 10.0 ** draw(st.floats(-8, 8)) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    kind = draw(st.sampled_from(["plain", "scaled", "repeated", "zero", "real", "non_finite"]))
+    i, j = rng.integers(0, q, 2)
+    if kind == "scaled":
+        A = A * 10.0 ** rng.uniform(-8, 8, q)
+    elif kind == "repeated" and i != j:
+        A[:, j] = A[:, i] * (1 + 1j)
+    elif kind == "zero":
+        A[:, j] = 0
+    elif kind == "real":
+        A, B = A.real.copy(), B.real.copy()
+    elif kind == "non_finite":
+        (A if rng.uniform() < 0.5 else B).flat[0] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return A, B, draw(st.sampled_from([0.0, DEFAULT_RANK_RTOL]))
+
+
+def _qr_outcome(solve, A, B, rtol):
+    """Solution shape and bits, or the error type."""
+    try:
+        X = solve(A, B, rtol=rtol)
+    except (NonFinite, RankDeficient) as exc:
+        return type(exc)
+    return X.shape, np.ascontiguousarray(X).view(np.int64).tolist()
+
+
+class TestQrSolveBitwise:
+    """qr_solve calls LAPACK directly, bit for bit as the scipy qr and
+    solve_triangular path it replaces."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(qr_cases())
+    def test_against_scipy_path(self, case):
+        A, B, rtol = case
+        assert _qr_outcome(qr_solve, A, B, rtol) == _qr_outcome(scipy_qr_solve, A, B, rtol)
+
+    def test_exact_zero_pivot_is_quiet(self, capfd):
+        rng = np.random.default_rng(12)
+        cases = [np.array([[1.0, 1.0], [0.0, 0.0]]), np.zeros((3, 1))]
+        for q in (2, 5, 40):
+            A = rng.standard_normal((q + 3, q)) + 1j * rng.standard_normal((q + 3, q))
+            A[:, rng.integers(q)] = 0
+            cases.append(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for A in cases:
+                for B in (np.ones(A.shape[0]), np.ones((A.shape[0], 2))):
+                    assert _qr_outcome(qr_solve, A, B, 0.0) is RankDeficient
+                    assert _qr_outcome(scipy_qr_solve, A, B, 0.0) is RankDeficient
+        out, err = capfd.readouterr()
+        assert out == "" and err == ""
+
+
+class TestPolyFromRoots:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_bitwise_against_polyfromroots(self, data):
+        # Random roots plus repeated, real, conjugate and origin ones.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(0, 40))
+        roots = list(10.0 ** rng.uniform(-3, 3, n) * np.exp(2j * np.pi * rng.uniform(size=n)))
+        for _ in range(data.draw(st.integers(0 if n else 1, 6))):
+            kind = data.draw(st.sampled_from(["repeated", "real", "conjugate", "origin"]))
+            if kind == "real" or not roots:
+                new = complex(rng.uniform(-3, 3))
+            elif kind == "origin":
+                new = 0j
+            else:
+                new = roots[data.draw(st.integers(0, len(roots) - 1))]
+                new = new.conjugate() if kind == "conjugate" else new
+            roots.insert(data.draw(st.integers(0, len(roots))), new)
+        r = np.array(roots, dtype=complex)
+        want = np.polynomial.polynomial.polyfromroots(r)
+        np.testing.assert_array_equal(poly_from_roots(r).view(np.int64), want.view(np.int64))
 
 
 class TestPolynomialRoots:

@@ -1,5 +1,8 @@
 """Tests for the matrix-pencil pole solver and pole-residue algebra."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,7 +34,7 @@ from padepencil import (
     to_rational,
 )
 
-from helpers import greedy_match_error, loop_pole_residue_terms, random_oracle
+from helpers import greedy_match_error, loop_pole_residue_terms, polyfromroots_denominator, random_oracle
 
 
 class TestWindow:
@@ -178,6 +181,57 @@ class TestPoleResidueForm:
             assert str(got.value) == str(exc)
         else:
             assert PoleResidueForm(head=[], terms=terms).terms == want
+
+    def test_duplicate_check_where_the_tolerance_underflows(self):
+        # Below about 1e-296, 1e-12 of a modulus is subnormal or zero, so
+        # the modulus band must not rely on a relative width alone.
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            poles = list(10.0 ** rng.uniform(-323, -290, 4) * np.exp(2j * np.pi * rng.uniform(size=4)))
+            p = poles[int(rng.integers(4))]
+            step = complex(rng.choice([5e-324, -1e-323]), rng.choice([0.0, 5e-324]))
+            poles.insert(int(rng.integers(5)), p + step)
+            poles.insert(int(rng.integers(6)), p * (1 + rng.choice([9.9e-13, 1.01e-12])))
+            terms = [(p, 1.0) for p in poles]
+            try:
+                want = loop_pole_residue_terms(terms)
+            except DuplicatePole as exc:
+                with pytest.raises(DuplicatePole, match=f"^{re.escape(str(exc))}$"):
+                    PoleResidueForm(head=[], terms=terms)
+            else:
+                assert PoleResidueForm(head=[], terms=terms).terms == want
+
+    def test_moduli_near_overflow(self):
+        # 1e-12 times an infinite modulus bounds every finite distance;
+        # a finite modulus near the largest double overflows no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DuplicatePole, match=r"poles \(1\+0j\) and \(1\.5e\+308"):
+                PoleResidueForm(head=[], terms=[(1.0, 1.0), (1.5e308 + 1.5e308j, 1.0), (2.0, 1.0)])
+            big = np.finfo(float).max
+            prf = PoleResidueForm(head=[], terms=[(big, 1.0), (-big, 1.0), (1.0, 1.0)])
+        assert prf.poles.tolist() == [1.0, big, -big]
+
+
+class TestToRationalDenominator:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_bitwise_against_polyfromroots(self, data):
+        # Distinct random, real, conjugate and origin poles.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(1, 30))
+        poles = list(10.0 ** rng.uniform(-3, 3, n) * np.exp(2j * np.pi * rng.uniform(size=n)))
+        for _ in range(data.draw(st.integers(0, 4))):
+            kind = data.draw(st.sampled_from(["real", "conjugate", "origin"]))
+            new = {"real": complex(rng.uniform(-3, 3)), "origin": 0j, "conjugate": poles[0].conjugate()}
+            poles.insert(data.draw(st.integers(0, len(poles))), new[kind])
+        try:
+            prf = PoleResidueForm(head=[], terms=[(p, 1.0) for p in poles])
+        except DuplicatePole:
+            return
+        s = PowerSeries(rng.standard_normal(prf.poles.size) + 0j)
+        denom = to_rational(prf, s, Conformation(m=prf.poles.size, k=-1)).denom
+        np.testing.assert_array_equal(denom.view(np.int64), polyfromroots_denominator(prf.poles).view(np.int64))
 
 
 class TestToRational:
