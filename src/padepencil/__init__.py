@@ -72,11 +72,9 @@ from .pencil import (
 )
 from .series import (
     PowerSeries,
-    eval_truncated,
     gen_from_poles,
     gen_geometric_noisy,
     gen_log_series,
-    gen_quadratic_eps,
 )
 
 __version__ = "0.1.0"

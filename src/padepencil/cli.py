@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -42,55 +43,41 @@ def load_coefficients(path: str) -> np.ndarray:
     """Read series coefficients from a JSON or whitespace text file."""
     with open(path) as fh:
         text = fh.read()
+    # Both formats become (line number, [re, im]) entries, with no line
+    # number for JSON; a JSON entry that is neither a number nor a list
+    # is kept as is and rejected below.
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
-        values = []
+        entries = []
         for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) == 1:
-                values.append(complex(float(parts[0]), 0.0))
-            elif len(parts) == 2:
-                values.append(complex(float(parts[0]), float(parts[1])))
-            else:
-                raise ValueError(f"{path}:{lineno}: expected 're' or 're im', got {line!r}")
-        if not values:
-            raise ValueError(f"{path}: no coefficients found")
-        return np.array(values, dtype=complex)
-    if not isinstance(data, list) or not data:
-        raise ValueError(f"{path}: JSON coefficient file must be a non-empty array")
+            parts = line.split("#", 1)[0].split()
+            if parts:
+                entries.append((lineno, parts + [0.0] if len(parts) == 1 else parts))
+    else:
+        if not isinstance(data, list):
+            raise ValueError(f"{path}: JSON coefficient file must be an array")
+        entries = [(None, [item, 0.0] if isinstance(item, (int, float)) else item) for item in data]
+    if not entries:
+        raise ValueError(f"{path}: no coefficients found")
     values = []
-    for item in data:
-        if isinstance(item, (int, float)):
-            values.append(complex(item, 0.0))
-        elif isinstance(item, list) and len(item) == 2:
-            values.append(complex(float(item[0]), float(item[1])))
-        else:
-            raise ValueError(f"{path}: entries must be numbers or [re, im] pairs, got {item!r}")
+    for lineno, pair in entries:
+        if not isinstance(pair, list) or len(pair) != 2:
+            where = path if lineno is None else f"{path}:{lineno}"
+            raise ValueError(f"{where}: expected a number, 're im' or [re, im], got {pair!r}")
+        values.append(complex(float(pair[0]), float(pair[1])))
     return np.array(values, dtype=complex)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-
-
-def _approximation_payload(args) -> dict:
-    coeffs = load_coefficients(args.coeffs)
-    s = PowerSeries(coeffs)
+def cli_approximate(args) -> int:
+    """Solve, then write the subcommand's ``keys`` of the full payload:
+    JSON after ``method`` and ``conformation``, CSV without the report."""
+    s = PowerSeries(load_coefficients(args.coeffs))
     if args.n is not None:
         s = s.truncate(args.n)
     conf = Conformation(m=args.m, k=args.k)
     res = approximate_series(s, conf, args.method, t=args.t, origin_radius=args.origin_radius)
-    return {
-        "method": args.method,
-        "conformation": {"m": conf.m, "k": conf.k, "final_l": res.final_l},
+    payload = {
         "numer": complex_pairs(res.rational.numer),
         "denom": complex_pairs(res.rational.denom),
         "poles": complex_pairs(res.poles),
@@ -98,70 +85,35 @@ def _approximation_payload(args) -> dict:
         "residues": complex_pairs(res.prf.weights) if res.prf is not None else [],
         "report": res.report.to_dict() if res.report is not None else None,
     }
-
-
-def _payload_csv(payload: dict, kinds) -> str:
-    lines = ["kind,index,re,im"]
-    for kind in kinds:
-        for i, (re, im) in enumerate(payload[kind]):
-            lines.append(f"{kind},{i},{re!r},{im!r}")
-    return "\n".join(lines) + "\n"
-
-
-def cli_approximate(args) -> int:
-    payload = _approximation_payload(args)
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        head = {"method": args.method, "conformation": {"m": conf.m, "k": conf.k, "final_l": res.final_l}}
+        text = json.dumps(head | {key: payload[key] for key in args.keys}, indent=2) + "\n"
     else:
-        _emit(_payload_csv(payload, ["numer", "denom", "poles", "zeros", "residues"]), args.out)
-    return 0
-
-
-def cli_poles(args) -> int:
-    payload = _approximation_payload(args)
-    payload = {
-        "method": payload["method"],
-        "conformation": payload["conformation"],
-        "poles": payload["poles"],
-    }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        lines = ["kind,index,re,im"]
+        for kind in args.keys:
+            if kind != "report":
+                lines.extend(f"{kind},{i},{re!r},{im!r}" for i, (re, im) in enumerate(payload[kind]))
+        text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
     else:
-        _emit(_payload_csv(payload, ["poles"]), args.out)
+        print(text, end="")
     return 0
 
 
-def cli_geometric(args) -> int:
-    cfg = ExperimentConfig(
-        n=args.n,
-        m=args.m,
-        k=args.k,
-        eps_list=tuple(args.eps) if args.eps else ExperimentConfig.eps_list,
-        samples=args.samples,
-        seed=args.seed,
-        t=args.t,
-        method=args.method,
-        origin_radius=args.origin_radius,
-        output_path=args.out,
-    )
-    result = run_geometric_noise(cfg)
-    print(json.dumps({"config": result["config"], "summary": result["summary"]}, indent=2))
+def cli_experiment(args) -> int:
+    """Run a stock experiment on the config fields named by its flags and
+    print the subcommand's view of the result."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+    cfg = ExperimentConfig(**{key: value for key, value in given.items() if value is not None})
+    print(json.dumps(args.view(args.runner(cfg)), indent=2))
     return 0
 
 
-def cli_log_branch(args) -> int:
-    cfg = ExperimentConfig(
-        n=args.n,
-        t=args.t,
-        origin_radius=args.origin_radius,
-        output_path=args.out,
-    )
-    result = run_log_branch(cfg)
-    print(json.dumps(result, indent=2))
-    return 0
-
-
-def _add_common_approx_flags(p) -> None:
+def _add_approximation_parser(sub, command: str, summary: str, keys: tuple) -> None:
+    """A subcommand that solves and writes ``keys`` of the payload."""
+    p = sub.add_parser(command, help=summary)
     p.add_argument("--coeffs", required=True, help="coefficient file (JSON array or 're im' lines)")
     p.add_argument("--method", choices=METHODS, default="pm2")
     p.add_argument("--m", type=int, required=True, help="denominator degree")
@@ -171,19 +123,18 @@ def _add_common_approx_flags(p) -> None:
     p.add_argument("--origin-radius", type=float, default=1e-3)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.set_defaults(func=cli_approximate, keys=keys)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="padepencil", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p_approx = sub.add_parser("approximate", help="full approximant from a coefficient file")
-    _add_common_approx_flags(p_approx)
-    p_approx.set_defaults(func=cli_approximate)
-
-    p_poles = sub.add_parser("poles", help="pole estimates only")
-    _add_common_approx_flags(p_poles)
-    p_poles.set_defaults(func=cli_poles)
+    _add_approximation_parser(
+        sub, "approximate", "full approximant from a coefficient file",
+        ("numer", "denom", "poles", "zeros", "residues", "report"),
+    )
+    _add_approximation_parser(sub, "poles", "pole estimates only", ("poles",))
 
     p_exp = sub.add_parser("experiment", help="stock reproducibility studies")
     exp_sub = p_exp.add_subparsers(dest="experiment", parser_class=_Parser)
@@ -194,20 +145,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--m", type=int, default=defaults.m)
     p_geo.add_argument("--k", type=int, default=defaults.k)
     p_geo.add_argument("--n", type=int, default=defaults.n)
-    p_geo.add_argument("--eps", type=float, action="append", default=None, help="repeatable noise amplitude")
+    p_geo.add_argument(
+        "--eps", dest="eps_list", metavar="EPS", type=float, action="append", help="repeatable noise amplitude"
+    )
     p_geo.add_argument("--samples", type=int, default=defaults.samples)
     p_geo.add_argument("--seed", type=int, default=defaults.seed)
     p_geo.add_argument("--t", type=float, default=defaults.t)
     p_geo.add_argument("--origin-radius", type=float, default=defaults.origin_radius)
-    p_geo.add_argument("--out", default=None, help="base path for .samples.csv/.summary.json")
-    p_geo.set_defaults(func=cli_geometric)
+    p_geo.add_argument("--out", dest="output_path", metavar="OUT", help="base path for .samples.csv/.summary.json")
+    p_geo.set_defaults(
+        func=cli_experiment,
+        runner=run_geometric_noise,
+        view=lambda result: {"config": result["config"], "summary": result["summary"]},
+    )
 
     p_log = exp_sub.add_parser("log-branch", help="branch-cut study on ln(1.2-z)")
     p_log.add_argument("--n", type=int, default=41)
     p_log.add_argument("--t", type=float, default=defaults.t)
     p_log.add_argument("--origin-radius", type=float, default=defaults.origin_radius)
-    p_log.add_argument("--out", default=None, help="base path for .json output")
-    p_log.set_defaults(func=cli_log_branch)
+    p_log.add_argument("--out", dest="output_path", metavar="OUT", help="base path for .json output")
+    p_log.set_defaults(func=cli_experiment, runner=run_log_branch, view=lambda result: result)
 
     return parser
 

@@ -95,17 +95,12 @@ def approximate_series(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     prf = report = None
-    if method == "dm":
-        denom = dm_denominator(s, conf)
+    final_l = conf.m
+    if method in ("dm", "svd"):
+        denom = (dm_denominator if method == "dm" else svd_denominator)(s, conf)
         ra = RationalApproximant(numerator_from_denominator(s, denom, conf), denom)
-        final_l = conf.m
-    elif method == "svd":
-        denom = svd_denominator(s, conf)
-        ra = RationalApproximant(numerator_from_denominator(s, denom, conf), denom)
-        final_l = conf.m
     elif method == "pm1":
         prf, ra = pm1(s, conf)
-        final_l = conf.m
     else:
         prf, ra, report = pm2(s, conf, FilterParams(t=t, origin_radius=origin_radius))
         final_l = report.final_l
@@ -146,6 +141,24 @@ GEOMETRIC_CSV_COLUMNS = [
     "n_flagged_ring",
     "n_flagged_outer",
 ]
+
+
+#: (summary key, sample column) in summary order.  A worst_ key is the
+#: column's maximum over the successful samples, a mean_ key its mean.
+SUMMARY_COLUMNS = (
+    ("mean_system_pole_error", "system_pole_error"),
+    ("mean_n_poles", "n_poles"),
+    ("mean_doublets", "n_doublets"),
+    ("mean_far_poles", "n_far_poles"),
+    ("mean_far_zeros", "n_far_zeros"),
+    ("mean_unclassified", "n_unclassified"),
+    ("mean_final_l", "final_l"),
+    *(
+        (f"{agg}_max_err_{grid}", f"max_err_{grid}")
+        for grid in ("inner", "ring", "outer")
+        for agg in ("mean", "worst")
+    ),
+)
 
 
 def _geometric_row(eps: float, sample: int, cfg: ExperimentConfig, res: MethodResult | None, exc) -> dict:
@@ -217,26 +230,11 @@ def run_geometric_noise(cfg: ExperimentConfig) -> dict:
     for eps in cfg.eps_list:
         sub = [r for r in rows if r["eps"] == eps]
         ok = [r for r in sub if not r["failed"]]
-        summary.append(
-            {
-                "eps": eps,
-                "samples": len(sub),
-                "failures": len(sub) - len(ok),
-                "mean_system_pole_error": _mean([r["system_pole_error"] for r in ok]),
-                "mean_n_poles": _mean([r["n_poles"] for r in ok]),
-                "mean_doublets": _mean([r["n_doublets"] for r in ok]),
-                "mean_far_poles": _mean([r["n_far_poles"] for r in ok]),
-                "mean_far_zeros": _mean([r["n_far_zeros"] for r in ok]),
-                "mean_unclassified": _mean([r["n_unclassified"] for r in ok]),
-                "mean_final_l": _mean([r["final_l"] for r in ok]),
-                "mean_max_err_inner": _mean([r["max_err_inner"] for r in ok]),
-                "worst_max_err_inner": max([r["max_err_inner"] for r in ok], default=None),
-                "mean_max_err_ring": _mean([r["max_err_ring"] for r in ok]),
-                "worst_max_err_ring": max([r["max_err_ring"] for r in ok], default=None),
-                "mean_max_err_outer": _mean([r["max_err_outer"] for r in ok]),
-                "worst_max_err_outer": max([r["max_err_outer"] for r in ok], default=None),
-            }
-        )
+        entry = {"eps": eps, "samples": len(sub), "failures": len(sub) - len(ok)}
+        for key, column in SUMMARY_COLUMNS:
+            values = [r[column] for r in ok]
+            entry[key] = max(values, default=None) if key.startswith("worst_") else _mean(values)
+        summary.append(entry)
     result = {"config": asdict(cfg), "rows": rows, "summary": summary}
     if cfg.output_path:
         _write_geometric(cfg.output_path, result)
@@ -262,18 +260,12 @@ def _cell(v) -> str:
     return str(v)
 
 
-def on_ray(p: complex, min_re: float = RAY_MIN_RE, max_im: float = RAY_MAX_IM) -> bool:
+def on_ray(p: complex) -> bool:
     """Whether a root sits on the branch-cut image ray."""
-    return p.real >= min_re and abs(p.imag) <= max_im
+    return p.real >= RAY_MIN_RE and abs(p.imag) <= RAY_MAX_IM
 
 
-def pruned_square_refit(
-    s: PowerSeries,
-    conf: Conformation,
-    min_re: float = RAY_MIN_RE,
-    max_im: float = RAY_MAX_IM,
-    origin_radius: float = 1e-3,
-) -> PoleResidueForm:
+def pruned_square_refit(s: PowerSeries, conf: Conformation, origin_radius: float = 1e-3) -> PoleResidueForm:
     """Naive cleanup baseline: delete off-ray poles, re-solve residues.
 
     Runs the unfiltered pencil with its rank check disabled (so it
@@ -284,7 +276,7 @@ def pruned_square_refit(
     precisely what limits this baseline's accuracy.
     """
     all_poles = pm1_poles(build_blocks(s, conf), rank_rtol=0.0)
-    kept = np.array([p for p in all_poles if on_ray(p, min_re, max_im) and abs(p) > origin_radius])
+    kept = np.array([p for p in all_poles if on_ray(p) and abs(p) > origin_radius])
     return _square_fit(s, kept, conf)
 
 

@@ -162,7 +162,7 @@ def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) 
         raise ValueError("filtering needs a denominator degree m >= 1")
     _require_length(s, conf)
     if not s.coeffs[: conf.n].any():
-        return _headonly_result(s, conf, (), (), 0)
+        return _headonly_result(s, conf, _report(m, 0, (), (), 0))
     t = params.t if params.t is not None else s.t
 
     iterations: list[FilterIteration] = []
@@ -211,21 +211,25 @@ def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) 
             continue
 
         prf = _with_head(s, k, lam, qr_solve(D, rhs, rtol=0.0))
-        report = SpuriousPoleReport(
-            iterations=tuple(iterations),
-            origin_poles_removed=tuple(origin_removed),
-            d_matrix_reductions=d_reductions,
-            final_l=l,
-            defect_estimate=2 * (m - l),
-        )
-        return Pm2Result(prf, to_rational(prf, s, conf), report)
-    return _headonly_result(s, conf, iterations, origin_removed, d_reductions)
+        return Pm2Result(prf, to_rational(prf, s, conf), _report(m, l, iterations, origin_removed, d_reductions))
+    return _headonly_result(s, conf, _report(m, 0, iterations, origin_removed, d_reductions))
 
 
-def _headonly_result(s, conf, iterations, origin_removed, d_reductions) -> Pm2Result:
-    """No poles left: the head polynomial over 1, reported as fully
-    collapsed.  A zero series gives the zero approximant for any k;
-    otherwise k < 0 leaves no polynomial part and raises Collapse."""
+def _report(m, final_l, iterations, origin_removed, d_reductions) -> SpuriousPoleReport:
+    """The loop's trajectory and outcome, with defect estimate 2(m - final_l)."""
+    return SpuriousPoleReport(
+        iterations=tuple(iterations),
+        origin_poles_removed=tuple(origin_removed),
+        d_matrix_reductions=d_reductions,
+        final_l=final_l,
+        defect_estimate=2 * (m - final_l),
+    )
+
+
+def _headonly_result(s, conf, report) -> Pm2Result:
+    """No poles left: the head polynomial over 1, with the finished
+    report (final_l = 0).  A zero series gives the zero approximant for
+    any k; otherwise k < 0 leaves no polynomial part and raises Collapse."""
     k = conf.k
     zero = not s.coeffs[: conf.n].any()
     if k < 0 and not zero:
@@ -234,11 +238,4 @@ def _headonly_result(s, conf, iterations, origin_removed, d_reductions) -> Pm2Re
     head = np.zeros(shift, dtype=complex) if zero else s.coeffs[:shift]
     prf = PoleResidueForm(head=head, terms=())
     numer = head if shift else np.zeros(1, dtype=complex)
-    report = SpuriousPoleReport(
-        iterations=tuple(iterations),
-        origin_poles_removed=tuple(origin_removed),
-        d_matrix_reductions=d_reductions,
-        final_l=0,
-        defect_estimate=2 * conf.m,
-    )
     return Pm2Result(prf, RationalApproximant(numer=numer, denom=np.array([1.0 + 0j])), report)

@@ -21,21 +21,12 @@ from .numerics import DEFAULT_RANK_RTOL, eigenvalues, poly_from_roots, qr_solve,
 from .series import PowerSeries
 
 
-@dataclass(frozen=True)
-class HankelBlocks:
+class HankelBlocks(NamedTuple):
     """Shifted Hankel pair: C1 drops the last column of the combined
     (2m-l) x (l+1) window, C2 drops the first."""
 
     C1: np.ndarray
     C2: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.C1.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.C1.shape[1]
 
 
 @dataclass(frozen=True)

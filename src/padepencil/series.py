@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite
-from .numerics import horner
 
 
 @dataclass(frozen=True)
@@ -61,12 +60,6 @@ class PowerSeries:
         if not 1 <= n <= self.coeffs.size:
             raise ValueError(f"cannot truncate length-{self.coeffs.size} series to {n}")
         return PowerSeries(self.coeffs[:n], t=self.t)
-
-
-def eval_truncated(s: PowerSeries, z):
-    """Evaluate the truncated polynomial sum c_j z^j by Horner's rule at
-    a scalar or an array of points."""
-    return horner(s.coeffs, z)
 
 
 def gen_geometric_noisy(n: int, eps: float, rng: np.random.Generator | None = None) -> PowerSeries:
@@ -135,13 +128,3 @@ def gen_from_poles(poles, weights, n: int) -> PowerSeries:
     # c_i = sum_j e_j d_j^i, assembled as a Vandermonde-vector product.
     c = (d[None, :] ** np.arange(n)[:, None]) @ e
     return PowerSeries(c, t=15.0)
-
-
-def gen_quadratic_eps(eps: float) -> PowerSeries:
-    """The three-coefficient series [1, eps, 1] of 1 + eps*z + z^2.
-
-    At eps = 0 the [1/1] problem for this series is degenerate (the
-    1x1 direct system has a zero pivot); small eps makes it barely
-    regular, which exercises the near-degenerate paths of the solvers.
-    """
-    return PowerSeries(np.array([1.0, eps, 1.0], dtype=complex), t=15.0)

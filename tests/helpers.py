@@ -17,6 +17,7 @@ from padepencil import (
     InsufficientCoefficients,
     NonFinite,
     PoleHit,
+    PowerSeries,
     RankDeficient,
     ZeroPole,
 )
@@ -35,6 +36,16 @@ def maclaurin_of_rational(numer, denom, n):
             acc -= denom[i] * c[j - i]
         c[j] = acc / denom[0]
     return c
+
+
+def gen_quadratic_eps(eps):
+    """The three-coefficient series [1, eps, 1] of 1 + eps*z + z^2.
+
+    At eps = 0 the [1/1] problem for this series is degenerate (the
+    1x1 direct system has a zero pivot); small eps makes it barely
+    regular, which exercises the near-degenerate paths of the solvers.
+    """
+    return PowerSeries(np.array([1.0, eps, 1.0], dtype=complex), t=15.0)
 
 
 def sort_roots(values):

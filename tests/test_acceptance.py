@@ -366,7 +366,7 @@ def test_window_vandermonde_factorization():
         blocks = build_blocks(s, conf)
         d = 1.0 / poles
         m = conf.m
-        D1 = d[None, :] ** np.arange(blocks.rows)[:, None]
+        D1 = d[None, :] ** np.arange(blocks.C1.shape[0])[:, None]
         E = np.diag(weights * d ** (conf.k + 1))
         D2 = d[:, None] ** np.arange(m)[None, :]
         D0 = np.diag(d)

@@ -12,13 +12,11 @@ from padepencil import (
     DuplicatePole,
     PoleHit,
     PoleResidueForm,
-    PowerSeries,
     RationalApproximant,
     ZeroPole,
     error_sweep,
     eval_pole_residue,
     eval_rational,
-    eval_truncated,
     horner,
     poles_and_zeros,
     unit_disk_mesh,
@@ -180,12 +178,6 @@ class TestArrayEvaluation:
         prf = PoleResidueForm(head=[], terms=[(0.0, 1.0), (2.0, 1.0)])
         with pytest.raises(ZeroPole):
             eval_pole_residue(prf, np.array([0.5, 2.0]))
-
-    def test_truncated_series_uses_horner(self):
-        s = PowerSeries([1.0, -2.0, 0.5j])
-        z = np.array([0.0, 1.0, 0.3 - 0.2j])
-        np.testing.assert_array_equal(eval_truncated(s, z), horner(s.coeffs, z))
-        assert eval_truncated(s, 2.0) == 1 - 4 + 2j
 
 
 # -- bitwise agreement with point-by-point evaluation

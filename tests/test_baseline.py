@@ -15,12 +15,12 @@ from padepencil import (
     dm_denominator,
     gen_from_poles,
     gen_geometric_noisy,
-    gen_quadratic_eps,
     numerator_from_denominator,
     svd_denominator,
 )
 
 from helpers import (
+    gen_quadratic_eps,
     list_combined_window,
     maclaurin_of_rational,
     random_oracle,

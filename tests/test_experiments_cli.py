@@ -121,6 +121,15 @@ class TestGeometricNoise:
         summary = json.loads(json1)
         assert summary["config"]["seed"] == 101
 
+    def test_summary_keys_and_order(self):
+        (agg,) = run_geometric_noise(ExperimentConfig(**self.CFG))["summary"]
+        assert list(agg) == [
+            "eps", "samples", "failures", "mean_system_pole_error", "mean_n_poles",
+            "mean_doublets", "mean_far_poles", "mean_far_zeros", "mean_unclassified",
+            "mean_final_l", "mean_max_err_inner", "worst_max_err_inner", "mean_max_err_ring",
+            "worst_max_err_ring", "mean_max_err_outer", "worst_max_err_outer",
+        ]
+
     def test_failures_are_recorded_not_raised(self):
         # dm on an m far beyond the true rank fails on noiseless data
         cfg = ExperimentConfig(n=20, m=10, k=-1,
@@ -183,6 +192,36 @@ class TestCoefficientFiles:
         path.write_text("1.0 2.0 3.0\n")
         with pytest.raises(ValueError):
             load_coefficients(str(path))
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("c.json", "[]"),
+            ("c.json", "{}"),
+            ("c.json", '"x"'),
+            ("c.json", "[[1, 2, 3]]"),
+            ("c.json", "[[1]]"),
+            ("c.txt", "# only comments\n\n   # and blank lines\n\n"),
+            ("c.txt", "1.0 2.0\n1.0 2.0 3.0\n"),
+        ],
+    )
+    def test_rejected_inputs(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_coefficients(str(path))
+
+    def test_json_true_reads_as_one(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("[true, 2]")
+        got = load_coefficients(str(path))
+        np.testing.assert_array_equal(got, [1.0, 2.0])
+        assert got.dtype == complex
+
+    def test_one_field_text_line_is_real(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("2.5\n-1 0.5\n")
+        np.testing.assert_array_equal(load_coefficients(str(path)), [2.5, -1 + 0.5j])
 
 
 class TestCli:
@@ -258,6 +297,37 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "geo.samples.csv").exists()
         assert (tmp_path / "geo.summary.json").exists()
+
+    def test_geometric_flags_reach_the_config(self, tmp_path, capsys):
+        out = str(tmp_path / "geo")
+        rc = main(["experiment", "geometric-noise", "--samples", "1",
+                   "--eps", "1e-4", "--eps", "1e-9", "--out", out])
+        assert rc == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert list(printed) == ["config", "summary"]
+        assert printed["config"]["eps_list"] == [1e-4, 1e-9]
+        assert printed["config"]["output_path"] == out
+        assert [agg["eps"] for agg in printed["summary"]] == [1e-4, 1e-9]
+        assert (tmp_path / "geo.samples.csv").exists()
+        assert (tmp_path / "geo.summary.json").exists()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_poles_is_a_projection_of_approximate(self, tmp_path, capsys, method):
+        coeffs = self._coeff_file(tmp_path, [1.0, 0.5, 0.75, 0.25, 0.5, 0.125, 0.25, 0.0625])
+        args = ["--coeffs", coeffs, "--method", method, "--m", "3", "--k", "-1"]
+
+        def run(*argv):
+            assert main(list(argv)) == 0
+            return capsys.readouterr().out
+
+        full = json.loads(run("approximate", *args))
+        poles = json.loads(run("poles", *args))
+        assert list(poles) == ["method", "conformation", "poles"]
+        assert {key: full[key] for key in poles} == poles
+        full_csv = run("approximate", *args, "--format", "csv").splitlines()
+        poles_csv = run("poles", *args, "--format", "csv").splitlines()
+        assert poles_csv == full_csv[:1] + [line for line in full_csv if line.startswith("poles,")]
+        assert len(poles_csv) == 1 + len(poles["poles"])
 
     def test_geometric_flag_defaults_are_the_config_defaults(self, capsys):
         assert main(["experiment", "geometric-noise"]) == 0

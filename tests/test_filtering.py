@@ -17,7 +17,6 @@ from padepencil import (
     gen_from_poles,
     gen_geometric_noisy,
     gen_log_series,
-    gen_quadratic_eps,
     pm1_poles,
     pm2,
     reduced_poles,
@@ -26,7 +25,7 @@ from padepencil.filtering import FilterParams
 from padepencil.numerics import svd
 from padepencil.pencil import combined_window, residue_system
 
-from helpers import greedy_match_error, random_oracle
+from helpers import gen_quadratic_eps, greedy_match_error, random_oracle
 
 
 class TestCountFiltered:

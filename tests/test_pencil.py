@@ -34,7 +34,13 @@ from padepencil import (
     to_rational,
 )
 
-from helpers import greedy_match_error, loop_pole_residue_terms, polyfromroots_denominator, random_oracle
+from helpers import (
+    gen_quadratic_eps,
+    greedy_match_error,
+    loop_pole_residue_terms,
+    polyfromroots_denominator,
+    random_oracle,
+)
 
 
 class TestWindow:
@@ -46,8 +52,7 @@ class TestWindow:
         blocks = build_blocks(s, conf)
         np.testing.assert_array_equal(blocks.C1, [[1, 2], [2, 3]])
         np.testing.assert_array_equal(blocks.C2, [[2, 3], [3, 4]])
-        assert blocks.rows == 2
-        assert blocks.cols == 2
+        assert blocks.C1.shape == (2, 2)
 
     def test_window_shape_follows_l(self):
         s = PowerSeries(np.arange(1.0, 9.0))
@@ -243,8 +248,6 @@ class TestToRational:
         np.testing.assert_allclose(ra.denom, [1.0, 0.5, -0.5], atol=1e-10)
 
     def test_origin_pole_gives_monomial_over_monomial(self):
-        from padepencil import gen_quadratic_eps
-
         s = gen_quadratic_eps(0.0)
         prf, ra = pm1(s, Conformation(m=1, k=0))
         np.testing.assert_allclose(prf.poles, [0.0], atol=1e-14)

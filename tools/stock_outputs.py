@@ -1,0 +1,125 @@
+"""Write padepencil's stock outputs to a directory, for bitwise comparison.
+
+Usage (from the repository root)::
+
+    python3 tools/stock_outputs.py OUTDIR
+
+Writes into OUTDIR:
+
+* ``geo-<method>-<seed>-<config>.samples.csv`` and ``.summary.json``:
+  ``run_geometric_noise`` for the four methods, seeds 1, 101 and 7, at
+  the default config and at [9/8] with eps 1e-2, 1e-4, 1e-8, 1e-12
+  (48 files);
+* ``log-<n>.json``: ``run_log_branch`` at n = 11, 21, 41, 61 (4 files);
+* ``cli/``: the three coefficient files (JSON pairs, JSON numbers,
+  text), and ``approximate`` and ``poles`` for every method, input and
+  output format, each with its exit code and stderr in a ``.status``
+  file;
+* ``cli/experiment-*``: the printed views and files of the two
+  ``experiment`` subcommands, and ``cli/help-*``: every ``--help`` text.
+
+Every path the package records in an output is relative to OUTDIR, so
+the files do not depend on where OUTDIR is.  Two checkouts that compute
+the same bits give no difference under ``diff -r`` of their OUTDIRs.
+BLAS runs on one thread, as in the benchmark.
+"""
+
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+os.environ["COLUMNS"] = "100"  # argparse wraps help text to the terminal width
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+import numpy as np  # noqa: E402
+
+from padepencil import ExperimentConfig, gen_from_poles, run_geometric_noise, run_log_branch  # noqa: E402
+from padepencil.cli import main  # noqa: E402
+
+METHODS = ("dm", "svd", "pm1", "pm2")
+SEEDS = (1, 101, 7)
+GEO_CONFIGS = {
+    "default": {},
+    "9-8": {"m": 8, "k": 1, "eps_list": (1e-2, 1e-4, 1e-8, 1e-12)},
+}
+LOG_NS = (11, 21, 41, 61)
+#: Coefficient file name -> label used in the output names.
+INPUTS = {"pairs.json": "pairs", "numbers.json": "numbers", "lines.txt": "text"}
+
+
+def write_experiments() -> None:
+    for method in METHODS:
+        for seed in SEEDS:
+            for name, fields in GEO_CONFIGS.items():
+                base = f"geo-{method}-{seed}-{name}"
+                run_geometric_noise(ExperimentConfig(method=method, seed=seed, output_path=base, **fields))
+    for n in LOG_NS:
+        run_log_branch(ExperimentConfig(n=n, output_path=f"log-{n}"))
+
+
+def write_inputs() -> None:
+    """The three INPUTS: a complex noisy 3-pole series as JSON pairs and
+    as text, and a real noisy geometric series as JSON numbers."""
+    rng = np.random.default_rng(2022)
+    poles = [1.5, -2.0 + 0.5j, 0.8 + 1.1j]
+    exact = gen_from_poles(poles, [1.0, 0.5 - 0.25j, 2.0], 12).coeffs
+    noisy = exact * (1 + 1e-9 * rng.uniform(-1, 1, exact.size))
+    real = 1.0 + 1e-6 * rng.uniform(-1, 1, 12)
+    Path("cli/pairs.json").write_text(json.dumps([[c.real, c.imag] for c in noisy]))
+    Path("cli/numbers.json").write_text(json.dumps(real.tolist()))
+    lines = ["# re im, one coefficient per line"] + [f"{c.real!r} {c.imag!r}" for c in noisy.tolist()]
+    Path("cli/lines.txt").write_text("\n".join(lines) + "\n")
+
+
+def run_cli(argv, name: str) -> None:
+    """Run one CLI call; its stdout, if any, goes to ``name`` and its
+    exit code and stderr to ``name.status``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # --help and usage errors
+            rc = exc.code
+    if out.getvalue():
+        Path(name).write_text(out.getvalue())
+    Path(f"{name}.status").write_text(f"exit {rc}\n{err.getvalue()}")
+
+
+def write_cli() -> None:
+    Path("cli").mkdir()
+    write_inputs()
+    for src, label in INPUTS.items():
+        for method in METHODS:
+            for command in ("approximate", "poles"):
+                for fmt in ("json", "csv"):
+                    out = f"cli/{command}-{method}-{label}.{fmt}"
+                    argv = [command, "--coeffs", f"cli/{src}", "--method", method, "--m", "3", "--k", "-1",
+                            "--t", "8", "--format", fmt, "--out", out]
+                    run_cli(argv, out)
+    run_cli(["experiment", "geometric-noise", "--eps", "1e-4", "--eps", "1e-9", "--samples", "2",
+             "--out", "cli/experiment-geo"], "cli/experiment-geo.printed.json")
+    run_cli(["experiment", "log-branch", "--n", "21", "--out", "cli/experiment-log"], "cli/experiment-log.printed.json")
+    for command in ([], ["approximate"], ["poles"], ["experiment"], ["experiment", "geometric-noise"],
+                    ["experiment", "log-branch"]):
+        run_cli([*command, "--help"], f"cli/help-{'-'.join(['padepencil', *command])}.txt")
+
+
+def write_all(outdir: str) -> None:
+    os.makedirs(outdir)
+    os.chdir(outdir)
+    write_experiments()
+    write_cli()
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    write_all(sys.argv[1])
