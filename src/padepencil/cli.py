@@ -62,10 +62,14 @@ def load_coefficients(path: str) -> np.ndarray:
         raise ValueError(f"{path}: no coefficients found")
     values = []
     for lineno, pair in entries:
-        if not isinstance(pair, list) or len(pair) != 2:
-            where = path if lineno is None else f"{path}:{lineno}"
-            raise ValueError(f"{where}: expected a number, 're im' or [re, im], got {pair!r}")
-        values.append(complex(float(pair[0]), float(pair[1])))
+        if isinstance(pair, list) and len(pair) == 2:
+            try:
+                values.append(complex(float(pair[0]), float(pair[1])))
+                continue
+            except (TypeError, OverflowError):  # null or a list inside, an integer beyond float
+                pass
+        where = path if lineno is None else f"{path}:{lineno}"
+        raise ValueError(f"{where}: expected a number, 're im' or [re, im], got {pair!r}")
     return np.array(values, dtype=complex)
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baseline import Conformation, RationalApproximant, _require_length, combined_window
-from .errors import Collapse, RankDeficient
+from .errors import Collapse, ConvergenceFailure, RankDeficient
 from .numerics import SvdResult, complex_pairs, qr_solve, svd
 from .pencil import PoleResidueForm, _pencil_poles, _with_head, residue_system, to_rational
 from .series import PowerSeries
@@ -123,9 +123,9 @@ def count_filtered(sigma, t: float) -> int:
 def reduced_poles(svd_result: SvdResult) -> np.ndarray:
     """Eigenvalues of the pencil restricted to the retained directions.
 
-    ``svd_result`` is the full SVD C = U S Vh of the (2m-l) x (l+1)
-    window, so l is read from the square Vh.  The least-squares pencil
-    solve C2^+ C1 equals the solution of
+    ``svd_result`` holds S and Vh of the full SVD C = U S Vh of the
+    (2m-l) x (l+1) window, so l is read from the square Vh.  The
+    least-squares pencil solve C2^+ C1 equals the solution of
     min || S_hat V2h X - S_hat V1h ||_F  where V1h/V2h are the
     first/last l columns of Vh and S_hat pads the singular values with
     zeros to the full column count: the unitary factor U drops out, but
@@ -203,7 +203,10 @@ def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) 
         # non-finite: the worst conditioning there is, kept from LAPACK.
         ok = np.isfinite(D).all()
         if ok:
-            dsig = np.linalg.svd(D, compute_uv=False)
+            try:
+                dsig = np.linalg.svd(D, compute_uv=False)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceFailure(f"residue Vandermonde SVD did not converge: {exc}") from exc
             ok = not dsig[-1] < 10.0 ** (-t) * dsig[0]
         if not ok:
             d_reductions += 1

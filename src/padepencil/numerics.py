@@ -8,6 +8,7 @@ and rank policy live in one place.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -18,24 +19,58 @@ from .errors import AllZero, ConvergenceFailure, NonFinite, RankDeficient
 #: Relative threshold below which a triangular pivot counts as a rank drop.
 DEFAULT_RANK_RTOL = 1e-14
 
-_geqrf, _ungqr, _trtrs = get_lapack_funcs(("geqrf", "ungqr", "trtrs"), dtype=complex)
+#: zgesdd's SMLNUM = sqrt(safe minimum) / precision, and BIGNUM = 1/SMLNUM.
+_SMLNUM = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+_BIGNUM = 1 / _SMLNUM
+
+_geqrf, _geqrf_lwork, _ungqr, _trtrs, _gesdd, _gesdd_lwork = get_lapack_funcs(
+    ("geqrf", "geqrf_lwork", "ungqr", "trtrs", "gesdd", "gesdd_lwork"), dtype=complex
+)
+
+
+@lru_cache(maxsize=1024)
+def _workspace(p: int, q: int) -> tuple[int, int, int]:
+    """Optimal LAPACK workspace sizes for a p x q matrix (p >= q): zgeqrf,
+    zungqr forming the p x q Q, and zgesdd with JOBZ='A'.  The queries
+    read the shape alone, so the sizes are cached by shape."""
+    geqrf, _ = _geqrf_lwork(p, q)
+    _, ungqr, _ = _ungqr(np.zeros((p, q), dtype=complex), np.zeros(q, dtype=complex), lwork=-1)
+    gesdd, _ = _gesdd_lwork(p, q, compute_uv=1, full_matrices=1)
+    return int(geqrf.real), int(ungqr[0].real), int(gesdd.real)
+
+
+@lru_cache(maxsize=128)
+def _strictly_lower(q: int) -> np.ndarray:
+    """Read-only mask of the strictly lower triangle of a q x q matrix."""
+    mask = np.tri(q, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 class SvdResult(NamedTuple):
-    """Full singular value decomposition A = U @ diag(sigma) @ Vh.
+    """Singular values and right singular vectors of A = U @ diag(sigma) @ Vh.
 
-    ``sigma`` is descending and has length min(A.shape); ``U`` and ``Vh``
-    are square unitary matrices, so rows of ``Vh`` (the conjugate
-    transpose of V) are directly addressable.
+    ``sigma`` is descending and has length min(A.shape); ``Vh`` is the
+    square unitary conjugate transpose of V, so its rows are directly
+    addressable.  ``U`` is not formed.
     """
 
-    U: np.ndarray
     sigma: np.ndarray
     Vh: np.ndarray
 
 
 def svd(A) -> SvdResult:
-    """Full SVD with input checking.
+    """Singular values and Vh of the full SVD, with input checking.
+
+    The bits are those of ``np.linalg.svd(A, full_matrices=True)``.  For
+    a tall A (p >= 17q/9, LAPACK's MNTHR1) its zgesdd takes the QR path:
+    zgeqrf, the SVD of the q x q triangle R, then the p x p Q that only U
+    needs.  That path is run here without the last step: zgeqrf at its
+    optimal workspace, then zgesdd on R with the workspace the QR path
+    leaves it (W - q*q of the full call's W), which sets the block size
+    of the zunmlq that forms Vh when q >= 34.  Other shapes, and matrices
+    near the range where zgesdd scales A or R first, go to
+    ``np.linalg.svd``.
 
     Raises NonFinite for NaN/inf entries and ConvergenceFailure if the
     backend does not converge.
@@ -45,11 +80,27 @@ def svd(A) -> SvdResult:
         raise ValueError(f"need a non-empty 2-D matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise NonFinite("matrix contains non-finite entries")
+    p, q = A.shape
+    # zgesdd first scales a matrix whose largest modulus lies outside
+    # [SMLNUM, BIGNUM].  R's largest modulus lies between max|A|/sqrt(q)
+    # and sqrt(p) max|A|, so in this band (a factor 2 to spare) neither
+    # A nor R is scaled.
+    if p >= 17 * q // 9 and 2 * q**0.5 * _SMLNUM <= np.abs(A).max() <= _BIGNUM / (2 * p**0.5):
+        qr_work, _, svd_work = _workspace(p, q)
+        qr, _, _, _ = _geqrf(A, lwork=qr_work)
+        R = qr[:q]
+        R[_strictly_lower(q)] = 0
+        _, sigma, Vh, info = _gesdd(R, compute_uv=1, full_matrices=1, lwork=svd_work - q * q)
+        if info > 0:
+            raise ConvergenceFailure(f"SVD did not converge: zgesdd info={info}")
+        # C order, as np.linalg.svd returns it: both paths hand the
+        # caller the same memory layout.
+        return SvdResult(sigma, np.ascontiguousarray(Vh))
     try:
-        U, sigma, Vh = np.linalg.svd(A, full_matrices=True)
+        _, sigma, Vh = np.linalg.svd(A, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-    return SvdResult(U, sigma, Vh)
+    return SvdResult(sigma, Vh)
 
 
 def eigenvalues(A) -> np.ndarray:
@@ -70,10 +121,10 @@ def qr_solve(A, B, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
 
     The LAPACK calls are those of ``scipy.linalg.qr(mode="economic")``
     and ``solve_triangular``, made directly: zgeqrf and zungqr on a
-    Fortran copy of A at their queried optimal workspace, then ztrtrs on
-    R^T as a lower triangle with trans=1.  Q must stay Fortran-ordered:
-    with a C-ordered Q (as ``np.linalg.qr`` returns it) Q^H B takes
-    another BLAS path and other last bits.
+    Fortran copy of A at their optimal workspace (queried once per
+    shape), then ztrtrs on R^T as a lower triangle with trans=1.  Q must
+    stay Fortran-ordered: with a C-ordered Q (as ``np.linalg.qr`` returns
+    it) Q^H B takes another BLAS path and other last bits.
 
     Parameters
     ----------
@@ -102,10 +153,9 @@ def qr_solve(A, B, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
         raise ValueError(f"rhs has {B.shape[0]} rows, expected {A.shape[0]}")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise NonFinite("least-squares system contains non-finite entries")
-    qr, tau, work, _ = _geqrf(A, lwork=-1)
-    qr, tau, _, _ = _geqrf(A, lwork=int(work[0].real))
-    _, work, _ = _ungqr(qr, tau, lwork=-1)
-    Q, _, _ = _ungqr(qr, tau, lwork=int(work[0].real))
+    qr_work, q_work, _ = _workspace(*A.shape)
+    qr, tau, _, _ = _geqrf(A, lwork=qr_work)
+    Q, _, _ = _ungqr(qr, tau, lwork=q_work)
     diag = np.abs(qr.diagonal())
     if rtol > 0 and diag.min() < rtol * diag.max():
         raise RankDeficient(

@@ -1,6 +1,17 @@
 """Test-session plumbing: collects the acceptance-criterion result lines
 and prints them in the terminal summary so every run shows one
-PASS/FAIL line per criterion."""
+PASS/FAIL line per criterion.
+
+BLAS runs on one thread, as in the benchmark and tools/stock_outputs.py,
+before any test module imports numpy: the bitwise tests compare numpy's
+and scipy's LAPACK builds, whose threaded kernels split work
+differently and can differ in the last bits on large matrices.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 acceptance_lines = {}
 

@@ -222,10 +222,10 @@ def loop_pole_residue_terms(terms):
     return tuple(sorted(terms, key=lambda pe: (abs(pe[0]), np.angle(pe[0]))))
 
 
-# The least-squares solve and the pole-residue denominator as the
-# package computed them through scipy.linalg.qr, solve_triangular and
-# numpy's polyfromroots, kept verbatim as the bitwise references for
-# ``qr_solve`` and ``to_rational``.
+# The least-squares solve, the pole-residue denominator and the SVD as
+# the package computed them through scipy.linalg.qr, solve_triangular,
+# numpy's polyfromroots and numpy's full SVD, kept verbatim as the
+# bitwise references for ``qr_solve``, ``to_rational`` and ``svd``.
 
 
 def scipy_qr_solve(A, B, rtol=DEFAULT_RANK_RTOL):
@@ -257,3 +257,9 @@ def polyfromroots_denominator(poles):
     else:
         denom = denom / denom[np.argmax(np.abs(denom))]
     return denom
+
+
+def numpy_svd(A):
+    """sigma and Vh of ``np.linalg.svd(A, full_matrices=True)``."""
+    _, sigma, Vh = np.linalg.svd(np.asarray(A, dtype=complex), full_matrices=True)
+    return sigma, Vh

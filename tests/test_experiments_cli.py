@@ -211,6 +211,17 @@ class TestCoefficientFiles:
         with pytest.raises(ValueError):
             load_coefficients(str(path))
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[[null, 1], [1, 0]]", "[[1, 0], [1%s, 0]]" % ("0" * 400), "[1, 1%s]" % ("0" * 400)],
+        ids=["null_in_pair", "huge_integer_in_pair", "huge_bare_integer"],
+    )
+    def test_non_numeric_json_entry_rejected_with_location(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"c\.json: expected a number, 're im' or \[re, im\]"):
+            load_coefficients(str(path))
+
     def test_json_true_reads_as_one(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("[true, 2]")
@@ -281,6 +292,13 @@ class TestCli:
         rc = main(["approximate", "--coeffs", str(tmp_path / "nope.json"),
                    "--m", "1", "--k", "0"])
         assert rc == 3
+
+    def test_malformed_number_exits_3(self, tmp_path, capsys):
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text("[[null, 1], [1, 0]]")
+        rc = main(["approximate", "--coeffs", str(coeffs), "--m", "1", "--k", "-1"])
+        assert rc == 3
+        assert "expected a number" in capsys.readouterr().err
 
     def test_usage_error_exits_3(self, capsys):
         with pytest.raises(SystemExit) as exc:

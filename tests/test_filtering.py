@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from padepencil import (
     Collapse,
     Conformation,
+    ConvergenceFailure,
     PowerSeries,
     build_blocks,
     count_filtered,
@@ -257,6 +258,21 @@ class TestPm2:
         assert report.d_matrix_reductions >= 1
         assert 1 <= report.final_l == len(prf.terms) < m
         assert np.all(np.isfinite(prf.poles)) and np.all(np.isfinite(ra.denom))
+
+    def test_residue_conditioning_svd_failure_is_mapped(self, monkeypatch):
+        # A LAPACK failure in the residue Vandermonde's singular values
+        # reaches the caller as ConvergenceFailure, not LinAlgError.
+        real_svd = np.linalg.svd
+
+        def failing_values_only(a, *args, compute_uv=True, **kwargs):
+            if not compute_uv:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_values_only)
+        s = gen_geometric_noisy(20, 1e-6, rng=np.random.default_rng(7))
+        with pytest.raises(ConvergenceFailure, match="residue Vandermonde"):
+            pm2(s, Conformation(m=10, k=-1))
 
     def test_approximant_matches_function_inside_disk(self):
         # end to end: the filtered PA of a noisy geometric series still

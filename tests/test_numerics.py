@@ -7,7 +7,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padepencil import AllZero, NonFinite, RankDeficient
+from padepencil import (
+    AllZero,
+    Conformation,
+    ConvergenceFailure,
+    NonFinite,
+    PowerSeries,
+    RankDeficient,
+    gen_geometric_noisy,
+    gen_log_series,
+)
+from padepencil import numerics
+from padepencil.baseline import combined_window
 from padepencil.numerics import (
     DEFAULT_RANK_RTOL,
     eigenvalues,
@@ -17,30 +28,146 @@ from padepencil.numerics import (
     svd,
 )
 
-from helpers import scipy_qr_solve
+from helpers import numpy_svd, scipy_qr_solve
 
 
 class TestSvd:
     def test_reconstruction_over_random_shapes(self):
+        # U is not formed: A V has orthogonal columns whose norms are sigma.
         rng = np.random.default_rng(2)
         for _ in range(20):
             rows = int(rng.integers(1, 7))
             cols = int(rng.integers(1, 7))
             a = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
             res = svd(a)
-            sigma = np.zeros((rows, cols))
             r = min(rows, cols)
-            sigma[:r, :r] = np.diag(res.sigma)
-            np.testing.assert_allclose(res.U @ sigma @ res.Vh, a, atol=1e-12)
-            # full unitary factors, descending non-negative spectrum
-            np.testing.assert_allclose(res.U.conj().T @ res.U, np.eye(rows), atol=1e-12)
+            assert res.sigma.shape == (r,) and res.Vh.shape == (cols, cols)
             np.testing.assert_allclose(res.Vh @ res.Vh.conj().T, np.eye(cols), atol=1e-12)
             assert np.all(np.diff(res.sigma) <= 1e-15)
             assert np.all(res.sigma >= 0)
+            norms = np.linalg.norm(a @ res.Vh.conj().T, axis=0)
+            np.testing.assert_allclose(norms[:r], res.sigma, atol=1e-12)
+            np.testing.assert_allclose(norms[r:], 0, atol=1e-12)
 
     def test_non_finite_input_raises(self):
         with pytest.raises(NonFinite):
             svd(np.array([[1.0, np.nan]]))
+
+    def test_non_finite_input_is_quiet(self, capfd):
+        rng = np.random.default_rng(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for shape in ((1, 1), (9, 2), (40, 7), (7, 40), (30, 29), (386, 15)):
+                for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)):
+                    A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    A.flat[rng.integers(A.size)] = bad
+                    with pytest.raises(NonFinite):
+                        svd(A)
+        out, err = capfd.readouterr()
+        assert out == "" and err == ""
+
+    def test_non_convergence_is_mapped(self, monkeypatch):
+        # zgesdd info > 0 on the tall path, LinAlgError on numpy's path
+        monkeypatch.setattr(numerics, "_gesdd", lambda *args, **kwargs: (None, None, None, 3))
+        with pytest.raises(ConvergenceFailure):
+            svd(np.ones((9, 2)))
+
+        def not_converging(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", not_converging)
+        with pytest.raises(ConvergenceFailure):
+            svd(np.ones((2, 3)))
+
+
+#: Column counts for the bitwise SVD test: zunmlq (forming Vh) blocks
+#: from q = 34 and zgeqrf from q = 129.
+SVD_WIDTHS = (1, 2, 9, 33, 34, 35, 128, 129, 130, 200)
+
+
+def _near_threshold(q):
+    """Row counts around zgesdd's QR threshold floor(17q/9), at least q."""
+    t = 17 * q // 9
+    return [max(q, t - 1), t, t + 1]
+
+
+@st.composite
+def svd_cases(draw):
+    """Tall p x q matrices with p from q to 3q+5, near floor(17q/9) often,
+    and q up to 200; wide shapes; the Hankel window of a noisy geometric,
+    log or wide-magnitude series; zero columns, the zero matrix and
+    magnitudes 1e+-150."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["plain", "zero_column", "zero", "1e150", "1e-150", "wide", "hankel"]))
+    if kind == "hankel":
+        m = draw(st.integers(2, 150))
+        k = draw(st.integers(-1, 1))
+        n = 2 * m + k + 1
+        series = draw(st.sampled_from(["geometric", "log", "wide_magnitude"]))
+        if series == "geometric":
+            s = gen_geometric_noisy(n, 10.0 ** draw(st.floats(-12, -1)), rng)
+        elif series == "log":
+            s = gen_log_series(n)
+        else:
+            expo = draw(st.floats(1, 8)) * np.cos(2 * np.pi * np.arange(n) / draw(st.integers(5, 11)))
+            s = PowerSeries(10.0 ** (expo + rng.uniform(-0.5, 0.5, n)) * np.exp(2j * np.pi * rng.uniform(size=n)))
+        return combined_window(s, Conformation(m, k), draw(st.integers(1, m)))
+    q = draw(st.one_of(st.integers(1, 40), st.sampled_from(SVD_WIDTHS)))
+    p = draw(st.one_of(st.sampled_from(_near_threshold(q)), st.integers(q, 3 * q + 5)))
+    A = 10.0 ** draw(st.floats(-8, 8)) * (rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q)))
+    if kind == "zero_column":
+        A[:, rng.integers(q, size=draw(st.integers(1, q)))] = 0
+    elif kind == "zero":
+        A = np.zeros((p, q))
+    elif kind in ("1e150", "1e-150"):
+        A = A / np.abs(A).max() * float(kind)
+    elif kind == "wide":
+        A = A.T.copy()
+    return A
+
+
+def _assert_same_svd(A):
+    sigma, Vh = numpy_svd(A)
+    res = svd(A)
+    np.testing.assert_array_equal(res.sigma.view(np.int64), sigma.view(np.int64))
+    np.testing.assert_array_equal(res.Vh.view(np.int64), Vh.view(np.int64))
+
+
+class TestSvdBitwise:
+    """svd forms no U, yet its sigma and Vh bits are numpy's full SVD's."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(svd_cases())
+    def test_against_numpy_full_svd(self, A):
+        _assert_same_svd(A)
+
+    def test_matrices_zgesdd_scales_first(self):
+        # zgesdd scales a matrix whose largest modulus lies outside
+        # [SMLNUM, BIGNUM] before its QR.  Each case has only A, or only
+        # its triangle R, outside that range.
+        rng = np.random.default_rng(17)
+        p, q = 200, 100
+        # A's largest entry is the norm of R's last column, folded onto
+        # one row: about 8 times R's largest entry.
+        R0 = np.triu(rng.uniform(0.5, 1, (q, q)) * np.exp(2j * np.pi * rng.uniform(size=(q, q))))
+        v = np.zeros(p, dtype=complex)
+        v[:q] = R0[:, -1]
+        v[0] -= np.linalg.norm(R0[:, -1])
+        big = (np.eye(p) - 2 * np.outer(v, v.conj()) / np.vdot(v, v))[:, :q] @ R0
+        phases = np.exp(2j * np.pi * rng.uniform(size=(p, q)))
+        cases = [
+            big * (1.2 * numerics._BIGNUM / np.abs(big).max()),  # A above BIGNUM, R below
+            0.9 * numerics._SMLNUM * phases,  # A below SMLNUM, R(0,0) above it
+            0.2 * numerics._BIGNUM * phases,  # A below BIGNUM, R(0,0) above it
+        ]
+        for A in cases:
+            _assert_same_svd(A)
+
+    @pytest.mark.parametrize("q", SVD_WIDTHS)
+    def test_around_the_qr_threshold(self, q):
+        rng = np.random.default_rng(q)
+        for p in _near_threshold(q):
+            _assert_same_svd(rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q)))
 
 
 class TestEigenvalues:
