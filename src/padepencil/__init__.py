@@ -50,7 +50,6 @@ from .experiments import (
     run_log_branch,
 )
 from .filtering import (
-    FilterParams,
     FilterIteration,
     Pm2Result,
     SpuriousPoleReport,

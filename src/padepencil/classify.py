@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import complex_pairs
-
 #: Stage tolerances: a system pole lies within max(SYSTEM_TOL_PER_EPS *
 #: eps, SYSTEM_TOL_FLOOR) of its expected location, a doublet's pole and
 #: zero within DOUBLET_TOL of each other, and a far root at magnitude
@@ -39,15 +37,6 @@ class RootTaxonomy:
     far_poles: tuple
     far_zeros: tuple
     unclassified: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "system_poles": complex_pairs(self.system_poles),
-            "doublets": [complex_pairs([p, z]) for p, z in self.doublets],
-            "far_poles": complex_pairs(self.far_poles),
-            "far_zeros": complex_pairs(self.far_zeros),
-            "unclassified": [[kind, *complex_pairs([z])] for kind, z in self.unclassified],
-        }
 
 
 def classify_roots(poles, zeros, expected_system, eps: float = 0.0) -> RootTaxonomy:

@@ -76,11 +76,12 @@ def load_coefficients(path: str) -> np.ndarray:
 def cli_approximate(args) -> int:
     """Solve, then write the subcommand's ``keys`` of the full payload:
     JSON after ``method`` and ``conformation``, CSV without the report."""
-    s = PowerSeries(load_coefficients(args.coeffs))
+    coeffs = load_coefficients(args.coeffs)
+    s = PowerSeries(coeffs) if args.t is None else PowerSeries(coeffs, t=args.t)
     if args.n is not None:
         s = s.truncate(args.n)
     conf = Conformation(m=args.m, k=args.k)
-    res = approximate_series(s, conf, args.method, t=args.t, origin_radius=args.origin_radius)
+    res = approximate_series(s, conf, args.method)
     payload = {
         "numer": complex_pairs(res.rational.numer),
         "denom": complex_pairs(res.rational.denom),
@@ -124,7 +125,6 @@ def _add_approximation_parser(sub, command: str, summary: str, keys: tuple) -> N
     p.add_argument("--k", type=int, default=0, help="numerator degree offset (degree m+k)")
     p.add_argument("--n", type=int, default=None, help="use only the first n coefficients")
     p.add_argument("--t", type=float, default=None, help="filtering accuracy digits (pm2)")
-    p.add_argument("--origin-radius", type=float, default=1e-3)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cli_approximate, keys=keys)
@@ -155,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--samples", type=int, default=defaults.samples)
     p_geo.add_argument("--seed", type=int, default=defaults.seed)
     p_geo.add_argument("--t", type=float, default=defaults.t)
-    p_geo.add_argument("--origin-radius", type=float, default=defaults.origin_radius)
     p_geo.add_argument("--out", dest="output_path", metavar="OUT", help="base path for .samples.csv/.summary.json")
     p_geo.set_defaults(
         func=cli_experiment,
@@ -166,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_log = exp_sub.add_parser("log-branch", help="branch-cut study on ln(1.2-z)")
     p_log.add_argument("--n", type=int, default=41)
     p_log.add_argument("--t", type=float, default=defaults.t)
-    p_log.add_argument("--origin-radius", type=float, default=defaults.origin_radius)
     p_log.add_argument("--out", dest="output_path", metavar="OUT", help="base path for .json output")
     p_log.set_defaults(func=cli_experiment, runner=run_log_branch, view=lambda result: result)
 

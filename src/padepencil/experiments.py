@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +30,7 @@ from .approximant import ErrorSweep, error_sweep, eval_pole_residue, eval_ration
 from .baseline import Conformation, RationalApproximant, dm_denominator, numerator_from_denominator, svd_denominator
 from .classify import classify_roots
 from .errors import ApproximationError
-from .filtering import FilterParams, pm2
+from .filtering import pm2
 from .numerics import complex_pairs
 from .pencil import PoleResidueForm, _square_fit, build_blocks, pm1, pm1_poles
 from .series import PowerSeries, gen_geometric_noisy, gen_log_series
@@ -64,7 +64,6 @@ class ExperimentConfig:
     seed: int = 101
     t: float | None = None
     method: str = "pm2"
-    origin_radius: float = 1e-3
     output_path: str | None = None
 
 
@@ -79,18 +78,12 @@ class MethodResult(NamedTuple):
     final_l: int
 
 
-def approximate_series(
-    s: PowerSeries,
-    conf: Conformation,
-    method: str,
-    t: float | None = None,
-    origin_radius: float = 1e-3,
-) -> MethodResult:
+def approximate_series(s: PowerSeries, conf: Conformation, method: str) -> MethodResult:
     """Run one solver on one series and extract its roots.
 
-    ``method`` is one of dm, svd, pm1, pm2.  ``t`` and
-    ``origin_radius`` only affect pm2.  Solver failures propagate as
-    the usual ApproximationError subclasses.
+    ``method`` is one of dm, svd, pm1, pm2; pm2 filters at the series'
+    accuracy ``s.t``.  Solver failures propagate as the usual
+    ApproximationError subclasses.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -102,7 +95,7 @@ def approximate_series(
     elif method == "pm1":
         prf, ra = pm1(s, conf)
     else:
-        prf, ra, report = pm2(s, conf, FilterParams(t=t, origin_radius=origin_radius))
+        prf, ra, report = pm2(s, conf)
         final_l = report.final_l
     poles, zeros = poles_and_zeros(ra)
     return MethodResult(ra, prf, report, poles, zeros, final_l)
@@ -205,8 +198,8 @@ def run_geometric_noise(cfg: ExperimentConfig) -> dict:
     of 1*(1+eps*u) with u uniform on [-1, 1), runs cfg.method at
     [m+k/m], classifies roots against the single expected pole at 1,
     and sweeps errors over the three stock grids.  The filtering
-    accuracy defaults to t = -log10(eps) per noise level when cfg.t is
-    None.
+    accuracy is cfg.t when set, else the t that gen_geometric_noisy
+    gives the series.
 
     With cfg.output_path set, writes {path}.samples.csv and
     {path}.summary.json; the returned dict holds config, rows and
@@ -217,11 +210,12 @@ def run_geometric_noise(cfg: ExperimentConfig) -> dict:
         raise ValueError(f"[{cfg.m + cfg.k}/{cfg.m}] needs {conf.n} coefficients but cfg.n={cfg.n}")
     rows = []
     for ei, eps in enumerate(cfg.eps_list):
-        t = cfg.t if cfg.t is not None else (float(-np.log10(eps)) if eps > 0 else 15.0)
         for si in range(cfg.samples):
             s = gen_geometric_noisy(cfg.n, eps, sample_rng(cfg.seed, ei, si))
+            if cfg.t is not None:
+                s = replace(s, t=cfg.t)
             try:
-                res = approximate_series(s.truncate(conf.n), conf, cfg.method, t=t, origin_radius=cfg.origin_radius)
+                res = approximate_series(s.truncate(conf.n), conf, cfg.method)
             except ApproximationError as exc:
                 rows.append(_geometric_row(eps, si, cfg, None, exc))
             else:
@@ -265,18 +259,18 @@ def on_ray(p: complex) -> bool:
     return p.real >= RAY_MIN_RE and abs(p.imag) <= RAY_MAX_IM
 
 
-def pruned_square_refit(s: PowerSeries, conf: Conformation, origin_radius: float = 1e-3) -> PoleResidueForm:
+def pruned_square_refit(s: PowerSeries, conf: Conformation) -> PoleResidueForm:
     """Naive cleanup baseline: delete off-ray poles, re-solve residues.
 
     Runs the unfiltered pencil with its rank check disabled (so it
     yields all m poles even from a numerically rank-deficient block),
-    keeps only poles on the ray and outside the origin radius, and
-    re-solves the square residue system for the survivors.  No
-    information from the deleted poles is reassimilated, which is
+    keeps only poles on the ray (all of which lie outside pm2's origin
+    radius), and re-solves the square residue system for the survivors.
+    No information from the deleted poles is reassimilated, which is
     precisely what limits this baseline's accuracy.
     """
     all_poles = pm1_poles(build_blocks(s, conf), rank_rtol=0.0)
-    kept = np.array([p for p in all_poles if on_ray(p) and abs(p) > origin_radius])
+    kept = np.array([p for p in all_poles if on_ray(p)])
     return _square_fit(s, kept, conf)
 
 
@@ -285,9 +279,9 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
 
     Builds the order-[m/m] approximant with m = (n-1)//2 from the first
     n coefficients, once with the direct method and once with the
-    filtered pencil (t defaults to 14), and evaluates both on the disk
-    mesh of spacing 0.01 and radius 1/2.  Also reports the
-    pole-deletion baseline against the filtered solver on [0, 1].
+    filtered pencil, and evaluates both on the disk mesh of spacing 0.01
+    and radius 1/2.  Also reports the pole-deletion baseline against the
+    filtered solver on [0, 1].  The series carry t = cfg.t, default 14.
 
     With cfg.output_path set, writes {path}.json.
     """
@@ -295,7 +289,8 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
     t = cfg.t if cfg.t is not None else 14.0
     m = (n - 1) // 2
     conf = Conformation(m=m, k=0)
-    s = gen_log_series(n).truncate(conf.n)
+    log = replace(gen_log_series(n), t=t)
+    s = log.truncate(conf.n)
     mesh = MESH_RADIUS * unit_disk_mesh(MESH_SPACING / MESH_RADIUS)
     ref = lambda z: np.log(1.2 - z)
 
@@ -309,7 +304,7 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
 
     for method in ("dm", "pm2"):
         try:
-            res = approximate_series(s, conf, method, t=t, origin_radius=cfg.origin_radius)
+            res = approximate_series(s, conf, method)
         except ApproximationError as exc:
             result[method] = {"failed": True, "error_type": type(exc).__name__, "error": str(exc)}
             continue
@@ -335,11 +330,11 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
     # information that the filtered solver reassimilates.
     grid01 = np.linspace(0.0, 1.0, 500).astype(complex)
     conf_nd = Conformation(m=m, k=-1)
-    s_nd = gen_log_series(n).truncate(conf_nd.n)
+    s_nd = log.truncate(conf_nd.n)
     try:
-        naive = pruned_square_refit(s_nd, conf_nd, origin_radius=cfg.origin_radius)
+        naive = pruned_square_refit(s_nd, conf_nd)
         naive_sweep = error_sweep(lambda z: eval_pole_residue(naive, z), ref, grid01)
-        res2 = approximate_series(s_nd, conf_nd, "pm2", t=t, origin_radius=cfg.origin_radius)
+        res2 = approximate_series(s_nd, conf_nd, "pm2")
         pm2_sweep = error_sweep(lambda z: eval_rational(res2.rational, z), ref, grid01)
         assim = {
             "failed": False,

@@ -8,9 +8,10 @@ the surplus three ways and shrinks the working size l until the
 remaining poles are trustworthy:
 
 1. singular values of the combined Hankel window below 10^-t of the
-   largest mark filterable directions;
-2. eigenvalues of the reduced pencil inside a small origin radius are
-   deleted outright;
+   largest mark filterable directions, where t is the series' own
+   accuracy estimate ``PowerSeries.t``;
+2. eigenvalues of the reduced pencil of magnitude at most
+   ``ORIGIN_RADIUS`` are deleted outright;
 3. a badly conditioned residue Vandermonde (singular-value ratio below
    10^-t) indicates a still-redundant pole set.
 
@@ -35,29 +36,9 @@ from .pencil import PoleResidueForm, _pencil_poles, _with_head, residue_system, 
 from .series import PowerSeries
 
 
-@dataclass(frozen=True)
-class FilterParams:
-    """Tuning knobs for the iterated solver.
-
-    Parameters
-    ----------
-    t : float, optional
-        Decimal filtering accuracy; singular values below 10^-t of the
-        largest are considered noise.  Defaults to the accuracy estimate
-        carried by the series itself.
-    origin_radius : float, optional
-        Eigenvalues with magnitude <= this are deleted as spurious
-        origin poles.
-    """
-
-    t: float | None = None
-    origin_radius: float = 1e-3
-
-    def __post_init__(self):
-        if self.t is not None and not self.t > 0:
-            raise ValueError(f"t must be positive, got {self.t}")
-        if not 0 < self.origin_radius < 1:
-            raise ValueError(f"origin_radius must lie in (0, 1), got {self.origin_radius}")
+#: Eigenvalues of the reduced pencil with magnitude at most this are
+#: deleted as spurious origin poles.
+ORIGIN_RADIUS = 1e-3
 
 
 class FilterIteration(NamedTuple):
@@ -142,28 +123,25 @@ def reduced_poles(svd_result: SvdResult) -> np.ndarray:
     return _pencil_poles(W[:, 1:], W[:, :l])
 
 
-def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) -> Pm2Result:
+def pm2(s: PowerSeries, conf: Conformation) -> Pm2Result:
     """Pencil solve with iterated spurious-pole filtering.
 
     Runs the detection loop described in the module docstring starting
-    from l = m and returns the surviving poles with overdetermined
-    least-squares residues, the equivalent rational approximant, and the
-    filtering report.
+    from l = m, with the filtering accuracy t = s.t, and returns the
+    surviving poles with overdetermined least-squares residues, the
+    equivalent rational approximant, and the filtering report.
 
     If every pole is removed, a non-negative k degrades to the bare head
     polynomial (report.head_only is set); a negative k raises Collapse.
     An identically-zero coefficient window short-circuits to the zero
     approximant.
     """
-    if params is None:
-        params = FilterParams()
     m, k = conf.m, conf.k
     if m < 1:
         raise ValueError("filtering needs a denominator degree m >= 1")
     _require_length(s, conf)
     if not s.coeffs[: conf.n].any():
         return _headonly_result(s, conf, _report(m, 0, (), (), 0))
-    t = params.t if params.t is not None else s.t
 
     iterations: list[FilterIteration] = []
     origin_removed: list[complex] = []
@@ -179,7 +157,7 @@ def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) 
         # reduction l - n_s; on later column-limited passes the spectrum
         # carries one extra entry and the plain reduction would
         # overshoot by one, losing a genuine pole.  At l = 1 new_l is 1.
-        rank_hat = sr.sigma.size - count_filtered(sr.sigma, t)
+        rank_hat = sr.sigma.size - count_filtered(sr.sigma, s.t)
         new_l = max(1, min(l, rank_hat))
         iterations.append(FilterIteration(l, sr.sigma.copy(), l - new_l))
         if new_l < l:
@@ -192,7 +170,7 @@ def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) 
             l -= 1
             continue
 
-        inside = np.abs(lam) <= params.origin_radius
+        inside = np.abs(lam) <= ORIGIN_RADIUS
         if inside.any():
             origin_removed.extend(complex(p) for p in lam[inside])
             l -= int(np.count_nonzero(inside))
@@ -207,7 +185,7 @@ def pm2(s: PowerSeries, conf: Conformation, params: FilterParams | None = None) 
                 dsig = np.linalg.svd(D, compute_uv=False)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceFailure(f"residue Vandermonde SVD did not converge: {exc}") from exc
-            ok = not dsig[-1] < 10.0 ** (-t) * dsig[0]
+            ok = not dsig[-1] < 10.0 ** (-s.t) * dsig[0]
         if not ok:
             d_reductions += 1
             l -= 1

@@ -174,7 +174,11 @@ def polynomial_roots(coeffs) -> np.ndarray:
 
     Leading (highest-order) exact zeros are stripped before the
     companion-matrix solve.  The identically-zero polynomial raises
-    AllZero; degree-0 polynomials have no roots.
+    AllZero; degree-0 polynomials have no roots.  The bits are those of
+    numpy's ``polyroots``, whose division by the leading coefficient
+    may overflow: a non-finite companion matrix or root raises
+    NonFinite, and an eigen-solve that does not converge raises
+    ConvergenceFailure.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if c.size == 0:
@@ -186,7 +190,14 @@ def polynomial_roots(coeffs) -> np.ndarray:
         raise AllZero("the zero polynomial has every point as a root")
     if c.size == 1:
         return np.array([], dtype=complex)
-    return np.polynomial.polynomial.polyroots(c)
+    with np.errstate(all="ignore"):
+        if c.size == 2:
+            roots = np.array([-c[0] / c[1]])
+        else:
+            roots = np.sort(eigenvalues(np.polynomial.polynomial.polycompanion(c)))
+    if not np.isfinite(roots).all():
+        raise NonFinite("polynomial roots overflow: the leading coefficient is tiny next to the others")
+    return roots
 
 
 def poly_from_roots(roots) -> np.ndarray:

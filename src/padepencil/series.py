@@ -27,7 +27,9 @@ class PowerSeries:
         Complex coefficients, lowest order first.  Stored read-only.
     t : float, optional
         Estimated number of accurate decimal digits.  Defaults to 15,
-        i.e. coefficients accurate to double-precision roundoff.
+        i.e. coefficients accurate to double-precision roundoff.  This
+        is the filtering accuracy of ``pm2``, which drops singular
+        values below 10^-t of the largest.
     """
 
     coeffs: np.ndarray

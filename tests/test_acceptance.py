@@ -30,7 +30,7 @@ from padepencil.baseline import (
 from padepencil.classify import classify_roots
 from padepencil.errors import DegenerateError
 from padepencil.experiments import ExperimentConfig, run_log_branch, sample_rng
-from padepencil.filtering import FilterParams, pm2
+from padepencil.filtering import pm2
 from padepencil.pencil import build_blocks, pm1, pm1_poles
 from padepencil.series import PowerSeries, gen_from_poles, gen_geometric_noisy
 
@@ -89,7 +89,7 @@ def _away_spikes(sweep, points):
 
 
 def test_degenerate_series_all_methods():
-    s = PowerSeries([1.0, 0.0, 1.0])
+    s = PowerSeries([1.0, 0.0, 1.0], t=14.0)
     conf = Conformation(m=1, k=0)
 
     with pytest.raises(DegenerateError):
@@ -98,7 +98,7 @@ def test_degenerate_series_all_methods():
     b = svd_denominator(s, conf)
     a = numerator_from_denominator(s, b, conf)
     poles = pm1_poles(build_blocks(s, conf))
-    res = pm2(s, conf, FilterParams(t=14.0))
+    res = pm2(s, conf)
 
     svd_ok = abs(b[0]) <= 1e-12 and abs(b[1] - 1.0) <= 1e-12
     numer_ok = abs(a[0]) <= 1e-12 and abs(a[1] - b[1]) <= 1e-12
@@ -116,7 +116,7 @@ def test_degenerate_series_all_methods():
             pass
         svd_denominator(s, conf)
         pm1_poles(build_blocks(s, conf))
-        pm2(s, conf, FilterParams(t=14.0))
+        pm2(s, conf)
 
     run_all()  # warm up caches and lazy imports before timing
     best = min(_timed(run_all) for _ in range(7))
@@ -247,11 +247,10 @@ def test_filtered_pencil_retains_single_pole():
     means = []
     bad = []
     for ei, eps in enumerate(NOISE_EPS):
-        t = -np.log10(eps)
         errs = []
         for sample in range(10):
-            s = gen_geometric_noisy(20, eps, sample_rng(MASTER_SEED, ei, sample))
-            res = pm2(s, conf, FilterParams(t=t))
+            s = gen_geometric_noisy(20, eps, sample_rng(MASTER_SEED, ei, sample))  # t = -log10(eps)
+            res = pm2(s, conf)
             roots = poles_and_zeros(res.rational)
             tax = classify_roots(roots[0], roots[1], [1.0], eps=eps)
             if res.prf.poles.size != 1 or len(tax.doublets) != 0:
@@ -279,10 +278,9 @@ def test_error_sweeps_free_of_spurious_spikes():
     filtered_spikes = 0
     direct_spiky_seeds = 0
     for ei, eps in enumerate(NOISE_EPS):
-        t = -np.log10(eps)
         for sample in range(10):
-            s = gen_geometric_noisy(20, eps, sample_rng(MASTER_SEED, ei, sample))
-            res = pm2(s, conf, FilterParams(t=t))
+            s = gen_geometric_noisy(20, eps, sample_rng(MASTER_SEED, ei, sample))  # t = -log10(eps)
+            res = pm2(s, conf)
             dra = _dm_approximant(s, conf)
 
             inner_f = error_sweep(lambda z: eval_rational(res.rational, z), system, INNER_GRID)

@@ -67,16 +67,6 @@ def test_empty_inputs():
     assert not tax.doublets
 
 
-def test_to_dict_round_trips_shapes():
-    tax = classify_roots([1.0, 4.0, 0.5], [0.52, 5.0], [1.0])
-    d = tax.to_dict()
-    assert d["system_poles"] == [[1.0, 0.0]]
-    assert d["doublets"] == [[[0.5, 0.0], [0.52, 0.0]]]
-    assert d["far_poles"] == [[4.0, 0.0]]
-    assert d["far_zeros"] == [[5.0, 0.0]]
-    assert d["unclassified"] == []
-
-
 def test_noisy_overfitted_approximant_anatomy():
     # end to end: a [9/10] fit of a noisy geometric series shows the
     # expected anatomy -- one system pole, doublets, far zeros

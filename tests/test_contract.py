@@ -1,0 +1,135 @@
+"""Exception contract of the four solvers and the CLI.
+
+For any series and conformation, ``approximate_series`` returns finite
+poles and zeros or raises ValueError or an ApproximationError subclass.
+No numpy warning and no raw ``LinAlgError`` (itself a ValueError) may
+escape, and nothing may be printed, LAPACK's own complaints included.
+The CLI turns the same outcomes into exit code 0 with strict JSON, or
+exit code 2 with an error line.
+"""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from padepencil import (
+    ApproximationError,
+    Conformation,
+    NonFinite,
+    PowerSeries,
+    approximate_series,
+    gen_geometric_noisy,
+    gen_log_series,
+)
+from padepencil.cli import main
+from padepencil.experiments import METHODS
+
+CONTRACT = settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+
+@st.composite
+def series_cases(draw):
+    """A conformation with m in 1..40 and k in -m..3, and a series of
+    exactly its length: wide magnitudes, extreme entries, a single
+    spike, all zeros, or a noisy geometric or log series."""
+    m = draw(st.integers(1, 40))
+    conf = Conformation(m, draw(st.integers(-m, 3)))
+    n = conf.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["wide", "extreme", "spike", "zero", "geometric", "log"]))
+    if kind == "wide":
+        amp = draw(st.sampled_from([1.0, 3.0, 6.0, 20.0, 100.0, 300.0]))
+        period = int(rng.integers(2, 13))
+        expo = amp * np.cos(2 * np.pi * np.arange(n) / period) + rng.uniform(-0.5, 0.5, n)
+        s = PowerSeries(10.0**expo * np.exp(2j * np.pi * rng.uniform(size=n)))
+    elif kind == "extreme":
+        s = PowerSeries(rng.choice([1e300, -1e300, 1e-300, 1.0], size=n))
+    elif kind == "spike":
+        c = np.zeros(n, dtype=complex)
+        c[rng.integers(n)] = 10.0 ** rng.uniform(-300, 300) * np.exp(2j * np.pi * rng.uniform())
+        s = PowerSeries(c)
+    elif kind == "zero":
+        s = PowerSeries(np.zeros(n))
+    elif kind == "geometric":
+        s = gen_geometric_noisy(n, 10.0 ** -rng.uniform(1, 14), rng)
+    else:
+        eps = 10.0 ** -rng.uniform(1, 14)
+        s = PowerSeries(gen_log_series(n).coeffs * (1 + eps * rng.uniform(-1, 1, n)), t=float(-np.log10(eps)))
+    return s, conf
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(CONTRACT, max_examples=150)
+@given(case=series_cases())
+def test_solvers_return_finite_roots_or_raise(case, capfd):
+    s, conf = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in METHODS:
+            try:
+                res = approximate_series(s, conf, method)
+            except np.linalg.LinAlgError:
+                raise
+            except (ValueError, ApproximationError):
+                continue
+            assert np.isfinite(res.poles).all() and np.isfinite(res.zeros).all(), (method, res.poles, res.zeros)
+    assert capfd.readouterr() == ("", "")
+
+
+@settings(CONTRACT, max_examples=25)
+@given(case=series_cases(), method=st.sampled_from(METHODS))
+def test_cli_writes_strict_json_or_exits_2(case, method, tmp_path, capfd):
+    s, conf = case
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps([[c.real, c.imag] for c in s.coeffs.tolist()]))
+    argv = ["approximate", "--coeffs", str(path), "--method", method,
+            "--m", str(conf.m), "--k", str(conf.k), "--t", repr(s.t)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    out, err = capfd.readouterr()
+    if rc == 0:
+        assert err == ""
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert (payload["conformation"]["m"], payload["conformation"]["k"]) == (conf.m, conf.k)
+    else:
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestOverflowingRoots:
+    """A tiny leading coefficient next to larger ones overflows numpy's
+    root finder; the solvers report NonFinite instead of inf or NaN."""
+
+    @pytest.mark.parametrize(
+        "coeffs, method",
+        [([1e-300] * 3, "dm"), ([1e-300] * 3, "svd"), ([1e-300] * 3, "pm1"),
+         ([1e300, 1.0, 1e-300], "pm1"), ([1e300, 1.0, 1e-300], "pm2")],
+    )
+    def test_approximate_series_raises_nonfinite(self, coeffs, method, capfd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                approximate_series(PowerSeries(coeffs), Conformation(1, 0), method)
+        assert capfd.readouterr() == ("", "")
+
+    def test_cli_exits_2_without_output(self, tmp_path, capfd):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps([1e-300] * 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["approximate", "--coeffs", str(path), "--m", "1", "--k", "0", "--method", "dm"])
+        assert rc == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: NonFinite: ") and err.count("\n") == 1

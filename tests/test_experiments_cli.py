@@ -7,8 +7,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from padepencil import Conformation, gen_log_series
+from padepencil import Conformation, PowerSeries, gen_log_series, pm2, poles_and_zeros
 from padepencil.cli import build_parser, load_coefficients, main
+from padepencil.numerics import complex_pairs
 from padepencil.experiments import (
     METHODS,
     ExperimentConfig,
@@ -62,7 +63,7 @@ class TestApproximateSeries:
         ],
     )
     def test_zero_numerator_gives_no_zeros(self, method, coeffs, m, k, expected_poles):
-        from padepencil import FilterParams, PowerSeries, pm1, pm2, polynomial_roots, svd_denominator
+        from padepencil import pm1, polynomial_roots, svd_denominator
 
         s = PowerSeries(coeffs)
         conf = Conformation(m=m, k=k)
@@ -79,7 +80,7 @@ class TestApproximateSeries:
             np.testing.assert_array_equal(res.rational.denom, pm1(s, conf).rational.denom)
             assert res.final_l == m
         else:
-            direct = pm2(s, conf, FilterParams())
+            direct = pm2(s, conf)
             np.testing.assert_array_equal(res.rational.denom, direct.rational.denom)
             assert res.final_l == direct.report.final_l == 1
 
@@ -307,6 +308,37 @@ class TestCli:
 
     def test_no_subcommand_exits_3(self, capsys):
         assert main([]) == 3
+
+    @pytest.mark.parametrize(
+        "command",
+        [["approximate", "--coeffs", "c.json", "--m", "1"], ["poles", "--coeffs", "c.json", "--m", "1"],
+         ["experiment", "geometric-noise"], ["experiment", "log-branch"]],
+        ids=["approximate", "poles", "geometric-noise", "log-branch"],
+    )
+    def test_origin_radius_is_not_a_flag(self, capsys, command):
+        # The origin radius is the fixed filtering.ORIGIN_RADIUS.
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--origin-radius", "1e-3"])
+        assert exc.value.code == 3
+        assert "--origin-radius" in capsys.readouterr().err
+
+    def test_t_flag_sets_the_series_accuracy(self, tmp_path, capsys):
+        coeffs = [1.0 + 1e-6 * np.sin(7.0 * j) for j in range(20)]
+        conf = Conformation(m=10, k=-1)
+        rc = main(["approximate", "--coeffs", self._coeff_file(tmp_path, coeffs), "--method", "pm2",
+                   "--m", "10", "--k", "-1", "--t", "6"])
+        assert rc == 0
+        printed = json.loads(capsys.readouterr().out)["poles"]
+        want = pm2(PowerSeries(coeffs, t=6), conf)
+        assert printed == complex_pairs(poles_and_zeros(want.rational)[0])
+        assert len(printed) == want.report.final_l < len(pm2(PowerSeries(coeffs), conf).prf.poles)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_nonpositive_t_exits_3_for_every_method(self, tmp_path, capsys, method):
+        coeffs = self._coeff_file(tmp_path, [1.0] * 4)
+        rc = main(["approximate", "--coeffs", coeffs, "--method", method, "--m", "1", "--k", "1", "--t", "0"])
+        assert rc == 3
+        assert "accuracy estimate t must be positive" in capsys.readouterr().err
 
     def test_geometric_experiment_writes_files(self, tmp_path, capsys):
         out = tmp_path / "geo"

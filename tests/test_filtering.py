@@ -1,6 +1,7 @@
 """Tests for the iterated spurious-pole filter."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from padepencil import (
     pm2,
     reduced_poles,
 )
-from padepencil.filtering import FilterParams
 from padepencil.numerics import svd
 from padepencil.pencil import combined_window, residue_system
 
@@ -78,23 +78,9 @@ class TestReducedPoles:
             reduced_poles(svd(np.ones((3, 1))))
 
 
-class TestFilterParams:
-    def test_defaults(self):
-        p = FilterParams()
-        assert p.t is None
-        assert p.origin_radius == 1e-3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FilterParams(t=0.0)
-        with pytest.raises(ValueError):
-            FilterParams(origin_radius=1.5)
-
-
 class TestPm2:
     def test_degenerate_quadratic_becomes_constant(self):
-        prf, ra, report = pm2(PowerSeries([1.0, 0.0, 1.0]), Conformation(m=1, k=0),
-                              FilterParams(t=14))
+        prf, ra, report = pm2(PowerSeries([1.0, 0.0, 1.0], t=14), Conformation(m=1, k=0))
         assert len(prf.terms) == 0
         np.testing.assert_allclose(ra.numer, [1.0])
         np.testing.assert_allclose(ra.denom, [1.0])
@@ -117,8 +103,8 @@ class TestPm2:
         rng = np.random.default_rng(51)
         true_p, true_w = random_oracle(rng, 3)
         conf = Conformation(m=6, k=-1)
-        s = gen_from_poles(true_p, true_w, conf.n)
-        prf, ra, report = pm2(s, conf, FilterParams(t=12))
+        s = replace(gen_from_poles(true_p, true_w, conf.n), t=12)
+        prf, ra, report = pm2(s, conf)
         assert prf.poles.size == 3
         assert greedy_match_error(prf.poles, true_p) < 1e-7
         assert greedy_match_error(prf.weights, true_w) < 1e-7
@@ -131,8 +117,8 @@ class TestPm2:
             m = m_true + int(rng.integers(1, 4))
             true_p, true_w = random_oracle(rng, m_true)
             conf = Conformation(m=m, k=int(rng.integers(-1, 2)))
-            s = gen_from_poles(true_p, true_w, conf.n)
-            prf, _, _ = pm2(s, conf, FilterParams(t=12))
+            s = replace(gen_from_poles(true_p, true_w, conf.n), t=12)
+            prf, _, _ = pm2(s, conf)
             assert prf.poles.size == m_true
             assert greedy_match_error(prf.poles, true_p) < 1e-7
 
@@ -148,21 +134,21 @@ class TestPm2:
 
     def test_noisy_geometric_single_pole(self):
         s = gen_geometric_noisy(20, 1e-6, rng=np.random.default_rng(7))
-        prf, ra, report = pm2(s, Conformation(m=10, k=-1), FilterParams(t=6))
+        prf, ra, report = pm2(s, Conformation(m=10, k=-1))  # s.t = -log10(eps) = 6
         assert prf.poles.size == 1
         assert abs(prf.poles[0] - 1.0) <= 100 * 1e-6
         assert report.defect_estimate == 2 * (10 - report.final_l)
 
-    def test_series_accuracy_tag_is_default_t(self):
-        # same run without an explicit t: the series carries t = -log10(eps)
+    def test_accuracy_is_read_from_the_series(self):
+        # The same noisy coefficients trusted to 15 digits keep noise
+        # directions that t = 6 filters away.
         s = gen_geometric_noisy(20, 1e-6, rng=np.random.default_rng(7))
-        explicit = pm2(s, Conformation(m=10, k=-1), FilterParams(t=6))
-        implicit = pm2(s, Conformation(m=10, k=-1))
-        np.testing.assert_array_equal(implicit.prf.poles, explicit.prf.poles)
+        conf = Conformation(m=10, k=-1)
+        assert pm2(s, conf).report.final_l == 1
+        assert pm2(replace(s, t=15), conf).report.final_l > 1
 
     def test_log_series_poles_settle_on_branch_cut(self):
-        prf, ra, report = pm2(gen_log_series(41), Conformation(m=20, k=0),
-                              FilterParams(t=14))
+        prf, ra, report = pm2(replace(gen_log_series(41), t=14), Conformation(m=20, k=0))
         assert report.final_l == 11
         assert ra.denom.size - 1 <= 14
         assert all(p.real >= 1.1 and abs(p.imag) <= 0.05 for p in prf.poles)
@@ -172,9 +158,9 @@ class TestPm2:
     def test_cubic_monomial_origin_poles_batched(self):
         # z^3 at [3/3]: the pencil produces origin poles only; the batched
         # drop removes both surviving ones in a single pass
-        s = PowerSeries([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        s = PowerSeries([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], t=14)
         conf = Conformation(m=3, k=0)
-        prf, ra, report = pm2(s, conf, FilterParams(t=14))
+        prf, ra, report = pm2(s, conf)
         assert report.head_only
         assert [it.l_before for it in report.iterations] == [3, 2]
         np.testing.assert_allclose(report.origin_poles_removed, [0.0, 0.0], atol=1e-14)

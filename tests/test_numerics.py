@@ -338,3 +338,46 @@ class TestPolynomialRoots:
     def test_all_zero_raises(self):
         with pytest.raises(AllZero):
             polynomial_roots(np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1e300, 1.0, 1e-300], [1e300, 1e-300], [1.0, 0.0, 0.0, 1e-310], [1e-300, 1e300, 1e-300]],
+        ids=["companion_overflows", "linear_root_overflows", "subnormal_leading", "tiny_ends"],
+    )
+    def test_overflow_raises_nonfinite_quietly(self, coeffs, capfd):
+        # numpy's polyroots divides by the leading coefficient; when that
+        # overflows it used to warn and then raise LinAlgError or return inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                polynomial_roots(coeffs)
+        assert capfd.readouterr() == ("", "")
+
+    def test_eigen_failure_is_convergence_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(ConvergenceFailure):
+            polynomial_roots([1.0, 2.0, 3.0])
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_bitwise_against_polyroots_when_finite(self, data):
+        # Any input whose numpy roots are finite keeps numpy's bits; the
+        # rest raise NonFinite instead of warning or returning inf.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(2, 41))
+        spread = data.draw(st.sampled_from([0.0, 3.0, 30.0, 300.0]))
+        c = 10.0 ** rng.uniform(-spread, spread, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        if data.draw(st.booleans()):
+            c = c.real.astype(complex)
+        with np.errstate(all="ignore"):
+            want = np.polynomial.polynomial.polyroots(c) if np.isfinite(c[:-1] / c[-1]).all() else None
+        if want is not None and np.isfinite(want).all():
+            np.testing.assert_array_equal(polynomial_roots(c).view(np.int64), want.view(np.int64))
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFinite):
+                    polynomial_roots(c)

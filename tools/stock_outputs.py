@@ -15,6 +15,9 @@ Writes into OUTDIR:
   text), and ``approximate`` and ``poles`` for every method, input and
   output format, each with its exit code and stderr in a ``.status``
   file;
+* ``cli/tiny.json`` and ``cli/approximate-dm-tiny.json.status``: a dm
+  ``approximate`` call on three coefficients of 1e-300, whose roots
+  overflow, so the error path is compared too;
 * ``cli/experiment-*``: the printed views and files of the two
   ``experiment`` subcommands, and ``cli/help-*``: every ``--help`` text.
 
@@ -67,7 +70,8 @@ def write_experiments() -> None:
 
 def write_inputs() -> None:
     """The three INPUTS: a complex noisy 3-pole series as JSON pairs and
-    as text, and a real noisy geometric series as JSON numbers."""
+    as text, and a real noisy geometric series as JSON numbers; and the
+    overflowing ``tiny.json``."""
     rng = np.random.default_rng(2022)
     poles = [1.5, -2.0 + 0.5j, 0.8 + 1.1j]
     exact = gen_from_poles(poles, [1.0, 0.5 - 0.25j, 2.0], 12).coeffs
@@ -77,6 +81,7 @@ def write_inputs() -> None:
     Path("cli/numbers.json").write_text(json.dumps(real.tolist()))
     lines = ["# re im, one coefficient per line"] + [f"{c.real!r} {c.imag!r}" for c in noisy.tolist()]
     Path("cli/lines.txt").write_text("\n".join(lines) + "\n")
+    Path("cli/tiny.json").write_text(json.dumps([1e-300] * 3))
 
 
 def run_cli(argv, name: str) -> None:
@@ -104,6 +109,8 @@ def write_cli() -> None:
                     argv = [command, "--coeffs", f"cli/{src}", "--method", method, "--m", "3", "--k", "-1",
                             "--t", "8", "--format", fmt, "--out", out]
                     run_cli(argv, out)
+    run_cli(["approximate", "--coeffs", "cli/tiny.json", "--method", "dm", "--m", "1", "--k", "0"],
+            "cli/approximate-dm-tiny.json")
     run_cli(["experiment", "geometric-noise", "--eps", "1e-4", "--eps", "1e-9", "--samples", "2",
              "--out", "cli/experiment-geo"], "cli/experiment-geo.printed.json")
     run_cli(["experiment", "log-branch", "--n", "21", "--out", "cli/experiment-log"], "cli/experiment-log.printed.json")
