@@ -18,6 +18,7 @@ stays meaningful when the direct system is singular.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,20 @@ class Conformation:
     k : int
         Numerator-degree offset; the numerator has degree m + k, so
         k >= -m.
+
+    Both must be integers (numpy integers included); anything else
+    raises ValueError.
     """
 
     m: int
     k: int
 
     def __post_init__(self):
+        for name, value in (("m", self.m), ("k", self.k)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.m < 0:
             raise ValueError(f"denominator degree must be >= 0, got m={self.m}")
         if self.k < -self.m:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFinite
+
 #: Stage tolerances: a system pole lies within max(SYSTEM_TOL_PER_EPS *
 #: eps, SYSTEM_TOL_FLOOR) of its expected location, a doublet's pole and
 #: zero within DOUBLET_TOL of each other, and a far root at magnitude
@@ -62,10 +64,14 @@ def classify_roots(poles, zeros, expected_system, eps: float = 0.0) -> RootTaxon
         Locations where genuine poles are expected.
     eps : float, optional
         Coefficient noise amplitude used to widen the system tolerance.
+
+    Raises NonFinite if a pole, zero or expected location is NaN or
+    infinite.
     """
-    poles = list(np.atleast_1d(np.asarray(poles, dtype=complex))) if np.size(poles) else []
-    zeros = list(np.atleast_1d(np.asarray(zeros, dtype=complex))) if np.size(zeros) else []
-    expected = list(np.atleast_1d(np.asarray(expected_system, dtype=complex))) if np.size(expected_system) else []
+    arrays = [np.atleast_1d(np.asarray(v, dtype=complex)) for v in (poles, zeros, expected_system)]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFinite("poles, zeros and expected locations must be finite")
+    poles, zeros, expected = (list(a) if a.size else [] for a in arrays)
     system_tol = max(SYSTEM_TOL_PER_EPS * eps, SYSTEM_TOL_FLOOR)
 
     pole_used = [False] * len(poles)

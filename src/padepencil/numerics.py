@@ -8,11 +8,12 @@ and rank policy live in one place.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import NamedTuple
+import ctypes
+import threading
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import cython_lapack, get_lapack_funcs
 
 from .errors import AllZero, ConvergenceFailure, NonFinite, RankDeficient
 
@@ -27,6 +28,25 @@ _geqrf, _geqrf_lwork, _ungqr, _trtrs, _gesdd, _gesdd_lwork = get_lapack_funcs(
     ("geqrf", "geqrf_lwork", "ungqr", "trtrs", "gesdd", "gesdd_lwork"), dtype=complex
 )
 
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def _lapack(name: str, nargs: int):
+    """The LAPACK routine scipy exports to Cython as ``name`` (the same
+    build its f2py wrappers call), taking nargs addresses: Fortran passes
+    every argument by reference."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(_capsule_pointer(capsule, _capsule_name(capsule)))
+
+
+_zgebrd, _dbdsdc, _zunmbr = _lapack("zgebrd", 11), _lapack("dbdsdc", 14), _lapack("zunmbr", 14)
+#: The character arguments, one byte each.
+_CHARS = ctypes.create_string_buffer(b"ULIPRC")
+_UPPER, _LOWER, _VECTORS, _APPLY_P, _RIGHT, _CONJ_TRANS = range(ctypes.addressof(_CHARS), ctypes.addressof(_CHARS) + 6)
+
 
 @lru_cache(maxsize=1024)
 def _workspace(p: int, q: int) -> tuple[int, int, int]:
@@ -39,6 +59,24 @@ def _workspace(p: int, q: int) -> tuple[int, int, int]:
     return int(geqrf.real), int(ungqr[0].real), int(gesdd.real)
 
 
+@lru_cache(maxsize=1024)
+def _bidiagonal_layout(p: int, q: int) -> tuple:
+    """One buffer for zgesdd's path 6/6t on a p x q matrix: its length in
+    complex elements; the byte offsets of tauq, taup, the work array, s,
+    e, RU, RVT, dbdsdc's work, iwork and the q x q VT after the matrix
+    (dbdsdc's 3n^2 + 4n doubles padded to keep VT 16-byte aligned); and
+    p, q, n = min(p, q) and the workspace zgesdd hands zgebrd and zunmbr
+    (its optimum W less 2n) as C ints, with their addresses."""
+    n = min(p, q)
+    gesdd, _ = _gesdd_lwork(p, q, compute_uv=1, full_matrices=1)
+    lwork = int(gesdd.real) - 2 * n
+    sizes = (16 * p * q, 16 * n, 16 * n, 16 * lwork, 8 * n, 8 * n, 8 * n * n, 8 * n * n,
+             8 * (3 * n * n + 4 * n + n % 2), 32 * n, 16 * q * q)
+    offsets = np.cumsum(sizes).tolist()
+    ints = (ctypes.c_int * 4)(p, q, n, lwork)
+    return offsets[-1] // 16, offsets[:-1], ints, range(ctypes.addressof(ints), ctypes.addressof(ints) + 16, 4)
+
+
 @lru_cache(maxsize=128)
 def _strictly_lower(q: int) -> np.ndarray:
     """Read-only mask of the strictly lower triangle of a q x q matrix."""
@@ -47,30 +85,53 @@ def _strictly_lower(q: int) -> np.ndarray:
     return mask
 
 
-class SvdResult(NamedTuple):
+class SvdResult:
     """Singular values and right singular vectors of A = U @ diag(sigma) @ Vh.
 
     ``sigma`` is descending and has length min(A.shape); ``Vh`` is the
     square unitary conjugate transpose of V, so its rows are directly
-    addressable.  ``U`` is not formed.
+    addressable.  ``U`` is not formed, and ``Vh`` may be formed only when
+    it is first read, once, also when threads share the result.
     """
 
-    sigma: np.ndarray
-    Vh: np.ndarray
+    __slots__ = ("sigma", "_Vh", "_lock")
+
+    def __init__(self, sigma: np.ndarray, Vh):
+        self.sigma = sigma
+        self._Vh = Vh  # the array, or a callable that forms it in a buffer of its own
+        self._lock = threading.Lock()
+
+    @property
+    def Vh(self) -> np.ndarray:
+        if callable(self._Vh):
+            with self._lock:
+                if callable(self._Vh):
+                    self._Vh = self._Vh()
+        return self._Vh
 
 
 def svd(A) -> SvdResult:
     """Singular values and Vh of the full SVD, with input checking.
 
-    The bits are those of ``np.linalg.svd(A, full_matrices=True)``.  For
-    a tall A (p >= 17q/9, LAPACK's MNTHR1) its zgesdd takes the QR path:
-    zgeqrf, the SVD of the q x q triangle R, then the p x p Q that only U
-    needs.  That path is run here without the last step: zgeqrf at its
-    optimal workspace, then zgesdd on R with the workspace the QR path
-    leaves it (W - q*q of the full call's W), which sets the block size
-    of the zunmlq that forms Vh when q >= 34.  Other shapes, and matrices
-    near the range where zgesdd scales A or R first, go to
-    ``np.linalg.svd``.
+    The bits are those of ``np.linalg.svd(A, full_matrices=True)``.  Its
+    zgesdd forms U, which no caller reads, on every path.  Two paths are
+    run here without it:
+
+    * max(p, q) < floor(5 min(p, q)/3) (zgesdd's path 6 or 6t): zgebrd
+      reduces A to a real bidiagonal and dbdsdc('I') takes its SVD,
+      which gives sigma; zunmbr('P', 'R', 'C') forms Vh only when it is
+      first read.  zgebrd and zunmbr get the workspace zgesdd hands them
+      (W - 2 min(p, q), W its optimum for A), which from q = 34 sets
+      their block size and so the Vh bits.
+    * p >= floor(17q/9) (LAPACK's MNTHR1, the QR path): zgeqrf, the SVD
+      of the q x q triangle R, then the p x p Q that only U needs.  The
+      first two steps are run here: zgeqrf at its optimal workspace,
+      then zgesdd on R with the workspace the QR path leaves it
+      (W - q*q), which sets the block size of the zunmlq that forms Vh
+      when q >= 34.
+
+    Other shapes, and matrices near the range where zgesdd scales A or R
+    first, go to ``np.linalg.svd``.
 
     Raises NonFinite for NaN/inf entries and ConvergenceFailure if the
     backend does not converge.
@@ -78,14 +139,17 @@ def svd(A) -> SvdResult:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.size == 0:
         raise ValueError(f"need a non-empty 2-D matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    amax = np.abs(A).max()  # NaN or inf for a NaN or inf entry
+    if not np.isfinite(amax) and not np.isfinite(A).all():
         raise NonFinite("matrix contains non-finite entries")
     p, q = A.shape
     # zgesdd first scales a matrix whose largest modulus lies outside
-    # [SMLNUM, BIGNUM].  R's largest modulus lies between max|A|/sqrt(q)
-    # and sqrt(p) max|A|, so in this band (a factor 2 to spare) neither
-    # A nor R is scaled.
-    if p >= 17 * q // 9 and 2 * q**0.5 * _SMLNUM <= np.abs(A).max() <= _BIGNUM / (2 * p**0.5):
+    # [SMLNUM, BIGNUM].
+    if max(p, q) < 5 * min(p, q) // 3 and _SMLNUM <= amax <= _BIGNUM:
+        return _bidiagonal_svd(A)
+    # R's largest modulus lies between max|A|/sqrt(q) and sqrt(p) max|A|,
+    # so in this band (a factor 2 to spare) neither A nor R is scaled.
+    if p >= 17 * q // 9 and 2 * q**0.5 * _SMLNUM <= amax <= _BIGNUM / (2 * p**0.5):
         qr_work, _, svd_work = _workspace(p, q)
         qr, _, _, _ = _geqrf(A, lwork=qr_work)
         R = qr[:q]
@@ -101,6 +165,47 @@ def svd(A) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
     return SvdResult(sigma, Vh)
+
+
+def _bidiagonal_svd(A: np.ndarray) -> SvdResult:
+    """sigma of A by zgebrd and dbdsdc(uplo, 'I'), as zgesdd's path 6/6t
+    computes it, with Vh deferred to ``_right_vectors``.  Every array
+    lives in one buffer, addressed by offsets: an array address from
+    numpy costs more than a small LAPACK call."""
+    p, q = A.shape
+    layout = _bidiagonal_layout(p, q)
+    size, (tauq, taup, work, s, e, ru, rvt, rwork, iwork, _), _, (P, Q, N, LWORK) = layout
+    buf = np.empty(size, dtype=complex)
+    base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    buf[: p * q].reshape(q, p).T[...] = A  # Fortran order, leading dimension p
+    info = ctypes.c_int()
+    _zgebrd(P, Q, base, P, base + s, base + e, base + tauq, base + taup, base + work, LWORK,
+            ctypes.addressof(info))
+    # dbdsdc's Q and IQ are not referenced with COMPQ='I'; any address does.
+    _dbdsdc(_UPPER if p >= q else _LOWER, _VECTORS, N, base + s, base + e, base + ru, N, base + rvt, N,
+            base + rwork, base + iwork, base + rwork, base + iwork, ctypes.addressof(info))
+    if info.value > 0:
+        raise ConvergenceFailure(f"SVD did not converge: dbdsdc info={info.value}")
+    sigma = buf.view(float)[s // 8 : s // 8 + min(p, q)].copy()
+    return SvdResult(sigma, partial(_right_vectors, buf, base, layout))
+
+
+def _right_vectors(buf: np.ndarray, base: int, layout: tuple) -> np.ndarray:
+    """Vh of a ``_bidiagonal_svd``: zunmbr('P', 'R', 'C') applies zgebrd's
+    right reflectors to VT = [RVT 0; 0 I] with zgebrd's workspace.  Read
+    in C order, each Fortran array is its transpose, so vt holds VT^T
+    and the result is copied back to C order, as numpy returns it."""
+    _, (_, taup, work, _, _, _, rvt, _, _, v), (_, q, n, _), (P, Q, N, LWORK) = layout
+    vt = buf[v // 16 : v // 16 + q * q]
+    if n < q:
+        vt[:] = 0
+        vt[n * (q + 1) :: q + 1] = 1  # the identity block
+    vt = vt.reshape(q, q)
+    vt[:n, :n] = buf.view(float)[rvt // 8 : rvt // 8 + n * n].reshape(n, n)
+    info = ctypes.c_int()
+    _zunmbr(_APPLY_P, _RIGHT, _CONJ_TRANS, Q, Q, N, base, P, base + taup, base + v, Q, base + work, LWORK,
+            ctypes.addressof(info))
+    return np.ascontiguousarray(vt.T)
 
 
 def eigenvalues(A) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""Exception contract of the four solvers and the CLI.
+"""Exception contract of the four solvers, the CLI, ``Conformation``
+and ``classify_roots``.
 
 For any series and conformation, ``approximate_series`` returns finite
 poles and zeros or raises ValueError or an ApproximationError subclass.
 No numpy warning and no raw ``LinAlgError`` (itself a ValueError) may
 escape, and nothing may be printed, LAPACK's own complaints included.
 The CLI turns the same outcomes into exit code 0 with strict JSON, or
-exit code 2 with an error line.
+exit code 2 with an error line.  ``Conformation`` rejects non-integer
+degrees with ValueError, and ``classify_roots`` rejects non-finite
+roots with NonFinite, both quietly.
 """
 
 import json
@@ -21,7 +24,9 @@ from padepencil import (
     Conformation,
     NonFinite,
     PowerSeries,
+    RootTaxonomy,
     approximate_series,
+    classify_roots,
     gen_geometric_noisy,
     gen_log_series,
 )
@@ -133,3 +138,41 @@ class TestOverflowingRoots:
         out, err = capfd.readouterr()
         assert out == ""
         assert err.startswith("error: NonFinite: ") and err.count("\n") == 1
+
+
+class TestConformationDegrees:
+    """Degrees must be integers: a float or a string degree used to reach
+    the solvers and fail there with a raw TypeError from slicing."""
+
+    @pytest.mark.parametrize("m, k", [(1.5, 0), (2, 0.5), (np.float64(3.0), 0), ("2", 0), (None, 0), (2, 1j)])
+    def test_non_integer_degree_raises_valueerror(self, m, k):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Conformation(m, k)
+
+    def test_numpy_integers_pass(self):
+        conf = Conformation(np.int64(3), np.int32(-1))
+        res = approximate_series(gen_log_series(conf.n), conf, "pm2")
+        assert np.isfinite(res.poles).all()
+
+
+#: Root values for classify_roots: finite (near the unit disk, far out,
+#: huge) and non-finite in every component.
+ROOT_VALUES = st.sampled_from([
+    0.0, 1.0, -1.0 + 0.5j, 0.9 + 0.2j, 1.05, 4.0, 1e300, -1e300j, 1e-300,
+    complex(np.inf, 0), complex(0, -np.inf), complex(np.nan, 0), complex(1, np.nan), complex(np.inf, np.nan),
+])
+
+
+@settings(CONTRACT, max_examples=300)
+@given(poles=st.lists(ROOT_VALUES, max_size=6), zeros=st.lists(ROOT_VALUES, max_size=6),
+       expected=st.lists(ROOT_VALUES, max_size=4), eps=st.sampled_from([0.0, 1e-8, 1e-2]))
+def test_classify_roots_returns_or_raises_nonfinite(poles, zeros, expected, eps, capfd):
+    finite = np.isfinite(np.array(poles + zeros + expected, dtype=complex)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if finite:
+            assert isinstance(classify_roots(poles, zeros, expected, eps), RootTaxonomy)
+        else:
+            with pytest.raises(NonFinite):
+                classify_roots(poles, zeros, expected, eps)
+    assert capfd.readouterr() == ("", "")

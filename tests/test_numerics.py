@@ -1,6 +1,9 @@
 """Tests for the shared linear-algebra wrappers."""
 
+import ctypes
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -67,9 +70,17 @@ class TestSvd:
         assert out == "" and err == ""
 
     def test_non_convergence_is_mapped(self, monkeypatch):
-        # zgesdd info > 0 on the tall path, LinAlgError on numpy's path
+        # dbdsdc info > 0 on the near-square path, zgesdd info > 0 on the
+        # tall path, LinAlgError on numpy's path
+        def dbdsdc_not_converging(*args):
+            ctypes.c_int.from_address(args[-1]).value = 3  # info
+
+        monkeypatch.setattr(numerics, "_dbdsdc", dbdsdc_not_converging)
+        for shape in ((5, 6), (6, 5)):
+            with pytest.raises(ConvergenceFailure, match="dbdsdc info=3"):
+                svd(np.ones(shape))
         monkeypatch.setattr(numerics, "_gesdd", lambda *args, **kwargs: (None, None, None, 3))
-        with pytest.raises(ConvergenceFailure):
+        with pytest.raises(ConvergenceFailure, match="zgesdd info=3"):
             svd(np.ones((9, 2)))
 
         def not_converging(*args, **kwargs):
@@ -85,9 +96,10 @@ class TestSvd:
 SVD_WIDTHS = (1, 2, 9, 33, 34, 35, 128, 129, 130, 200)
 
 
-def _near_threshold(q):
-    """Row counts around zgesdd's QR threshold floor(17q/9), at least q."""
-    t = 17 * q // 9
+def _near_threshold(q, num=17, den=9):
+    """Row counts around floor(num*q/den), at least q: zgesdd's QR
+    threshold by default, the end of its path 6 for 5/3."""
+    t = num * q // den
     return [max(q, t - 1), t, t + 1]
 
 
@@ -168,6 +180,88 @@ class TestSvdBitwise:
         rng = np.random.default_rng(q)
         for p in _near_threshold(q):
             _assert_same_svd(rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q)))
+
+    @pytest.mark.parametrize("n", (2, 3, 9, 33, 34, 35, 80, 128))
+    def test_around_the_bidiagonal_limit(self, n):
+        # zgesdd bidiagonalizes A itself (path 6/6t) while the long side
+        # is below floor(5n/3); above it comes path 5 or the QR/LQ paths.
+        rng = np.random.default_rng(n)
+        for long in _near_threshold(n, 5, 3):
+            for shape in ((long, n), (n, long)):
+                _assert_same_svd(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    @pytest.mark.parametrize("m", (80, 101, 150, 200))
+    def test_first_pass_hankel_windows(self, m):
+        # pm2's first window is m x (m+1); at these sizes the workspace
+        # zgebrd and zunmbr get sets the Vh bits.
+        rng = np.random.default_rng(m)
+        n = 2 * m + 1
+        expo = 5 * np.cos(2 * np.pi * np.arange(n) / 7) + rng.uniform(-0.5, 0.5, n)
+        for s in (gen_log_series(n), gen_geometric_noisy(n, 1e-8, rng),
+                  PowerSeries(10.0**expo * np.exp(2j * np.pi * rng.uniform(size=n)))):
+            _assert_same_svd(combined_window(s, Conformation(m, 0), m))
+
+    def test_other_shapes_stay_on_numpy(self, monkeypatch):
+        # LQ-path (q >= 17p/9), wide path-5 and tall path-5 shapes: zgesdd
+        # does not bidiagonalize A there, so neither may svd.
+        def no_zgebrd(*args):
+            raise AssertionError("zgebrd called on a shape zgesdd does not bidiagonalize")
+
+        monkeypatch.setattr(numerics, "_zgebrd", no_zgebrd)
+        rng = np.random.default_rng(23)
+        for shape in ((2, 3), (3, 5), (3, 6), (10, 19), (10, 17), (16, 10), (17, 10), (1, 4)):
+            _assert_same_svd(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    @pytest.mark.parametrize("shape", ((30, 31), (31, 30), (101, 100)))
+    def test_scaling_limits_are_exact(self, shape, monkeypatch):
+        # zgesdd scales A when max|A| < SMLNUM or > BIGNUM (both powers of
+        # two).  An entry exactly at a limit keeps the bidiagonal path;
+        # one ulp beyond it sends the matrix to numpy.
+        calls = []
+        real = numerics._zgebrd
+        monkeypatch.setattr(numerics, "_zgebrd", lambda *args: (calls.append(1), real(*args)))
+        rng = np.random.default_rng(29)
+        B = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        B *= 0.25 / np.abs(B).max()
+        for limit, beyond in ((numerics._SMLNUM, 0.0), (numerics._BIGNUM, np.inf)):
+            for entry, inside in ((limit, True), (np.nextafter(limit, beyond), False)):
+                A = B * limit
+                A[3, 2] = entry
+                calls.clear()
+                _assert_same_svd(A)
+                assert bool(calls) == inside, (limit, entry)
+
+    def test_vh_read_after_other_calls_is_numpys(self):
+        # Vh is formed on first read, from the buffer of its own call.
+        rng = np.random.default_rng(31)
+        mats = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in ((5, 6), (6, 5), (40, 41), (130, 60))]
+        results = [svd(A) for A in mats]
+        for A, res in zip(mats, results):
+            sigma = numpy_svd(A)[0]
+            np.testing.assert_array_equal(res.sigma.view(np.int64), sigma.view(np.int64))
+            svd(A[::-1])
+        for A, res in zip(mats, results):
+            Vh = numpy_svd(A)[1]
+            np.testing.assert_array_equal(res.Vh.view(np.int64), Vh.view(np.int64))
+            assert res.Vh.flags.c_contiguous and res.Vh is res.Vh
+
+    def test_vh_read_by_many_threads_is_formed_once(self):
+        # Forming Vh writes into the result's buffer with the GIL released;
+        # threads that read it at once must all get numpy's bits.
+        rng = np.random.default_rng(37)
+        A = rng.standard_normal((150, 151)) + 1j * rng.standard_normal((150, 151))
+        want = numpy_svd(A)[1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                res = svd(A)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(lambda _: res.Vh, range(8), timeout=60))
+                for Vh in got:
+                    np.testing.assert_array_equal(Vh.view(np.int64), want.view(np.int64))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestEigenvalues:

@@ -18,6 +18,12 @@ Writes into OUTDIR:
 * ``cli/tiny.json`` and ``cli/approximate-dm-tiny.json.status``: a dm
   ``approximate`` call on three coefficients of 1e-300, whose roots
   overflow, so the error path is compared too;
+* ``cli/log-201.json``, ``cli/poles4-240.json`` and
+  ``cli/approximate-<method>-<input>.json`` for pm2 and svd:
+  ln(1.2-z) at [100/100] and a seeded noisy sum of 4 poles at [119/120],
+  whose filtering reports list every pass's singular values, so the
+  large first windows (q = 101 and 121, where the LAPACK workspace sets
+  the last bits of Vh) are compared too;
 * ``cli/experiment-*``: the printed views and files of the two
   ``experiment`` subcommands, and ``cli/help-*``: every ``--help`` text.
 
@@ -44,7 +50,13 @@ sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
-from padepencil import ExperimentConfig, gen_from_poles, run_geometric_noise, run_log_branch  # noqa: E402
+from padepencil import (  # noqa: E402
+    ExperimentConfig,
+    gen_from_poles,
+    gen_log_series,
+    run_geometric_noise,
+    run_log_branch,
+)
 from padepencil.cli import main  # noqa: E402
 
 METHODS = ("dm", "svd", "pm1", "pm2")
@@ -70,8 +82,8 @@ def write_experiments() -> None:
 
 def write_inputs() -> None:
     """The three INPUTS: a complex noisy 3-pole series as JSON pairs and
-    as text, and a real noisy geometric series as JSON numbers; and the
-    overflowing ``tiny.json``."""
+    as text, and a real noisy geometric series as JSON numbers; the
+    overflowing ``tiny.json``; and the two large-m series."""
     rng = np.random.default_rng(2022)
     poles = [1.5, -2.0 + 0.5j, 0.8 + 1.1j]
     exact = gen_from_poles(poles, [1.0, 0.5 - 0.25j, 2.0], 12).coeffs
@@ -82,6 +94,10 @@ def write_inputs() -> None:
     lines = ["# re im, one coefficient per line"] + [f"{c.real!r} {c.imag!r}" for c in noisy.tolist()]
     Path("cli/lines.txt").write_text("\n".join(lines) + "\n")
     Path("cli/tiny.json").write_text(json.dumps([1e-300] * 3))
+    Path("cli/log-201.json").write_text(json.dumps([[c.real, c.imag] for c in gen_log_series(201).coeffs.tolist()]))
+    poles4 = gen_from_poles([1.3, -1.5 + 0.4j, 0.2 + 1.6j, -0.9 - 1.2j], [1.0, 0.5j, -0.7, 0.3 + 0.3j], 240).coeffs
+    poles4 = poles4 * (1 + 1e-8 * rng.uniform(-1, 1, poles4.size))
+    Path("cli/poles4-240.json").write_text(json.dumps([[c.real, c.imag] for c in poles4.tolist()]))
 
 
 def run_cli(argv, name: str) -> None:
@@ -111,6 +127,11 @@ def write_cli() -> None:
                     run_cli(argv, out)
     run_cli(["approximate", "--coeffs", "cli/tiny.json", "--method", "dm", "--m", "1", "--k", "0"],
             "cli/approximate-dm-tiny.json")
+    for method in ("pm2", "svd"):
+        run_cli(["approximate", "--coeffs", "cli/log-201.json", "--method", method, "--m", "100", "--k", "0"],
+                f"cli/approximate-{method}-log-201.json")
+        run_cli(["approximate", "--coeffs", "cli/poles4-240.json", "--method", method, "--m", "120", "--k", "-1",
+                 "--t", "8"], f"cli/approximate-{method}-poles4-240.json")
     run_cli(["experiment", "geometric-noise", "--eps", "1e-4", "--eps", "1e-9", "--samples", "2",
              "--out", "cli/experiment-geo"], "cli/experiment-geo.printed.json")
     run_cli(["experiment", "log-branch", "--n", "21", "--out", "cli/experiment-log"], "cli/experiment-log.printed.json")
