@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ def eval_rational(ra: RationalApproximant, z):
 
     ``z`` is a scalar or an array of points.  Where the denominator
     vanishes exactly, an array gives inf and a scalar raises PoleHit.
+    A point with an infinite or NaN part gives NaN without a warning,
+    and error_sweep flags it.
     """
     den = horner(ra.denom, z)
     with np.errstate(all="ignore"):
@@ -69,7 +72,11 @@ def eval_pole_residue(prf: PoleResidueForm, z):
     term whose pole sits at the origin is the limit of a vanishing
     contribution and is skipped when its weight is zero; with nonzero
     weight it is meaningless and raises ZeroPole.  Exactly on a pole an
-    array gives inf and a scalar raises PoleHit.
+    array gives inf and a scalar raises PoleHit.  A point with a NaN part
+    gives NaN without a warning, and error_sweep flags it.  So does an
+    infinite point, except where one part is infinite, the other finite,
+    and the form has no head and no shift: there every term, and so the
+    value, is 0, the limit at infinity.
     """
     if any(p == 0 and e != 0 for p, e in prf.terms):
         raise ZeroPole("a term with nonzero weight has its pole at the origin")
@@ -106,9 +113,10 @@ def unit_disk_mesh(spacing: float) -> np.ndarray:
     Points are i*spacing + 1j*j*spacing for all integers i, j with
     hypot <= 1, ordered by increasing real then imaginary part.
     Spacing 1 gives the 5 points 0, +-1, +-i; spacing 0.5 gives 13.
+    A spacing that is not a real number raises ValueError.
     """
-    if not 0 < spacing <= 1:
-        raise ValueError(f"spacing must be in (0, 1], got {spacing}")
+    if not isinstance(spacing, numbers.Real) or not 0 < spacing <= 1:
+        raise ValueError(f"spacing must be a real number in (0, 1], got {spacing!r}")
     N = int(np.ceil(1.0 / spacing)) + 1
     i, j = np.mgrid[-N : N + 1, -N : N + 1]
     x, y = i * spacing, j * spacing

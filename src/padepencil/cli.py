@@ -16,6 +16,7 @@ text with one "re [im]" pair per line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -109,10 +110,17 @@ def cli_approximate(args) -> int:
 
 def cli_experiment(args) -> int:
     """Run a stock experiment on the config fields named by its flags and
-    print the subcommand's view of the result."""
+    print the subcommand's view of the result.  The runner is looked up
+    here, not stored in the shared parser, so a rebinding of
+    ``run_geometric_noise`` or ``run_log_branch`` in this module is seen."""
     given = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
     cfg = ExperimentConfig(**{key: value for key, value in given.items() if value is not None})
-    print(json.dumps(args.view(args.runner(cfg)), indent=2))
+    if args.experiment == "geometric-noise":
+        result = run_geometric_noise(cfg)
+        view = {"config": result["config"], "summary": result["summary"]}
+    else:
+        view = run_log_branch(cfg)
+    print(json.dumps(view, indent=2))
     return 0
 
 
@@ -130,7 +138,10 @@ def _add_approximation_parser(sub, command: str, summary: str, keys: tuple) -> N
     p.set_defaults(func=cli_approximate, keys=keys)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one:
+    parsing does not change it, and help text is formatted when printed."""
     parser = _Parser(prog="padepencil", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
@@ -156,17 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--seed", type=int, default=defaults.seed)
     p_geo.add_argument("--t", type=float, default=defaults.t)
     p_geo.add_argument("--out", dest="output_path", metavar="OUT", help="base path for .samples.csv/.summary.json")
-    p_geo.set_defaults(
-        func=cli_experiment,
-        runner=run_geometric_noise,
-        view=lambda result: {"config": result["config"], "summary": result["summary"]},
-    )
+    p_geo.set_defaults(func=cli_experiment)
 
     p_log = exp_sub.add_parser("log-branch", help="branch-cut study on ln(1.2-z)")
     p_log.add_argument("--n", type=int, default=41)
     p_log.add_argument("--t", type=float, default=defaults.t)
     p_log.add_argument("--out", dest="output_path", metavar="OUT", help="base path for .json output")
-    p_log.set_defaults(func=cli_experiment, runner=run_log_branch, view=lambda result: result)
+    p_log.set_defaults(func=cli_experiment)
 
     return parser
 

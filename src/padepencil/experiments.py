@@ -29,7 +29,7 @@ import numpy as np
 from .approximant import ErrorSweep, error_sweep, eval_pole_residue, eval_rational, poles_and_zeros, unit_disk_mesh
 from .baseline import Conformation, RationalApproximant, dm_denominator, numerator_from_denominator, svd_denominator
 from .classify import classify_roots
-from .errors import ApproximationError
+from .errors import ApproximationError, Collapse
 from .filtering import pm2
 from .numerics import complex_pairs
 from .pencil import PoleResidueForm, _square_fit, build_blocks, pm1, pm1_poles
@@ -267,10 +267,13 @@ def pruned_square_refit(s: PowerSeries, conf: Conformation) -> PoleResidueForm:
     keeps only poles on the ray (all of which lie outside pm2's origin
     radius), and re-solves the square residue system for the survivors.
     No information from the deleted poles is reassimilated, which is
-    precisely what limits this baseline's accuracy.
+    precisely what limits this baseline's accuracy.  With no pole on the
+    ray there is nothing to refit, and Collapse is raised.
     """
     all_poles = pm1_poles(build_blocks(s, conf), rank_rtol=0.0)
     kept = np.array([p for p in all_poles if on_ray(p)])
+    if kept.size == 0:
+        raise Collapse(f"no pole of the unfiltered pencil lies on the ray ({all_poles.size} off it)")
     return _square_fit(s, kept, conf)
 
 

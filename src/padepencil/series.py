@@ -77,14 +77,15 @@ def gen_geometric_noisy(n: int, eps: float, rng: np.random.Generator | None = No
     n : int
         Number of coefficients.
     eps : float
-        Relative noise amplitude, >= 0.
+        Relative noise amplitude, finite and in [0, 1); anything else
+        raises ValueError before any arithmetic.
     rng : numpy.random.Generator, optional
         Source of randomness; required when ``eps > 0``.
     """
     if n < 1:
         raise ValueError(f"need at least one coefficient, got n={n}")
-    if eps < 0:
-        raise ValueError(f"noise amplitude must be non-negative, got {eps}")
+    if not 0 <= eps < 1:  # also rejects NaN
+        raise ValueError(f"noise amplitude eps must be finite and in [0, 1), got {eps}")
     ones = np.ones(n, dtype=complex)
     if eps == 0:
         return PowerSeries(ones, t=15.0)

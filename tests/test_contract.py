@@ -1,5 +1,6 @@
-"""Exception contract of the four solvers, the CLI, ``Conformation``
-and ``classify_roots``.
+"""Exception contract of the four solvers, the CLI, ``Conformation``,
+``classify_roots``, ``gen_geometric_noisy``, ``unit_disk_mesh`` and the
+two evaluators.
 
 For any series and conformation, ``approximate_series`` returns finite
 poles and zeros or raises ValueError or an ApproximationError subclass.
@@ -8,7 +9,10 @@ escape, and nothing may be printed, LAPACK's own complaints included.
 The CLI turns the same outcomes into exit code 0 with strict JSON, or
 exit code 2 with an error line.  ``Conformation`` rejects non-integer
 degrees with ValueError, and ``classify_roots`` rejects non-finite
-roots with NonFinite, both quietly.
+roots with NonFinite, both quietly.  So do ``gen_geometric_noisy`` a
+noise amplitude outside [0, 1) and ``unit_disk_mesh`` a spacing that is
+not a real number, both with ValueError.  The evaluators return NaN
+quietly at non-finite points, which ``error_sweep`` flags.
 """
 
 import json
@@ -27,8 +31,14 @@ from padepencil import (
     RootTaxonomy,
     approximate_series,
     classify_roots,
+    error_sweep,
+    eval_pole_residue,
+    eval_rational,
+    gen_from_poles,
     gen_geometric_noisy,
     gen_log_series,
+    pm1,
+    unit_disk_mesh,
 )
 from padepencil.cli import main
 from padepencil.experiments import METHODS
@@ -176,3 +186,78 @@ def test_classify_roots_returns_or_raises_nonfinite(poles, zeros, expected, eps,
             with pytest.raises(NonFinite):
                 classify_roots(poles, zeros, expected, eps)
     assert capfd.readouterr() == ("", "")
+
+
+class TestNoiseAmplitude:
+    """A non-finite eps used to reach the arithmetic (inf and NaN printed
+    a RuntimeWarning and the CLI exited 2 with NonFinite), and eps = 1e300
+    failed on the derived t = -300 instead of on eps itself."""
+
+    BAD_EPS = [np.inf, -np.inf, np.nan, 1e300, 1.0, -1e-3]
+
+    @pytest.mark.parametrize("eps", BAD_EPS)
+    def test_rejected_before_any_arithmetic(self, eps, capfd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"noise amplitude eps must be finite and in \[0, 1\)"):
+                gen_geometric_noisy(8, eps, np.random.default_rng(0))
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("eps", ["inf", "nan", "1e300"])
+    def test_cli_exits_3(self, eps, capfd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["experiment", "geometric-noise", "--samples", "1", "--eps", eps])
+        assert rc == 3
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: noise amplitude eps must be finite") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spacing", ["0.5", None, 0.5j])
+def test_mesh_spacing_must_be_a_real_number(spacing, capfd):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="spacing must be a real number"):
+            unit_disk_mesh(spacing)
+    assert capfd.readouterr() == ("", "")
+
+
+class TestNonFinitePoints:
+    """The evaluators give NaN at a point with an infinite or NaN part,
+    quietly, and error_sweep flags it.  The one exception is a bare
+    pole-residue tail at a point with one infinite part, where every
+    term tends to 0."""
+
+    NON_FINITE = [np.inf, -np.inf, np.nan, complex(np.inf, 0), complex(0, -np.inf), complex(np.nan, 0),
+                  complex(1, np.nan), complex(np.inf, np.inf), complex(-np.inf, np.nan)]
+    #: Points with one infinite part and the other finite.
+    ONE_INFINITE_PART = [True, True, False, True, True, False, False, False, False]
+
+    @staticmethod
+    def _forms():
+        plain = pm1(gen_from_poles([1.5, -2.0 + 1.0j], [1.0, 2.0], 4), Conformation(2, -1))
+        headed = pm1(gen_from_poles([1.5, -2.0 + 1.0j], [1.0, 2.0], 6), Conformation(2, 1))
+        assert plain.prf.head.size == 0 and plain.prf.shift == 0 and headed.prf.head.size == 2
+        return plain, headed
+
+    def _check(self, fn, expect_nan, capfd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalars = [fn(z) for z in self.NON_FINITE]
+            array = fn(np.array(self.NON_FINITE))
+            sweep = error_sweep(fn, lambda z: 1.0 / (1.0 - z), self.NON_FINITE)
+        assert capfd.readouterr() == ("", "")
+        np.testing.assert_array_equal(array, scalars)
+        np.testing.assert_array_equal(np.isnan(array), expect_nan)
+        np.testing.assert_array_equal(array[~np.asarray(expect_nan)], 0)
+        assert sweep.flagged[np.asarray(expect_nan)].all()
+
+    def test_eval_rational(self, capfd):
+        for res in self._forms():
+            self._check(lambda z: eval_rational(res.rational, z), [True] * len(self.NON_FINITE), capfd)
+
+    def test_eval_pole_residue(self, capfd):
+        plain, headed = self._forms()
+        self._check(lambda z: eval_pole_residue(plain.prf, z), [not one for one in self.ONE_INFINITE_PART], capfd)
+        self._check(lambda z: eval_pole_residue(headed.prf, z), [True] * len(self.NON_FINITE), capfd)

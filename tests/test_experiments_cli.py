@@ -163,6 +163,16 @@ class TestLogBranch:
         cfg = ExperimentConfig(n=21)
         assert json.dumps(run_log_branch(cfg)) == json.dumps(run_log_branch(cfg))
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_collapsed_assimilation_keeps_the_other_results(self, n):
+        # At m = 1 the one unfiltered pole lies off the ray, so the
+        # pole-deletion baseline has nothing to refit.
+        out = run_log_branch(ExperimentConfig(n=n))
+        assert out["dm"]["failed"] is False and out["pm2"]["failed"] is False
+        assert out["pm2"]["final_l"] == 1
+        assert out["assimilation"]["failed"] is True
+        assert out["assimilation"]["error_type"] == "Collapse"
+
     def test_pruned_baseline_keeps_only_ray_poles(self):
         conf = Conformation(m=10, k=-1)
         s = gen_log_series(conf.n)
@@ -396,6 +406,10 @@ class TestCli:
             main(["experiment", "log-branch", "--seed", "1"])
         assert exc.value.code == 3
 
+    def test_collapsed_assimilation_exits_0(self, capsys):
+        assert main(["experiment", "log-branch", "--n", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["assimilation"]["error_type"] == "Collapse"
+
     def test_method_choices_are_the_registry(self):
         def method_choices(parser):
             for action in parser._actions:
@@ -409,3 +423,55 @@ class TestCli:
         assert set(found) == {"padepencil approximate", "padepencil poles",
                               "padepencil experiment geometric-noise"}
         assert all(tuple(choices) == METHODS for choices in found.values())
+
+
+class TestRepeatedRequests:
+    """main may be called many times in one process; the parser is built
+    once and shared, and no request sees state left by an earlier one."""
+
+    def _round(self, coeffs, capsys):
+        argvs = [
+            [command, "--coeffs", coeffs, "--method", method, "--m", "3", "--k", "-1", "--format", fmt]
+            for command, method in (("approximate", "pm2"), ("poles", "dm"))
+            for fmt in ("json", "csv")
+        ]
+        argvs += [
+            ["approximate", "--coeffs", coeffs, "--m", "x"],
+            ["poles", "--coeffs", coeffs + ".missing", "--m", "3"],
+            ["--help"],
+            ["experiment", "geometric-noise", "--eps", "1e-4", "--samples", "1"],
+            ["experiment", "geometric-noise", "--samples", "1"],
+        ]
+        seen = []
+        for argv in argvs:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = ("SystemExit", exc.code)
+            out, err = capsys.readouterr()
+            seen.append((rc, out, err))
+        return seen
+
+    def test_two_rounds_give_the_same_outputs(self, tmp_path, capsys):
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps([1.0, 0.5, 0.75, 0.25, 0.5, 0.125, 0.25, 0.0625]))
+        first = self._round(str(path), capsys)
+        assert self._round(str(path), capsys) == first
+        assert [rc for rc, _, _ in first] == [0, 0, 0, 0, ("SystemExit", 3), 3, ("SystemExit", 0), 0, 0]
+        assert "invalid int value: 'x'" in first[4][2]
+        assert "No such file" in first[5][2]
+        assert first[6][1].startswith("usage: padepencil")
+        # the append action starts from its default on every request
+        assert json.loads(first[7][1])["config"]["eps_list"] == [1e-4]
+        assert json.loads(first[8][1])["config"]["eps_list"] == list(ExperimentConfig().eps_list)
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_runner_is_looked_up_per_request(self, monkeypatch, capsys):
+        assert main([]) == 3  # the shared parser exists before the patch
+        calls = []
+        monkeypatch.setattr("padepencil.cli.run_log_branch", lambda cfg: calls.append(cfg.n) or {"n": cfg.n})
+        assert main(["experiment", "log-branch", "--n", "7"]) == 0
+        assert calls == [7]
+        assert json.loads(capsys.readouterr().out) == {"n": 7}

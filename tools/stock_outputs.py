@@ -18,6 +18,11 @@ Writes into OUTDIR:
 * ``cli/tiny.json`` and ``cli/approximate-dm-tiny.json.status``: a dm
   ``approximate`` call on three coefficients of 1e-300, whose roots
   overflow, so the error path is compared too;
+* ``cli/usage-no-command.status``, ``cli/usage-approximate-m-x.status``
+  and ``cli/poles-missing-file.status``: the exit-3 paths (no
+  subcommand, ``--m x`` and a missing coefficient file), run between
+  successful calls, so a parser reused after a usage error is compared
+  too;
 * ``cli/log-201.json``, ``cli/poles4-240.json`` and
   ``cli/approximate-<method>-<input>.json`` for pm2 and svd:
   ln(1.2-z) at [100/100] and a seeded noisy sum of 4 poles at [119/120],
@@ -125,6 +130,9 @@ def write_cli() -> None:
                     argv = [command, "--coeffs", f"cli/{src}", "--method", method, "--m", "3", "--k", "-1",
                             "--t", "8", "--format", fmt, "--out", out]
                     run_cli(argv, out)
+    run_cli([], "cli/usage-no-command")
+    run_cli(["approximate", "--coeffs", "cli/pairs.json", "--m", "x"], "cli/usage-approximate-m-x")
+    run_cli(["poles", "--coeffs", "cli/missing.json", "--m", "3"], "cli/poles-missing-file")
     run_cli(["approximate", "--coeffs", "cli/tiny.json", "--method", "dm", "--m", "1", "--k", "0"],
             "cli/approximate-dm-tiny.json")
     for method in ("pm2", "svd"):
