@@ -9,6 +9,9 @@ Subcommands::
 
 Exit codes: 0 on success, 2 when the approximation itself fails
 (degenerate or singular systems, collapse), 3 on usage or input errors.
+A closed stdout (its reader, such as head, has gone) is not an error:
+the rest of the output is dropped and the exit code is 0, with nothing
+on stderr.
 Coefficient files are JSON arrays (numbers or [re, im] pairs) or plain
 text with one "re [im]" pair per line.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -179,6 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command on argv (default sys.argv[1:]) and return its exit
+    code.  It may be called repeatedly in one process, and it never closes
+    or redirects the caller's streams: on a closed stdout it returns 0."""
     parser = build_parser()
     args = parser.parse_args(argv)
     func = getattr(args, "func", None)
@@ -191,10 +198,28 @@ def main(argv=None) -> int:
     except ApproximationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader of stdout has gone
+        return 0
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
 
+def command_line():
+    """The ``padepencil`` command: exit with the code of ``main``.
+
+    Output still buffered is flushed here.  When its reader has gone,
+    stdout's descriptor is pointed at os.devnull: the interpreter
+    flushes stdout again at exit, and a failed flush there would print
+    "Exception ignored" and exit with code 120.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    command_line()

@@ -41,6 +41,12 @@ METHODS = ("dm", "svd", "pm1", "pm2")
 INNER_GRID = np.linspace(-0.9, 0.9, 500)
 RING_GRID = np.linspace(0.9, 0.99, 500)
 OUTER_GRID = np.logspace(np.log10(1.1), 2.0, 500)
+#: The three grids back to back, so that each sample is swept once.  A
+#: point's error and flag do not depend on the other points, so each
+#: grid's part of the sweep is that grid's own sweep.
+STUDY_GRID = np.concatenate((INNER_GRID, RING_GRID, OUTER_GRID)).astype(complex)
+STUDY_GRID.flags.writeable = False
+_GRID_PARTS = {"inner": slice(0, 500), "ring": slice(500, 1000), "outer": slice(1000, 1500)}
 
 #: Disk mesh used by the branch-cut study: spacing 0.01, radius 1/2.
 MESH_SPACING = 0.01
@@ -107,8 +113,8 @@ def sample_rng(seed: int, eps_index: int, sample_index: int) -> np.random.Genera
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(eps_index, sample_index)))
 
 
-def _unflagged_max(sweep: ErrorSweep) -> float:
-    good = sweep.errors[~sweep.flagged]
+def _unflagged_max(sweep: ErrorSweep, part: slice = slice(None)) -> float:
+    good = sweep.errors[part][~sweep.flagged[part]]
     return float(good.max()) if good.size else float("inf")
 
 
@@ -160,13 +166,7 @@ def _geometric_row(eps: float, sample: int, cfg: ExperimentConfig, res: MethodRe
     if exc is not None:
         row["error_type"] = type(exc).__name__
         return row
-    ref = lambda z: 1.0 / (1.0 - z)
-    approx = lambda z: eval_rational(res.rational, z)
-    sweeps = {
-        "inner": error_sweep(approx, ref, INNER_GRID.astype(complex)),
-        "ring": error_sweep(approx, ref, RING_GRID.astype(complex)),
-        "outer": error_sweep(approx, ref, OUTER_GRID.astype(complex)),
-    }
+    sweep = error_sweep(lambda z: eval_rational(res.rational, z), lambda z: 1.0 / (1.0 - z), STUDY_GRID)
     tax = classify_roots(res.poles, res.zeros, [1.0 + 0j], eps=eps)
     if res.poles.size:
         row["system_pole_error"] = float(np.min(np.abs(res.poles - 1.0)))
@@ -180,9 +180,9 @@ def _geometric_row(eps: float, sample: int, cfg: ExperimentConfig, res: MethodRe
         final_l=res.final_l,
         defect_estimate=res.report.defect_estimate if res.report is not None else "",
     )
-    for name, sweep in sweeps.items():
-        row[f"max_err_{name}"] = _unflagged_max(sweep)
-        row[f"n_flagged_{name}"] = int(np.count_nonzero(sweep.flagged))
+    for name, part in _GRID_PARTS.items():
+        row[f"max_err_{name}"] = _unflagged_max(sweep, part)
+        row[f"n_flagged_{name}"] = int(np.count_nonzero(sweep.flagged[part]))
     return row
 
 

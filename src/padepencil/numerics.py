@@ -277,29 +277,38 @@ def qr_solve(A, B, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
 def polynomial_roots(coeffs) -> np.ndarray:
     """Roots of a polynomial given lowest-order-first coefficients.
 
-    Leading (highest-order) exact zeros are stripped before the
-    companion-matrix solve.  The identically-zero polynomial raises
-    AllZero; degree-0 polynomials have no roots.  The bits are those of
-    numpy's ``polyroots``, whose division by the leading coefficient
-    may overflow: a non-finite companion matrix or root raises
-    NonFinite, and an eigen-solve that does not converge raises
-    ConvergenceFailure.
+    Leading (highest-order) exact zeros, -0.0 among them, are stripped
+    before the companion-matrix solve.  The identically-zero polynomial
+    raises AllZero; degree-0 polynomials have no roots.  The bits are
+    those of numpy's ``polyroots``: the companion matrix is built by
+    ``polycompanion``'s own operations, without its input conversion.
+    The division by the leading coefficient may overflow: a non-finite
+    companion matrix or root raises NonFinite, and an eigen-solve that
+    does not converge raises ConvergenceFailure.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    if c.ndim != 1:
+        raise ValueError(f"coefficients must be a 1-D array, got shape {c.shape}")
     if c.size == 0:
         raise ValueError("empty coefficient array")
     if not np.isfinite(c).all():
         raise NonFinite("polynomial coefficients must be finite")
-    c = np.trim_zeros(c, "b")
-    if c.size == 0:
+    nonzero = np.flatnonzero(c)
+    if nonzero.size == 0:
         raise AllZero("the zero polynomial has every point as a root")
-    if c.size == 1:
+    c = c[: nonzero[-1] + 1]
+    n = c.size - 1  # the degree
+    if n == 0:
         return np.array([], dtype=complex)
     with np.errstate(all="ignore"):
-        if c.size == 2:
+        if n == 1:
             roots = np.array([-c[0] / c[1]])
         else:
-            roots = np.sort(eigenvalues(np.polynomial.polynomial.polycompanion(c)))
+            companion = np.zeros((n, n), dtype=complex)
+            companion.reshape(-1)[n :: n + 1] = 1  # the subdiagonal
+            # -= as polycompanion does: = -(...) would flip zeros' signs.
+            companion[:, -1] -= c[:-1] / c[-1]
+            roots = np.sort(eigenvalues(companion))
     if not np.isfinite(roots).all():
         raise NonFinite("polynomial roots overflow: the leading coefficient is tiny next to the others")
     return roots
@@ -350,13 +359,24 @@ def horner(coeffs, z):
     real and imaginary parts, in the order of numpy's scalar complex
     multiply, so every point gets the same bits as a point-by-point
     evaluation; numpy's array multiply may fuse the products and does
-    not.  Overflow gives inf or NaN without a warning.
+    not.  The parts of ``z`` are copied once into contiguous arrays, and
+    every step writes into four arrays allocated once: eight ufunc calls
+    per coefficient and no temporaries.  ``z`` and ``coeffs`` are only
+    read.  Overflow gives inf or NaN without a warning.
     """
     z = np.asarray(z, dtype=complex)
-    zr, zi = z.real, z.imag
-    ar = np.zeros(z.shape)
-    ai = np.zeros(z.shape)
+    zr, zi = z.real.copy(), z.imag.copy()
+    ar, ai, t, u = (np.zeros(z.shape) for _ in range(4))
     with np.errstate(all="ignore"):
-        for c in np.asarray(coeffs, dtype=complex)[::-1]:
-            ar, ai = ar * zr - ai * zi + c.real, ar * zi + ai * zr + c.imag
+        for c in np.asarray(coeffs, dtype=complex)[::-1].tolist():
+            # ar, ai = ar*zr - ai*zi + c.real, ar*zi + ai*zr + c.imag
+            np.multiply(ar, zr, out=t)
+            np.multiply(ai, zi, out=u)
+            np.subtract(t, u, out=t)
+            np.add(t, c.real, out=t)
+            np.multiply(ar, zi, out=u)
+            np.multiply(ai, zr, out=ai)
+            np.add(u, ai, out=ai)
+            np.add(ai, c.imag, out=ai)
+            ar, t = t, ar
     return complex_from_parts(ar, ai)[()]

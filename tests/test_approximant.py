@@ -21,6 +21,7 @@ from padepencil import (
     poles_and_zeros,
     unit_disk_mesh,
 )
+from padepencil.experiments import STUDY_GRID
 
 from helpers import (
     loop_unit_disk_mesh,
@@ -300,6 +301,54 @@ class TestBitwiseAgainstPointwise:
         want = loop_unit_disk_mesh(spacing)
         assert mesh.shape == want.shape
         np.testing.assert_array_equal(_bits(mesh), _bits(want))
+
+
+class TestHornerAtStudySizes:
+    """horner against the scalar loop at the sizes the studies evaluate,
+    where its buffers are reused across many coefficients."""
+
+    @staticmethod
+    def _assert_pointwise(coeffs, points):
+        with np.errstate(all="ignore"):
+            want = [scalar_horner(coeffs, z) for z in points.tolist()]
+        np.testing.assert_array_equal(_bits(horner(coeffs, points)), _bits(want))
+
+    def test_study_grid(self):
+        rng = np.random.default_rng(12)
+        for degree in (1, 5, 10, 20):
+            coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            self._assert_pointwise(coeffs, STUDY_GRID)
+
+    def test_log_branch_mesh(self):
+        mesh = 0.5 * unit_disk_mesh(0.02)
+        rng = np.random.default_rng(21)
+        for degree in range(1, 22):
+            scale = 10.0 ** rng.integers(-8, 9, degree + 1)
+            coeffs = (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)) * scale
+            self._assert_pointwise(coeffs, mesh)
+
+    @pytest.mark.parametrize("z", [0.3 - 0.7j, -2.0, 1e200 + 1e200j])
+    def test_scalar_point(self, z):
+        coeffs = np.array([1.5 - 0.5j, -0.0, 2.0 + 1j, 1e-3j])
+        got = horner(coeffs, np.complex128(z))
+        assert np.ndim(got) == 0
+        with np.errstate(all="ignore"):
+            want = scalar_horner(coeffs, complex(z))
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_single_coefficient(self):
+        for c in (2.5 - 1j, -0.0 + 0j, complex(0.0, -0.0)):
+            self._assert_pointwise(np.array([c]), STUDY_GRID)
+            self._assert_pointwise(np.array([c]), np.array([np.inf, -1.0, complex(0.0, -0.0)]))
+
+    def test_inputs_are_left_unchanged(self):
+        coeffs = np.array([1.0 + 2j, -3.0, 0.5j])
+        z = STUDY_GRID.copy()
+        before = (coeffs.copy(), z.copy())
+        horner(coeffs, z)
+        horner(coeffs, z[::7])  # a strided view of the caller's array
+        np.testing.assert_array_equal(_bits(coeffs), _bits(before[0]))
+        np.testing.assert_array_equal(_bits(z), _bits(before[1]))
 
 
 class TestErrorSweepWarnings:

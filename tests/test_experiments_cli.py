@@ -1,18 +1,39 @@
 """Tests for the experiment harness and command-line interface."""
 
 import argparse
+import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from padepencil import Conformation, PowerSeries, gen_log_series, pm2, poles_and_zeros
+import padepencil
+from padepencil import (
+    Conformation,
+    PowerSeries,
+    RationalApproximant,
+    error_sweep,
+    eval_rational,
+    gen_geometric_noisy,
+    gen_log_series,
+    pm2,
+    poles_and_zeros,
+)
 from padepencil.cli import build_parser, load_coefficients, main
 from padepencil.numerics import complex_pairs
 from padepencil.experiments import (
+    INNER_GRID,
     METHODS,
+    OUTER_GRID,
+    RING_GRID,
     ExperimentConfig,
+    MethodResult,
+    _geometric_row,
     approximate_series,
     on_ray,
     pruned_square_refit,
@@ -140,6 +161,47 @@ class TestGeometricNoise:
         assert row["failed"] is True
         assert row["error_type"] == "DegenerateError"
         assert out["summary"][0]["failures"] == 1
+
+
+class TestFusedSweep:
+    """_geometric_row sweeps the three grids at once; each grid's columns
+    must equal those of its own error_sweep."""
+
+    RING_ROOT = 137  # the RING_GRID point that is a root of the denominator
+
+    @staticmethod
+    def _result(numer, denom) -> MethodResult:
+        ra = RationalApproximant(numer, denom)
+        poles, zeros = poles_and_zeros(ra)
+        return MethodResult(ra, None, None, poles, zeros, len(ra.denom) - 1)
+
+    def _cases(self):
+        s = gen_geometric_noisy(20, 1e-3, sample_rng(7, 0, 0))
+        yield "pm2", approximate_series(s.truncate(20), Conformation(m=10, k=-1), "pm2")
+        yield "near", self._result([1.0, 1e-3], [1.0, -1.001])
+        yield "ring_root", self._result([1.0], [-RING_GRID[self.RING_ROOT], 1.0])
+        yield "outer_overflow", self._result([1.0, 0.0, 0.0, 1e305], [1.0, -1.0])
+
+    def test_row_matches_three_sweeps(self):
+        cfg = ExperimentConfig()
+        for label, res in self._cases():
+            row = _geometric_row(1e-3, 0, cfg, res, None)
+            for name, grid in (("inner", INNER_GRID), ("ring", RING_GRID), ("outer", OUTER_GRID)):
+                sweep = error_sweep(lambda z: eval_rational(res.rational, z), lambda z: 1.0 / (1.0 - z),
+                                    grid.astype(complex))
+                good = sweep.errors[~sweep.flagged]
+                want = float(good.max()) if good.size else float("inf")
+                assert row[f"max_err_{name}"] == want, (label, name)
+                assert row[f"n_flagged_{name}"] == int(np.count_nonzero(sweep.flagged)), (label, name)
+
+    def test_flags_land_in_their_own_grid(self):
+        cases = dict(self._cases())
+        row = _geometric_row(1e-3, 0, ExperimentConfig(), cases["ring_root"], None)
+        assert (row["n_flagged_inner"], row["n_flagged_ring"], row["n_flagged_outer"]) == (0, 1, 0)
+        assert np.isfinite(row["max_err_ring"])
+        row = _geometric_row(1e-3, 0, ExperimentConfig(), cases["outer_overflow"], None)
+        assert row["n_flagged_inner"] == row["n_flagged_ring"] == 0
+        assert 0 < row["n_flagged_outer"] < OUTER_GRID.size
 
 
 class TestLogBranch:
@@ -409,6 +471,27 @@ class TestCli:
     def test_collapsed_assimilation_exits_0(self, capsys):
         assert main(["experiment", "log-branch", "--n", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["assimilation"]["error_type"] == "Collapse"
+
+    def test_closed_stdout_exits_0_quietly(self, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["experiment", "log-branch", "--n", "11"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_pipe_at_the_command_line(self, unbuffered):
+        # The reader is gone before any output: the write fails in main
+        # when stdout is unbuffered, and at the final flush when buffered.
+        src = str(Path(padepencil.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        argv = [sys.executable, "-m", "padepencil.cli", "experiment", "log-branch", "--n", "11"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
 
     def test_method_choices_are_the_registry(self):
         def method_choices(parser):

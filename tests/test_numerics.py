@@ -433,6 +433,11 @@ class TestPolynomialRoots:
         with pytest.raises(AllZero):
             polynomial_roots(np.zeros(4))
 
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 3), (3, 1)])
+    def test_not_one_dimensional_raises(self, shape):
+        with pytest.raises(ValueError, match="1-D"):
+            polynomial_roots(np.ones(shape))
+
     @pytest.mark.parametrize(
         "coeffs",
         [[1e300, 1.0, 1e-300], [1e300, 1e-300], [1.0, 0.0, 0.0, 1e-310], [1e-300, 1e300, 1e-300]],
@@ -454,6 +459,25 @@ class TestPolynomialRoots:
         monkeypatch.setattr(np.linalg, "eigvals", fail)
         with pytest.raises(ConvergenceFailure):
             polynomial_roots([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("appended", [1, 2, 3, 5])
+    @pytest.mark.parametrize("zero", [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+    def test_exact_highest_order_zeros_bitwise(self, appended, zero):
+        # The zeros are stripped by hand; the roots keep polyroots' bits,
+        # also with zero coefficients inside and degrees that drop to 0 or 1.
+        rng = np.random.default_rng(appended)
+        bases = [np.array([3.0 - 1j]), np.array([0.0, 2.0 + 0.5j]), np.array([-1.5, 0.0, 0.0, 2.0j]),
+                 np.array([0.0, 0.0, 1.0, -0.0, 4.0 - 2j])]
+        for degree in (5, 12, 30):
+            base = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            base[rng.choice(degree, degree // 3, replace=False)] = 0
+            bases += [base, base.real.astype(complex)]
+        for base in bases:
+            c = np.concatenate([base, np.full(appended, zero)])
+            want = np.polynomial.polynomial.polyroots(c)
+            got = polynomial_roots(c)
+            assert got.dtype == want.dtype == complex
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())

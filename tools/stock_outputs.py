@@ -10,7 +10,9 @@ Writes into OUTDIR:
   ``run_geometric_noise`` for the four methods, seeds 1, 101 and 7, at
   the default config and at [9/8] with eps 1e-2, 1e-4, 1e-8, 1e-12
   (48 files);
-* ``log-<n>.json``: ``run_log_branch`` at n = 11, 21, 41, 61 (4 files);
+* ``log-<n>.json``: ``run_log_branch`` at n = 3, 4, 11, 21, 41, 61
+  (6 files); at n = 3 and 4 no pole of the unfiltered pencil lies on
+  the ray, so the assimilation entry records a Collapse;
 * ``cli/``: the three coefficient files (JSON pairs, JSON numbers,
   text), and ``approximate`` and ``poles`` for every method, input and
   output format, each with its exit code and stderr in a ``.status``
@@ -70,7 +72,7 @@ GEO_CONFIGS = {
     "default": {},
     "9-8": {"m": 8, "k": 1, "eps_list": (1e-2, 1e-4, 1e-8, 1e-12)},
 }
-LOG_NS = (11, 21, 41, 61)
+LOG_NS = (3, 4, 11, 21, 41, 61)
 #: Coefficient file name -> label used in the output names.
 INPUTS = {"pairs.json": "pairs", "numbers.json": "numbers", "lines.txt": "text"}
 
