@@ -1,19 +1,37 @@
 """Thin wrappers around the dense linear-algebra kernels, plus the
 polynomial primitives (roots and Horner evaluation).
 
-Everything downstream (denominator solves, pencil eigenproblems, residue
-systems, evaluation) goes through these routines so that error mapping
-and rank policy live in one place.
+The downstream dense calls (denominator solves, pencil eigenproblems,
+residue systems, evaluation) go through these routines so that error
+mapping and rank policy live in one place.  Two do not yet:
+``filtering.pm2``'s residue-conditioning ``np.linalg.svd(D,
+compute_uv=False)`` and ``baseline.dm_denominator``'s
+``np.linalg.solve``.
+
+scipy's LAPACK build comes from two of its extension modules:
+``scipy.linalg._flapack`` (the f2py wrappers ``qr_solve`` and the tall
+``svd`` path call) and ``scipy.linalg.cython_lapack`` (the function
+pointers of the routines scipy does not wrap).  They are loaded from
+their files without running ``scipy.linalg``'s package ``__init__``,
+which takes most of this module's import time and memory.  A later
+``import scipy.linalg`` finds them in ``sys.modules``, so its
+``get_lapack_funcs`` returns the same routines; only the package
+attributes ``scipy.linalg._flapack`` and ``.cython_lapack`` stay unset
+(``from scipy.linalg import cython_lapack`` still works).
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.util
+import os
+import sys
 import threading
 from functools import lru_cache, partial
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-from scipy.linalg import cython_lapack, get_lapack_funcs
+import scipy
 
 from .errors import AllZero, ConvergenceFailure, NonFinite, RankDeficient
 
@@ -24,9 +42,30 @@ DEFAULT_RANK_RTOL = 1e-14
 _SMLNUM = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 _BIGNUM = 1 / _SMLNUM
 
-_geqrf, _geqrf_lwork, _ungqr, _trtrs, _gesdd, _gesdd_lwork = get_lapack_funcs(
-    ("geqrf", "geqrf_lwork", "ungqr", "trtrs", "gesdd", "gesdd_lwork"), dtype=complex
-)
+
+def _scipy_linalg_extension(name: str):
+    """The extension module ``scipy.linalg.<name>``, loaded from its file
+    when ``scipy.linalg`` is not imported yet, without importing it."""
+    fullname = f"scipy.linalg.{name}"
+    if fullname in sys.modules or "scipy.linalg" in sys.modules:
+        return importlib.import_module(fullname)
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(directory, name + suffix)
+        if os.path.isfile(path):
+            loader = ExtensionFileLoader(fullname, path)
+            spec = importlib.util.spec_from_loader(fullname, loader)
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            sys.modules[fullname] = module
+            return module
+    raise ImportError(f"no {name} extension module in {directory}")
+
+
+_flapack = _scipy_linalg_extension("_flapack")
+cython_lapack = _scipy_linalg_extension("cython_lapack")
+_geqrf, _geqrf_lwork, _ungqr = _flapack.zgeqrf, _flapack.zgeqrf_lwork, _flapack.zungqr
+_trtrs, _gesdd, _gesdd_lwork = _flapack.ztrtrs, _flapack.zgesdd, _flapack.zgesdd_lwork
 
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(

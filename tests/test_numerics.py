@@ -1,9 +1,13 @@
 """Tests for the shared linear-algebra wrappers."""
 
 import ctypes
+import json
+import os
+import subprocess
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,3 +503,60 @@ class TestPolynomialRoots:
                 warnings.simplefilter("error")
                 with pytest.raises(NonFinite):
                     polynomial_roots(c)
+
+
+#: Run in a fresh interpreter with scipy.linalg imported never, before or
+#: after padepencil (argv[1]); prints whether scipy.linalg got loaded,
+#: whether numerics holds get_lapack_funcs's routines, and a hash of fixed
+#: outputs of every path that calls them.
+_IMPORT_ORDER_CHILD = """
+import hashlib, json, sys
+import numpy as np
+order = sys.argv[1]
+if order == "first":
+    import scipy.linalg
+import padepencil.cli
+from padepencil import Conformation, gen_log_series, pm2
+from padepencil import numerics
+from padepencil.numerics import qr_solve, svd
+if order == "after":
+    import scipy.linalg
+same = None
+if "scipy.linalg" in sys.modules:
+    funcs = scipy.linalg.get_lapack_funcs(("geqrf", "gesdd", "trtrs"), dtype=complex)
+    same = all(a is b for a, b in zip(funcs, (numerics._geqrf, numerics._gesdd, numerics._trtrs)))
+rng = np.random.default_rng(14)
+def cmat(p, q):
+    return rng.normal(size=(p, q)) + 1j * rng.normal(size=(p, q))
+h = hashlib.sha256()
+for p, q in ((19, 10), (60, 30)):
+    h.update(qr_solve(cmat(p, q), cmat(p, 1)[:, 0]).tobytes())
+tall = svd(cmat(386, 15))
+window = svd(cmat(60, 61))
+h.update(tall.sigma.tobytes() + window.sigma.tobytes() + window.Vh.tobytes())
+res = pm2(gen_log_series(201), Conformation(100, 0))
+h.update(res.rational.numer.tobytes() + res.rational.denom.tobytes())
+for it in res.report.iterations:
+    h.update(it.singular_values.tobytes())
+print(json.dumps({"scipy_linalg": "scipy.linalg" in sys.modules, "same_routines": same, "hash": h.hexdigest()}))
+"""
+
+
+def _fresh_interpreter(code: str, *args: str) -> str:
+    src = str(Path(numerics.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                          check=True, timeout=120).stdout
+
+
+class TestLapackLoading:
+    def test_import_loads_no_scipy_linalg_package(self):
+        out = _fresh_interpreter('import sys, padepencil, padepencil.cli; print("scipy.linalg" in sys.modules)')
+        assert out.strip() == "False"
+
+    def test_import_orders_give_the_same_routines_and_bits(self):
+        runs = {order: json.loads(_fresh_interpreter(_IMPORT_ORDER_CHILD, order)) for order in
+                ("never", "first", "after")}
+        assert runs["never"] == {"scipy_linalg": False, "same_routines": None, "hash": runs["never"]["hash"]}
+        for order in ("first", "after"):
+            assert runs[order] == {"scipy_linalg": True, "same_routines": True, "hash": runs["never"]["hash"]}
