@@ -99,12 +99,18 @@ def eval_pole_residue(prf: PoleResidueForm, z):
     return _mark_pole_hits(value, hit, z)
 
 
+def sorted_roots(coeffs) -> np.ndarray:
+    """Roots of a lowest-order-first polynomial, sorted by magnitude
+    then phase."""
+    roots = polynomial_roots(coeffs)
+    return roots[root_order(roots)]
+
+
 def poles_and_zeros(ra: RationalApproximant) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of the denominator and numerator, each sorted by magnitude
-    then phase.  An identically-zero numerator gives no zeros."""
-    poles = polynomial_roots(ra.denom)
-    zeros = polynomial_roots(ra.numer) if np.any(ra.numer) else np.array([], dtype=complex)
-    return poles[root_order(poles)], zeros[root_order(zeros)]
+    """The sorted roots of the denominator, then of the numerator.  An
+    identically-zero numerator gives no zeros."""
+    poles = sorted_roots(ra.denom)
+    return poles, sorted_roots(ra.numer) if np.any(ra.numer) else np.array([], dtype=complex)
 
 
 def unit_disk_mesh(spacing: float) -> np.ndarray:

@@ -14,6 +14,10 @@ the rest of the output is dropped and the exit code is 0, with nothing
 on stderr.
 Coefficient files are JSON arrays (numbers or [re, im] pairs) or plain
 text with one "re [im]" pair per line.
+Output files (--out) are overwritten in place and cut to the written
+length: a symlink is written through, and the write is no more atomic
+than a plain overwrite.  poles computes only the poles, so it does not
+fail on numerator roots that it would never print.
 """
 
 from __future__ import annotations
@@ -27,9 +31,18 @@ from dataclasses import fields
 
 import numpy as np
 
+from .approximant import sorted_roots
 from .baseline import Conformation
 from .errors import ApproximationError
-from .experiments import METHODS, ExperimentConfig, approximate_series, run_geometric_noise, run_log_branch
+from .experiments import (
+    METHODS,
+    ExperimentConfig,
+    approximate_series,
+    run_geometric_noise,
+    run_log_branch,
+    solve,
+    write_output,
+)
 from .numerics import complex_pairs
 from .series import PowerSeries
 
@@ -79,34 +92,40 @@ def load_coefficients(path: str) -> np.ndarray:
 
 
 def cli_approximate(args) -> int:
-    """Solve, then write the subcommand's ``keys`` of the full payload:
-    JSON after ``method`` and ``conformation``, CSV without the report."""
+    """Solve, then write what the subcommand prints: every key for
+    ``approximate``; for ``poles`` the denominator's roots alone, so the
+    numerator's roots and the report are never computed.  JSON after
+    ``method`` and ``conformation``, CSV without the report."""
     coeffs = load_coefficients(args.coeffs)
     s = PowerSeries(coeffs) if args.t is None else PowerSeries(coeffs, t=args.t)
     if args.n is not None:
         s = s.truncate(args.n)
     conf = Conformation(m=args.m, k=args.k)
-    res = approximate_series(s, conf, args.method)
-    payload = {
-        "numer": complex_pairs(res.rational.numer),
-        "denom": complex_pairs(res.rational.denom),
-        "poles": complex_pairs(res.poles),
-        "zeros": complex_pairs(res.zeros),
-        "residues": complex_pairs(res.prf.weights) if res.prf is not None else [],
-        "report": res.report.to_dict() if res.report is not None else None,
-    }
+    if args.command == "poles":
+        ra, _, _, final_l = solve(s, conf, args.method)
+        payload = {"poles": complex_pairs(sorted_roots(ra.denom))}
+    else:
+        res = approximate_series(s, conf, args.method)
+        final_l = res.final_l
+        payload = {
+            "numer": complex_pairs(res.rational.numer),
+            "denom": complex_pairs(res.rational.denom),
+            "poles": complex_pairs(res.poles),
+            "zeros": complex_pairs(res.zeros),
+            "residues": complex_pairs(res.prf.weights) if res.prf is not None else [],
+            "report": res.report.to_dict() if res.report is not None else None,
+        }
     if args.format == "json":
-        head = {"method": args.method, "conformation": {"m": conf.m, "k": conf.k, "final_l": res.final_l}}
-        text = json.dumps(head | {key: payload[key] for key in args.keys}, indent=2) + "\n"
+        head = {"method": args.method, "conformation": {"m": conf.m, "k": conf.k, "final_l": final_l}}
+        text = json.dumps(head | payload, indent=2) + "\n"
     else:
         lines = ["kind,index,re,im"]
-        for kind in args.keys:
+        for kind, pairs in payload.items():
             if kind != "report":
-                lines.extend(f"{kind},{i},{re!r},{im!r}" for i, (re, im) in enumerate(payload[kind]))
+                lines.extend(f"{kind},{i},{re!r},{im!r}" for i, (re, im) in enumerate(pairs))
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        write_output(args.out, text)
     else:
         print(text, end="")
     return 0
@@ -128,8 +147,8 @@ def cli_experiment(args) -> int:
     return 0
 
 
-def _add_approximation_parser(sub, command: str, summary: str, keys: tuple) -> None:
-    """A subcommand that solves and writes ``keys`` of the payload."""
+def _add_approximation_parser(sub, command: str, summary: str) -> None:
+    """A subcommand that solves and writes its view of the approximant."""
     p = sub.add_parser(command, help=summary)
     p.add_argument("--coeffs", required=True, help="coefficient file (JSON array or 're im' lines)")
     p.add_argument("--method", choices=METHODS, default="pm2")
@@ -139,7 +158,7 @@ def _add_approximation_parser(sub, command: str, summary: str, keys: tuple) -> N
     p.add_argument("--t", type=float, default=None, help="filtering accuracy digits (pm2)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cli_approximate, keys=keys)
+    p.set_defaults(func=cli_approximate)
 
 
 @functools.cache
@@ -149,11 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="padepencil", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    _add_approximation_parser(
-        sub, "approximate", "full approximant from a coefficient file",
-        ("numer", "denom", "poles", "zeros", "residues", "report"),
-    )
-    _add_approximation_parser(sub, "poles", "pole estimates only", ("poles",))
+    _add_approximation_parser(sub, "approximate", "full approximant from a coefficient file")
+    _add_approximation_parser(sub, "poles", "pole estimates only")
 
     p_exp = sub.add_parser("experiment", help="stock reproducibility studies")
     exp_sub = p_exp.add_subparsers(dest="experiment", parser_class=_Parser)

@@ -20,7 +20,10 @@ output files.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
+import stat
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
@@ -58,6 +61,28 @@ RAY_MIN_RE = 1.1
 RAY_MAX_IM = 0.05
 
 
+def write_output(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` in place; every output file of the CLI
+    and the experiments is written here.
+
+    The file is opened without O_TRUNC, written and flushed, and then,
+    when it is a regular file, cut to the written length.  The text is
+    ASCII, so the bytes are those that ``open(path, "w")`` writes, and
+    like it this is not atomic.  A symlink is written through, an
+    existing file keeps its mode bits, and a device such as /dev/null is
+    not truncated.  O_TRUNC would free the file's blocks before the write
+    allocates them again; on a filesystem that discards freed blocks
+    online (ext4 mounted with ``discard``) that costs several hundred
+    microseconds, far more than the write.
+    """
+    data = text.encode()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(data))
+
+
 @dataclass
 class ExperimentConfig:
     """Inputs of one experiment run; see the runner docstrings."""
@@ -84,27 +109,37 @@ class MethodResult(NamedTuple):
     final_l: int
 
 
-def approximate_series(s: PowerSeries, conf: Conformation, method: str) -> MethodResult:
-    """Run one solver on one series and extract its roots.
+def solve(s: PowerSeries, conf: Conformation, method: str) -> tuple:
+    """Run one solver on one series: (rational, prf, report, final_l).
 
     ``method`` is one of dm, svd, pm1, pm2; pm2 filters at the series'
-    accuracy ``s.t``.  Solver failures propagate as the usual
-    ApproximationError subclasses.
+    accuracy ``s.t``.  No root is extracted.  Solver failures propagate
+    as the usual ApproximationError subclasses.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    prf = report = None
-    final_l = conf.m
     if method in ("dm", "svd"):
         denom = (dm_denominator if method == "dm" else svd_denominator)(s, conf)
-        ra = RationalApproximant(numerator_from_denominator(s, denom, conf), denom)
-    elif method == "pm1":
+        return RationalApproximant(numerator_from_denominator(s, denom, conf), denom), None, None, conf.m
+    if method == "pm1":
         prf, ra = pm1(s, conf)
-    else:
-        prf, ra, report = pm2(s, conf)
-        final_l = report.final_l
-    poles, zeros = poles_and_zeros(ra)
-    return MethodResult(ra, prf, report, poles, zeros, final_l)
+        return ra, prf, None, conf.m
+    prf, ra, report = pm2(s, conf)
+    return ra, prf, report, report.final_l
+
+
+def approximate_series(s: PowerSeries, conf: Conformation, method: str) -> MethodResult:
+    """Run one solver on one series (``solve``) and extract both its
+    poles and its zeros (``poles_and_zeros``).
+
+    Root extraction can fail on its own, for instance with NonFinite
+    when the numerator's roots overflow; that failure propagates like a
+    solver's.  A caller that needs only the poles calls ``solve`` and
+    ``approximant.sorted_roots`` on the denominator instead, as the CLI's
+    ``poles`` does.
+    """
+    ra, prf, report, final_l = solve(s, conf, method)
+    return MethodResult(ra, prf, report, *poles_and_zeros(ra), final_l)
 
 
 def sample_rng(seed: int, eps_index: int, sample_index: int) -> np.random.Generator:
@@ -236,14 +271,13 @@ def run_geometric_noise(cfg: ExperimentConfig) -> dict:
 
 
 def _write_geometric(path: str, result: dict) -> None:
-    with open(f"{path}.samples.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=GEOMETRIC_CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in result["rows"]:
-            writer.writerow({k: _cell(v) for k, v in row.items()})
-    with open(f"{path}.summary.json", "w") as fh:
-        json.dump({"config": result["config"], "summary": result["summary"]}, fh, indent=2)
-        fh.write("\n")
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=GEOMETRIC_CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({k: _cell(v) for k, v in row.items()} for row in result["rows"])
+    write_output(f"{path}.samples.csv", buf.getvalue())
+    view = {"config": result["config"], "summary": result["summary"]}
+    write_output(f"{path}.summary.json", json.dumps(view, indent=2) + "\n")
 
 
 def _cell(v) -> str:
@@ -352,7 +386,5 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
     result["assimilation"] = assim
 
     if cfg.output_path:
-        with open(f"{cfg.output_path}.json", "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
+        write_output(f"{cfg.output_path}.json", json.dumps(result, indent=2) + "\n")
     return result

@@ -6,8 +6,10 @@ For any series and conformation, ``approximate_series`` returns finite
 poles and zeros or raises ValueError or an ApproximationError subclass.
 No numpy warning and no raw ``LinAlgError`` (itself a ValueError) may
 escape, and nothing may be printed, LAPACK's own complaints included.
-The CLI turns the same outcomes into exit code 0 with strict JSON, or
-exit code 2 with an error line.  ``Conformation`` rejects non-integer
+The CLI's ``approximate`` and ``poles`` turn the same outcomes into exit
+code 0 with strict JSON, or exit code 2 with an error line; ``poles``
+extracts no zeros, so it fails only where ``approximate`` does.
+``Conformation`` rejects non-integer
 degrees with ValueError, and ``classify_roots`` rejects non-finite
 roots with NonFinite, both quietly.  So do ``gen_geometric_noisy`` a
 noise amplitude outside [0, 1) and ``unit_disk_mesh`` a spacing that is
@@ -101,25 +103,37 @@ def test_solvers_return_finite_roots_or_raise(case, capfd):
     assert capfd.readouterr() == ("", "")
 
 
-@settings(CONTRACT, max_examples=25)
-@given(case=series_cases(), method=st.sampled_from(METHODS))
-def test_cli_writes_strict_json_or_exits_2(case, method, tmp_path, capfd):
-    s, conf = case
-    path = tmp_path / "coeffs.json"
-    path.write_text(json.dumps([[c.real, c.imag] for c in s.coeffs.tolist()]))
-    argv = ["approximate", "--coeffs", str(path), "--method", method,
-            "--m", str(conf.m), "--k", str(conf.k), "--t", repr(s.t)]
+def _run_cli(argv, capfd):
+    """main(argv) with warnings as errors: (exit code, stdout, stderr)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(argv)
-    out, err = capfd.readouterr()
-    if rc == 0:
-        assert err == ""
-        payload = json.loads(out, parse_constant=_reject_constant)
-        assert (payload["conformation"]["m"], payload["conformation"]["k"]) == (conf.m, conf.k)
-    else:
-        assert rc == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+    return (rc, *capfd.readouterr())
+
+
+@settings(CONTRACT, max_examples=25)
+@given(case=series_cases(), method=st.sampled_from(METHODS))
+def test_cli_writes_strict_json_or_exits_2(case, method, tmp_path, capfd):
+    # approximate and poles on the same input: each prints strict JSON or
+    # exits 2 with one error line; poles fails only where approximate
+    # does, and prints the poles approximate prints whenever both succeed.
+    s, conf = case
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps([[c.real, c.imag] for c in s.coeffs.tolist()]))
+    args = ["--coeffs", str(path), "--method", method, "--m", str(conf.m), "--k", str(conf.k), "--t", repr(s.t)]
+    printed = {}
+    for command in ("approximate", "poles"):
+        rc, out, err = _run_cli([command, *args], capfd)
+        if rc == 0:
+            assert err == ""
+            printed[command] = json.loads(out, parse_constant=_reject_constant)
+            assert (printed[command]["conformation"]["m"], printed[command]["conformation"]["k"]) == (conf.m, conf.k)
+        else:
+            assert rc == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+    assert "poles" in printed or "approximate" not in printed
+    if "approximate" in printed:
+        assert {key: printed["approximate"][key] for key in printed["poles"]} == printed["poles"]
 
 
 class TestOverflowingRoots:
@@ -141,13 +155,20 @@ class TestOverflowingRoots:
     def test_cli_exits_2_without_output(self, tmp_path, capfd):
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps([1e-300] * 3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(["approximate", "--coeffs", str(path), "--m", "1", "--k", "0", "--method", "dm"])
+        rc, out, err = _run_cli(["approximate", "--coeffs", str(path), "--m", "1", "--k", "0", "--method", "dm"], capfd)
         assert rc == 2
-        out, err = capfd.readouterr()
         assert out == ""
         assert err.startswith("error: NonFinite: ") and err.count("\n") == 1
+
+    def test_poles_never_computes_the_overflowing_zeros(self, tmp_path, capfd):
+        # The one intended difference from approximate's failure: the
+        # denominator's root is finite, and poles prints it.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps([1e-300] * 3))
+        rc, out, err = _run_cli(["poles", "--coeffs", str(path), "--m", "1", "--k", "0", "--method", "dm"], capfd)
+        assert (rc, err) == (0, "")
+        assert json.loads(out) == {"method": "dm", "conformation": {"m": 1, "k": 0, "final_l": 1},
+                                   "poles": [[1.0000000000000002, 0.0]]}
 
 
 class TestConformationDegrees:

@@ -508,6 +508,85 @@ class TestCli:
         assert all(tuple(choices) == METHODS for choices in found.values())
 
 
+#: Output-writing commands: argv before the --out value, and the suffixes
+#: the value gets for each file written ("" for the CLI's --out itself).
+#: {coeffs} stands for the coefficient file.
+WRITES = {
+    "approximate-json": (["approximate", "--coeffs", "{coeffs}", "--m", "3", "--k", "-1"], ("",)),
+    "approximate-csv": (["approximate", "--coeffs", "{coeffs}", "--m", "3", "--k", "-1", "--format", "csv"], ("",)),
+    "poles-json": (["poles", "--coeffs", "{coeffs}", "--m", "3", "--k", "-1"], ("",)),
+    "poles-csv": (["poles", "--coeffs", "{coeffs}", "--m", "3", "--k", "-1", "--format", "csv"], ("",)),
+    "geometric-noise": (["experiment", "geometric-noise", "--samples", "1", "--eps", "1e-6"],
+                        (".samples.csv", ".summary.json")),
+    "log-branch": (["experiment", "log-branch", "--n", "11"], (".json",)),
+}
+
+
+class TestOutputFiles:
+    """Every output file, the CLI's --out and the experiments' files, is
+    written in place and cut to the written length (experiments.write_output)."""
+
+    @pytest.fixture(autouse=True)
+    def _coeffs(self, tmp_path):
+        self.coeffs = tmp_path / "coeffs.json"
+        self.coeffs.write_text(json.dumps([1.0, 0.5, 0.75, 0.25, 0.5, 0.125, 0.25, 0.0625]))
+
+    def _write(self, case, base, capsys):
+        """Run the case with --out base; return main's code, stderr and the paths written."""
+        argv, suffixes = WRITES[case]
+        rc = main([arg.format(coeffs=self.coeffs) for arg in argv] + ["--out", str(base)])
+        return rc, capsys.readouterr().err, [Path(f"{base}{suffix}") for suffix in suffixes]
+
+    def _fresh(self, case, base, capsys):
+        """The bytes that a write to paths that do not exist gives."""
+        rc, _, paths = self._write(case, base, capsys)
+        assert rc == 0
+        return paths, [path.read_bytes() for path in paths]
+
+    @pytest.mark.parametrize("case", WRITES)
+    def test_longer_and_shorter_files_end_with_the_new_bytes(self, tmp_path, capsys, case):
+        paths, fresh = self._fresh(case, tmp_path / "out", capsys)
+        for old in (lambda new: b"#" * (len(new) + 4096), lambda new: new[: len(new) // 2]):
+            for path, new in zip(paths, fresh):
+                path.write_bytes(old(new))
+            assert self._write(case, tmp_path / "out", capsys)[0] == 0
+            assert [path.read_bytes() for path in paths] == fresh
+
+    @pytest.mark.parametrize("case", WRITES)
+    def test_symlink_is_written_through(self, tmp_path, capsys, case):
+        paths, fresh = self._fresh(case, tmp_path / "link", capsys)
+        targets = [tmp_path / f"target-{i}" for i in range(len(paths))]
+        for path, target, new in zip(paths, targets, fresh):
+            target.write_bytes(b"#" * (len(new) + 4096))
+            path.unlink()
+            path.symlink_to(target)
+        assert self._write(case, tmp_path / "link", capsys)[0] == 0
+        assert all(path.is_symlink() for path in paths)
+        assert [target.read_bytes() for target in targets] == fresh
+
+    @pytest.mark.parametrize("case", WRITES)
+    def test_existing_file_keeps_its_mode(self, tmp_path, capsys, case):
+        paths, fresh = self._fresh(case, tmp_path / "out", capsys)
+        for path in paths:
+            path.chmod(0o604)
+        assert self._write(case, tmp_path / "out", capsys)[0] == 0
+        assert [path.stat().st_mode & 0o7777 for path in paths] == [0o604] * len(paths)
+        assert [path.read_bytes() for path in paths] == fresh
+
+    @pytest.mark.parametrize("case", [case for case, (_, suffixes) in WRITES.items() if suffixes == ("",)])
+    def test_dev_null_is_written_not_truncated(self, capsys, case):
+        # /dev/null cannot be truncated; a writer that tried would exit 3.
+        rc, err, _ = self._write(case, os.devnull, capsys)
+        assert (rc, err) == (0, "")
+
+    @pytest.mark.parametrize("case", WRITES)
+    def test_directory_exits_3(self, tmp_path, capsys, case):
+        _, suffixes = WRITES[case]
+        (tmp_path / f"out{suffixes[0]}").mkdir()
+        rc, err, _ = self._write(case, tmp_path / "out", capsys)
+        assert (rc, err) == (3, f"error: [Errno 21] Is a directory: '{tmp_path / f'out{suffixes[0]}'}'\n")
+
+
 class TestRepeatedRequests:
     """main may be called many times in one process; the parser is built
     once and shared, and no request sees state left by an earlier one."""

@@ -17,9 +17,11 @@ Writes into OUTDIR:
   text), and ``approximate`` and ``poles`` for every method, input and
   output format, each with its exit code and stderr in a ``.status``
   file;
-* ``cli/tiny.json`` and ``cli/approximate-dm-tiny.json.status``: a dm
-  ``approximate`` call on three coefficients of 1e-300, whose roots
-  overflow, so the error path is compared too;
+* ``cli/tiny.json``, ``cli/approximate-dm-tiny.json.status`` and
+  ``cli/poles-dm-tiny.json``: dm ``approximate`` and ``poles`` calls on
+  three coefficients of 1e-300, whose numerator roots overflow, so the
+  error path of ``approximate`` is compared too, and ``poles``, which
+  never computes those roots, prints its one pole;
 * ``cli/usage-no-command.status``, ``cli/usage-approximate-m-x.status``
   and ``cli/poles-missing-file.status``: the exit-3 paths (no
   subcommand, ``--m x`` and a missing coefficient file), run between
@@ -35,7 +37,10 @@ Writes into OUTDIR:
   ``experiment`` subcommands, and ``cli/help-*``: every ``--help`` text.
 
 Every path the package records in an output is relative to OUTDIR, so
-the files do not depend on where OUTDIR is.  Two checkouts that compute
+the files do not depend on where OUTDIR is.  Before each CLI ``--out``
+and experiment ``output_path`` write, the target holds a placeholder
+longer than any stock output, so a writer that fails to cut a file to
+its new length leaves a tail that shows.  Two checkouts that compute
 the same bits give no difference under ``diff -r`` of their OUTDIRs.
 BLAS runs on one thread, as in the benchmark.
 """
@@ -75,6 +80,15 @@ GEO_CONFIGS = {
 LOG_NS = (3, 4, 11, 21, 41, 61)
 #: Coefficient file name -> label used in the output names.
 INPUTS = {"pairs.json": "pairs", "numbers.json": "numbers", "lines.txt": "text"}
+#: What each output path holds before it is written: more bytes than any
+#: stock output.
+PLACEHOLDER = b"#" * (1 << 16)
+
+
+def hold(*paths) -> None:
+    """Put the placeholder at each path."""
+    for path in paths:
+        Path(path).write_bytes(PLACEHOLDER)
 
 
 def write_experiments() -> None:
@@ -82,8 +96,10 @@ def write_experiments() -> None:
         for seed in SEEDS:
             for name, fields in GEO_CONFIGS.items():
                 base = f"geo-{method}-{seed}-{name}"
+                hold(f"{base}.samples.csv", f"{base}.summary.json")
                 run_geometric_noise(ExperimentConfig(method=method, seed=seed, output_path=base, **fields))
     for n in LOG_NS:
+        hold(f"log-{n}.json")
         run_log_branch(ExperimentConfig(n=n, output_path=f"log-{n}"))
 
 
@@ -131,17 +147,20 @@ def write_cli() -> None:
                     out = f"cli/{command}-{method}-{label}.{fmt}"
                     argv = [command, "--coeffs", f"cli/{src}", "--method", method, "--m", "3", "--k", "-1",
                             "--t", "8", "--format", fmt, "--out", out]
+                    hold(out)
                     run_cli(argv, out)
     run_cli([], "cli/usage-no-command")
     run_cli(["approximate", "--coeffs", "cli/pairs.json", "--m", "x"], "cli/usage-approximate-m-x")
     run_cli(["poles", "--coeffs", "cli/missing.json", "--m", "3"], "cli/poles-missing-file")
-    run_cli(["approximate", "--coeffs", "cli/tiny.json", "--method", "dm", "--m", "1", "--k", "0"],
-            "cli/approximate-dm-tiny.json")
+    for command in ("approximate", "poles"):
+        run_cli([command, "--coeffs", "cli/tiny.json", "--method", "dm", "--m", "1", "--k", "0"],
+                f"cli/{command}-dm-tiny.json")
     for method in ("pm2", "svd"):
         run_cli(["approximate", "--coeffs", "cli/log-201.json", "--method", method, "--m", "100", "--k", "0"],
                 f"cli/approximate-{method}-log-201.json")
         run_cli(["approximate", "--coeffs", "cli/poles4-240.json", "--method", method, "--m", "120", "--k", "-1",
                  "--t", "8"], f"cli/approximate-{method}-poles4-240.json")
+    hold("cli/experiment-geo.samples.csv", "cli/experiment-geo.summary.json", "cli/experiment-log.json")
     run_cli(["experiment", "geometric-noise", "--eps", "1e-4", "--eps", "1e-9", "--samples", "2",
              "--out", "cli/experiment-geo"], "cli/experiment-geo.printed.json")
     run_cli(["experiment", "log-branch", "--n", "21", "--out", "cli/experiment-log"], "cli/experiment-log.printed.json")
