@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Collapse, DegenerateError, InsufficientCoefficients, NonFinite
-from .numerics import svd
+from .errors import Collapse, DegenerateError, InsufficientCoefficients, NonFinite, RankDeficient
+from .numerics import all_finite, solve, svd
 from .series import PowerSeries
 
 
@@ -76,7 +76,7 @@ class RationalApproximant:
             arr = np.array(getattr(self, name), dtype=complex, ndmin=1)
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError(f"{name} must be a non-empty 1-D array")
-            if not np.isfinite(arr).all():
+            if not all_finite(arr):
                 raise NonFinite(f"{name} coefficients must be finite")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -122,10 +122,10 @@ def dm_denominator(s: PowerSeries, conf: Conformation) -> np.ndarray:
         return np.array([1.0 + 0j])
     H = combined_window(s, conf, conf.m)
     try:
-        b_tail = np.linalg.solve(H[:, -2::-1], -H[:, -1])
-    except np.linalg.LinAlgError as exc:
+        b_tail = solve(H[:, -2::-1], -H[:, -1])
+    except RankDeficient as exc:
         raise DegenerateError(f"direct {conf.m}x{conf.m} denominator system is singular: {exc}") from exc
-    if not np.isfinite(b_tail).all():
+    if not all_finite(b_tail):
         raise DegenerateError("direct denominator solve produced non-finite coefficients")
     return np.concatenate(([1.0 + 0j], b_tail))
 
@@ -153,9 +153,12 @@ def numerator_from_denominator(s: PowerSeries, denom, conf: Conformation) -> np.
     Implements the convolution identity a_j = sum_i c_{j-i} b_i
     truncated at the numerator degree d + k, where d = len(denom) - 1.
     A negative numerator degree (possible when filtering shrank the
-    denominator below -k) raises Collapse.
+    denominator below -k) raises Collapse, and a NaN or infinite
+    denominator coefficient NonFinite.
     """
     b = np.atleast_1d(np.asarray(denom, dtype=complex))
+    if not all_finite(b):
+        raise NonFinite("denominator coefficients must be finite")
     deg = (b.size - 1) + conf.k
     if deg < 0:
         raise Collapse(

@@ -31,7 +31,7 @@ import numpy as np
 
 from .baseline import Conformation, RationalApproximant, _require_length, combined_window
 from .errors import Collapse, ConvergenceFailure, RankDeficient
-from .numerics import SvdResult, complex_pairs, qr_solve, svd
+from .numerics import SvdResult, all_finite, complex_pairs, qr_solve, singular_values, svd
 from .pencil import PoleResidueForm, _pencil_poles, _with_head, residue_system, to_rational
 from .series import PowerSeries
 
@@ -179,11 +179,11 @@ def pm2(s: PowerSeries, conf: Conformation) -> Pm2Result:
         D, rhs = residue_system(s, lam, conf, use_all_rows=True)
         # An overflowing power of a tiny spurious pole leaves D
         # non-finite: the worst conditioning there is, kept from LAPACK.
-        ok = np.isfinite(D).all()
+        ok = all_finite(D)
         if ok:
             try:
-                dsig = np.linalg.svd(D, compute_uv=False)
-            except np.linalg.LinAlgError as exc:
+                dsig = singular_values(D)
+            except ConvergenceFailure as exc:
                 raise ConvergenceFailure(f"residue Vandermonde SVD did not converge: {exc}") from exc
             ok = not dsig[-1] < 10.0 ** (-s.t) * dsig[0]
         if not ok:

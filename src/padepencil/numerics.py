@@ -1,37 +1,24 @@
 """Thin wrappers around the dense linear-algebra kernels, plus the
 polynomial primitives (roots and Horner evaluation).
 
-The downstream dense calls (denominator solves, pencil eigenproblems,
-residue systems, evaluation) go through these routines so that error
-mapping and rank policy live in one place.  Two do not yet:
-``filtering.pm2``'s residue-conditioning ``np.linalg.svd(D,
-compute_uv=False)`` and ``baseline.dm_denominator``'s
-``np.linalg.solve``.
-
-scipy's LAPACK build comes from two of its extension modules:
-``scipy.linalg._flapack`` (the f2py wrappers ``qr_solve`` and the tall
-``svd`` path call) and ``scipy.linalg.cython_lapack`` (the function
-pointers of the routines scipy does not wrap).  They are loaded from
-their files without running ``scipy.linalg``'s package ``__init__``,
-which takes most of this module's import time and memory.  A later
-``import scipy.linalg`` finds them in ``sys.modules``, so its
-``get_lapack_funcs`` returns the same routines; only the package
-attributes ``scipy.linalg._flapack`` and ``.cython_lapack`` stay unset
-(``from scipy.linalg import cython_lapack`` still works).
+Every dense LAPACK call of the package goes through these routines, so
+that error mapping and rank policy live in one place.  All run in one
+LAPACK build, the ILP64 OpenBLAS bundled with numpy (scipy-openblas64):
+``svd`` and ``qr_solve`` call the routines they need through ``ctypes``,
+by the symbols (``scipy_zgeqrf_64_`` and the like) that numpy's
+``_umath_linalg`` resolves, and the rest call ``np.linalg``.  Importing
+this module raises ImportError naming the symbol that numpy lacks.
 """
 
 from __future__ import annotations
 
 import ctypes
-import importlib.util
-import os
-import sys
+import math
 import threading
 from functools import lru_cache, partial
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-import scipy
+from numpy.linalg import _umath_linalg
 
 from .errors import AllZero, ConvergenceFailure, NonFinite, RankDeficient
 
@@ -42,86 +29,115 @@ DEFAULT_RANK_RTOL = 1e-14
 _SMLNUM = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 _BIGNUM = 1 / _SMLNUM
 
-
-def _scipy_linalg_extension(name: str):
-    """The extension module ``scipy.linalg.<name>``, loaded from its file
-    when ``scipy.linalg`` is not imported yet, without importing it."""
-    fullname = f"scipy.linalg.{name}"
-    if fullname in sys.modules or "scipy.linalg" in sys.modules:
-        return importlib.import_module(fullname)
-    directory = os.path.join(scipy.__path__[0], "linalg")
-    for suffix in EXTENSION_SUFFIXES:
-        path = os.path.join(directory, name + suffix)
-        if os.path.isfile(path):
-            loader = ExtensionFileLoader(fullname, path)
-            spec = importlib.util.spec_from_loader(fullname, loader)
-            module = importlib.util.module_from_spec(spec)
-            loader.exec_module(module)
-            sys.modules[fullname] = module
-            return module
-    raise ImportError(f"no {name} extension module in {directory}")
-
-
-_flapack = _scipy_linalg_extension("_flapack")
-cython_lapack = _scipy_linalg_extension("cython_lapack")
-_geqrf, _geqrf_lwork, _ungqr = _flapack.zgeqrf, _flapack.zgeqrf_lwork, _flapack.zungqr
-_trtrs, _gesdd, _gesdd_lwork = _flapack.ztrtrs, _flapack.zgesdd, _flapack.zgesdd_lwork
-
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
+_openblas = ctypes.CDLL(_umath_linalg.__file__)
 
 
 def _lapack(name: str, nargs: int):
-    """The LAPACK routine scipy exports to Cython as ``name`` (the same
-    build its f2py wrappers call), taking nargs addresses: Fortran passes
-    every argument by reference."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(_capsule_pointer(capsule, _capsule_name(capsule)))
+    """numpy's LAPACK routine ``name``: nargs addresses (integers are int64),
+    the last ones the lengths of its character arguments, by value."""
+    symbol = f"scipy_{name}_64_"
+    try:
+        routine = getattr(_openblas, symbol)
+    except AttributeError:
+        raise ImportError(f"numpy's LAPACK has no {symbol}: padepencil needs numpy's bundled ILP64 OpenBLAS") from None
+    routine.restype, routine.argtypes = None, [ctypes.c_void_p] * nargs
+    return routine
 
 
-_zgebrd, _dbdsdc, _zunmbr = _lapack("zgebrd", 11), _lapack("dbdsdc", 14), _lapack("zunmbr", 14)
-#: The character arguments, one byte each.
-_CHARS = ctypes.create_string_buffer(b"ULIPRC")
-_UPPER, _LOWER, _VECTORS, _APPLY_P, _RIGHT, _CONJ_TRANS = range(ctypes.addressof(_CHARS), ctypes.addressof(_CHARS) + 6)
+_zgeqrf, _zungqr, _ztrtrs = _lapack("zgeqrf", 8), _lapack("zungqr", 9), _lapack("ztrtrs", 13)
+_zgesdd, _zgebrd = _lapack("zgesdd", 16), _lapack("zgebrd", 11)
+_dbdsdc, _zunmbr = _lapack("dbdsdc", 16), _lapack("zunmbr", 17)
+_CHARS = ctypes.create_string_buffer(b"ULIPRCATN")  # the character arguments, one byte each
+_UPPER, _LOWER, _VECTORS, _APPLY_P, _RIGHT, _CONJ_TRANS, _ALL, _TRANS, _NON_UNIT = range(
+    ctypes.addressof(_CHARS), ctypes.addressof(_CHARS) + 9)
+
+
+def _address(a: np.ndarray) -> int:
+    """Address of a C-contiguous array's data; cheaper than ``a.ctypes.data``."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()`` for a complex array, faster at small sizes:
+    the sum of the squared moduli is finite only when every entry is, or
+    it overflows, which the full check then settles."""
+    return math.isfinite(np.vdot(a, a).real) or bool(np.isfinite(a).all())
+
+
+def _info(address: int) -> int:
+    """The INFO a LAPACK call wrote at address."""
+    return ctypes.c_int64.from_address(address).value
+
+
+def _layout(sizes, ints) -> tuple:
+    """One buffer for ctypes LAPACK calls: its length in complex elements,
+    the byte offsets of its arrays after the first, given their byte sizes
+    (each rounded up to 16, so all stay aligned), and the integer
+    arguments as an int64 ctypes array with each entry's address.  The
+    array must outlive the addresses: the caches keep the whole tuple."""
+    offsets = np.cumsum([-(-size // 16) * 16 for size in sizes]).tolist()
+    array = (ctypes.c_int64 * len(ints))(*ints)
+    first = ctypes.addressof(array)
+    return offsets[-1] // 16, offsets[:-1], array, range(first, first + 8 * len(ints), 8)
 
 
 @lru_cache(maxsize=1024)
 def _workspace(p: int, q: int) -> tuple[int, int, int]:
-    """Optimal LAPACK workspace sizes for a p x q matrix (p >= q): zgeqrf,
-    zungqr forming the p x q Q, and zgesdd with JOBZ='A'.  The queries
-    read the shape alone, so the sizes are cached by shape."""
-    geqrf, _ = _geqrf_lwork(p, q)
-    _, ungqr, _ = _ungqr(np.zeros((p, q), dtype=complex), np.zeros(q, dtype=complex), lwork=-1)
-    gesdd, _ = _gesdd_lwork(p, q, compute_uv=1, full_matrices=1)
-    return int(geqrf.real), int(ungqr[0].real), int(gesdd.real)
+    """Optimal workspace sizes (LWORK = -1 queries, cached by shape) for
+    a p x q matrix: zgeqrf, zungqr forming the p x q Q (both 0 if p < q)
+    and zgesdd with JOBZ='A'."""
+    size, _, ints, (P, Q, QUERY) = _layout((16, 8), (p, q, -1))  # WORK(1) and INFO: nothing else is read
+    work = np.zeros(size, dtype=complex)
+    w = _address(work)
+    qr = ungqr = 0
+    if p >= q:
+        _zgeqrf(P, Q, w, P, w, w, QUERY, w + 16)
+        qr = int(work[0].real)
+        _zungqr(P, Q, Q, w, P, w, w, QUERY, w + 16)
+        ungqr = int(work[0].real)
+    _zgesdd(_ALL, P, Q, w, P, w, w, P, w, Q, w, QUERY, w, w, w + 16, 1)
+    return qr, ungqr, int(work[0].real)
+
+
+@lru_cache(maxsize=1024)
+def _qr_layout(p: int, q: int, nrhs: int) -> tuple:
+    """``qr_solve``'s buffer: A, tau, work, R^T and INFO; and p, q, the
+    zgeqrf and zungqr workspaces and nrhs."""
+    qr_work, q_work, _ = _workspace(p, q)
+    return _layout((16 * p * q, 16 * q, 16 * max(qr_work, q_work), 16 * q * q, 8), (p, q, qr_work, q_work, nrhs))
+
+
+@lru_cache(maxsize=1024)
+def _tall_layout(p: int, q: int) -> tuple:
+    """The tall ``svd`` path's buffer: A, tau, work, U, VT, rwork, iwork
+    and INFO; and p, q, zgeqrf's workspace and the one zgesdd's QR path
+    leaves the SVD of R (its optimum W less q^2)."""
+    qr_work, _, gesdd = _workspace(p, q)
+    sizes = (16 * p * q, 16 * q, 16 * max(qr_work, gesdd - q * q), 16 * q * q, 16 * q * q, 8 * (5 * q * q + 7 * q),
+             64 * q, 8)
+    return _layout(sizes, (p, q, qr_work, gesdd - q * q))
 
 
 @lru_cache(maxsize=1024)
 def _bidiagonal_layout(p: int, q: int) -> tuple:
-    """One buffer for zgesdd's path 6/6t on a p x q matrix: its length in
-    complex elements; the byte offsets of tauq, taup, the work array, s,
-    e, RU, RVT, dbdsdc's work, iwork and the q x q VT after the matrix
-    (dbdsdc's 3n^2 + 4n doubles padded to keep VT 16-byte aligned); and
-    p, q, n = min(p, q) and the workspace zgesdd hands zgebrd and zunmbr
-    (its optimum W less 2n) as C ints, with their addresses."""
+    """zgesdd's path 6/6t: A, tauq, taup, work, s, e, RU, RVT, dbdsdc's
+    work, iwork, the q x q VT and INFO; and p, q, n = min(p, q) and the
+    workspace zgesdd hands zgebrd and zunmbr (its optimum W less 2n)."""
     n = min(p, q)
-    gesdd, _ = _gesdd_lwork(p, q, compute_uv=1, full_matrices=1)
-    lwork = int(gesdd.real) - 2 * n
-    sizes = (16 * p * q, 16 * n, 16 * n, 16 * lwork, 8 * n, 8 * n, 8 * n * n, 8 * n * n,
-             8 * (3 * n * n + 4 * n + n % 2), 32 * n, 16 * q * q)
-    offsets = np.cumsum(sizes).tolist()
-    ints = (ctypes.c_int * 4)(p, q, n, lwork)
-    return offsets[-1] // 16, offsets[:-1], ints, range(ctypes.addressof(ints), ctypes.addressof(ints) + 16, 4)
+    lwork = _workspace(p, q)[2] - 2 * n
+    sizes = (16 * p * q, 16 * n, 16 * n, 16 * lwork, 8 * n, 8 * n, 8 * n * n, 8 * n * n, 8 * (3 * n * n + 4 * n),
+             64 * n, 16 * q * q, 8)
+    return _layout(sizes, (p, q, n, lwork))
 
 
-@lru_cache(maxsize=128)
-def _strictly_lower(q: int) -> np.ndarray:
-    """Read-only mask of the strictly lower triangle of a q x q matrix."""
-    mask = np.tri(q, k=-1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
+@lru_cache(maxsize=1024)
+def _below_diagonal(p: int, q: int) -> np.ndarray:
+    """Read-only flat indices of the strictly lower triangle of the top
+    q x q block of a Fortran p x q array."""
+    rows, cols = np.nonzero(np.tri(q, k=-1, dtype=bool))
+    index = rows + cols * p
+    index.flags.writeable = False
+    return index
 
 
 class SvdResult:
@@ -152,34 +168,29 @@ class SvdResult:
 def svd(A) -> SvdResult:
     """Singular values and Vh of the full SVD, with input checking.
 
-    The bits are those of ``np.linalg.svd(A, full_matrices=True)``.  Its
-    zgesdd forms U, which no caller reads, on every path.  Two paths are
-    run here without it:
+    The bits are those of ``np.linalg.svd(A, full_matrices=True)``, whose
+    zgesdd also forms U, which no caller reads.  Two paths run without it:
 
     * max(p, q) < floor(5 min(p, q)/3) (zgesdd's path 6 or 6t): zgebrd
-      reduces A to a real bidiagonal and dbdsdc('I') takes its SVD,
-      which gives sigma; zunmbr('P', 'R', 'C') forms Vh only when it is
-      first read.  zgebrd and zunmbr get the workspace zgesdd hands them
-      (W - 2 min(p, q), W its optimum for A), which from q = 34 sets
-      their block size and so the Vh bits.
-    * p >= floor(17q/9) (LAPACK's MNTHR1, the QR path): zgeqrf, the SVD
-      of the q x q triangle R, then the p x p Q that only U needs.  The
-      first two steps are run here: zgeqrf at its optimal workspace,
-      then zgesdd on R with the workspace the QR path leaves it
-      (W - q*q), which sets the block size of the zunmlq that forms Vh
-      when q >= 34.
+      and dbdsdc('I') give sigma; zunmbr('P', 'R', 'C') forms Vh when it
+      is first read.  Both get the workspace zgesdd hands them (W - 2
+      min(p, q), W its optimum for A), which sets the Vh bits from q = 34.
+    * p >= floor(17q/9) (LAPACK's MNTHR1, the QR path): zgeqrf at its
+      optimal workspace, then zgesdd on the triangle R with the workspace
+      the QR path leaves it (W - q*q), which sets the Vh bits from q = 34;
+      the p x p Q that only U needs is not formed.
 
+    Each keeps its arrays in one buffer per call, addressed by offsets:
+    an array address from numpy costs more than a small LAPACK call.
     Other shapes, and matrices near the range where zgesdd scales A or R
-    first, go to ``np.linalg.svd``.
-
-    Raises NonFinite for NaN/inf entries and ConvergenceFailure if the
-    backend does not converge.
+    first, go to ``np.linalg.svd``.  Raises NonFinite for NaN/inf entries
+    and ConvergenceFailure if the backend does not converge.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.size == 0:
         raise ValueError(f"need a non-empty 2-D matrix, got shape {A.shape}")
     amax = np.abs(A).max()  # NaN or inf for a NaN or inf entry
-    if not np.isfinite(amax) and not np.isfinite(A).all():
+    if not math.isfinite(amax) and not np.isfinite(A).all():
         raise NonFinite("matrix contains non-finite entries")
     p, q = A.shape
     # zgesdd first scales a matrix whose largest modulus lies outside
@@ -189,16 +200,7 @@ def svd(A) -> SvdResult:
     # R's largest modulus lies between max|A|/sqrt(q) and sqrt(p) max|A|,
     # so in this band (a factor 2 to spare) neither A nor R is scaled.
     if p >= 17 * q // 9 and 2 * q**0.5 * _SMLNUM <= amax <= _BIGNUM / (2 * p**0.5):
-        qr_work, _, svd_work = _workspace(p, q)
-        qr, _, _, _ = _geqrf(A, lwork=qr_work)
-        R = qr[:q]
-        R[_strictly_lower(q)] = 0
-        _, sigma, Vh, info = _gesdd(R, compute_uv=1, full_matrices=1, lwork=svd_work - q * q)
-        if info > 0:
-            raise ConvergenceFailure(f"SVD did not converge: zgesdd info={info}")
-        # C order, as np.linalg.svd returns it: both paths hand the
-        # caller the same memory layout.
-        return SvdResult(sigma, np.ascontiguousarray(Vh))
+        return _tall_svd(A)
     try:
         _, sigma, Vh = np.linalg.svd(A, full_matrices=True)
     except np.linalg.LinAlgError as exc:
@@ -206,45 +208,79 @@ def svd(A) -> SvdResult:
     return SvdResult(sigma, Vh)
 
 
+def _buffer(A: np.ndarray, size: int) -> tuple:
+    """A new buffer of size complex elements, its address, and a copy of
+    A at its start in Fortran order (leading dimension p), as a view."""
+    buf = np.empty(size, dtype=complex)
+    a = buf[: A.size].reshape(A.shape[::-1]).T
+    a[...] = A
+    return buf, _address(buf), a
+
+
+def _tall_svd(A: np.ndarray) -> SvdResult:
+    """sigma and Vh as zgesdd's QR path computes them: zgeqrf, then
+    zgesdd('A') on the triangle R, zeroed below its diagonal in place."""
+    p, q = A.shape
+    size, (tau, work, u, vt, rwork, iwork, info), _, (P, Q, QR_WORK, LWORK) = _tall_layout(p, q)
+    buf, base, _ = _buffer(A, size)
+    _zgeqrf(P, Q, base, P, base + tau, base + work, QR_WORK, base + info)
+    buf[_below_diagonal(p, q)] = 0
+    sigma = np.empty(q)
+    _zgesdd(_ALL, Q, Q, base, P, _address(sigma), base + u, Q, base + vt, Q, base + work, LWORK, base + rwork,
+            base + iwork, base + info, 1)
+    if _info(base + info) > 0:
+        raise ConvergenceFailure(f"SVD did not converge: zgesdd info={_info(base + info)}")
+    # Fortran VT read in C order is Vh^T; Vh is copied to C order, as numpy returns it.
+    return SvdResult(sigma, buf[vt // 16 : vt // 16 + q * q].reshape(q, q).T.copy())
+
+
 def _bidiagonal_svd(A: np.ndarray) -> SvdResult:
-    """sigma of A by zgebrd and dbdsdc(uplo, 'I'), as zgesdd's path 6/6t
-    computes it, with Vh deferred to ``_right_vectors``.  Every array
-    lives in one buffer, addressed by offsets: an array address from
-    numpy costs more than a small LAPACK call."""
+    """sigma by zgebrd and dbdsdc(uplo, 'I'), as zgesdd's path 6/6t
+    computes it, with Vh deferred to ``_right_vectors``."""
     p, q = A.shape
     layout = _bidiagonal_layout(p, q)
-    size, (tauq, taup, work, s, e, ru, rvt, rwork, iwork, _), _, (P, Q, N, LWORK) = layout
-    buf = np.empty(size, dtype=complex)
-    base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
-    buf[: p * q].reshape(q, p).T[...] = A  # Fortran order, leading dimension p
-    info = ctypes.c_int()
-    _zgebrd(P, Q, base, P, base + s, base + e, base + tauq, base + taup, base + work, LWORK,
-            ctypes.addressof(info))
+    size, (tauq, taup, work, s, e, ru, rvt, rwork, iwork, _, info), _, (P, Q, N, LWORK) = layout
+    buf, base, _ = _buffer(A, size)
+    _zgebrd(P, Q, base, P, base + s, base + e, base + tauq, base + taup, base + work, LWORK, base + info)
     # dbdsdc's Q and IQ are not referenced with COMPQ='I'; any address does.
     _dbdsdc(_UPPER if p >= q else _LOWER, _VECTORS, N, base + s, base + e, base + ru, N, base + rvt, N,
-            base + rwork, base + iwork, base + rwork, base + iwork, ctypes.addressof(info))
-    if info.value > 0:
-        raise ConvergenceFailure(f"SVD did not converge: dbdsdc info={info.value}")
+            base + rwork, base + iwork, base + rwork, base + iwork, base + info, 1, 1)
+    if _info(base + info) > 0:
+        raise ConvergenceFailure(f"SVD did not converge: dbdsdc info={_info(base + info)}")
     sigma = buf.view(float)[s // 8 : s // 8 + min(p, q)].copy()
     return SvdResult(sigma, partial(_right_vectors, buf, base, layout))
 
 
 def _right_vectors(buf: np.ndarray, base: int, layout: tuple) -> np.ndarray:
     """Vh of a ``_bidiagonal_svd``: zunmbr('P', 'R', 'C') applies zgebrd's
-    right reflectors to VT = [RVT 0; 0 I] with zgebrd's workspace.  Read
-    in C order, each Fortran array is its transpose, so vt holds VT^T
-    and the result is copied back to C order, as numpy returns it."""
-    _, (_, taup, work, _, _, _, rvt, _, _, v), (_, q, n, _), (P, Q, N, LWORK) = layout
+    right reflectors to VT = [RVT 0; 0 I].  Read in C order, a Fortran
+    array is its transpose: vt holds VT^T, copied back to C order."""
+    _, (_, taup, work, _, _, _, rvt, _, _, v, info), (_, q, n, _), (P, Q, N, LWORK) = layout
     vt = buf[v // 16 : v // 16 + q * q]
     if n < q:
         vt[:] = 0
         vt[n * (q + 1) :: q + 1] = 1  # the identity block
     vt = vt.reshape(q, q)
     vt[:n, :n] = buf.view(float)[rvt // 8 : rvt // 8 + n * n].reshape(n, n)
-    info = ctypes.c_int()
     _zunmbr(_APPLY_P, _RIGHT, _CONJ_TRANS, Q, Q, N, base, P, base + taup, base + v, Q, base + work, LWORK,
-            ctypes.addressof(info))
+            base + info, 1, 1, 1)
     return np.ascontiguousarray(vt.T)
+
+
+def singular_values(A) -> np.ndarray:
+    """``np.linalg.svd(A, compute_uv=False)``; ConvergenceFailure if it fails."""
+    try:
+        return np.linalg.svd(A, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
+def solve(A, b) -> np.ndarray:
+    """``np.linalg.solve(A, b)``; RankDeficient at an exactly zero LU pivot."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(str(exc)) from exc
 
 
 def eigenvalues(A) -> np.ndarray:
@@ -252,7 +288,7 @@ def eigenvalues(A) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ValueError(f"need a non-empty square matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    if not all_finite(A):
         raise NonFinite("matrix contains non-finite entries")
     try:
         return np.linalg.eigvals(A)
@@ -261,33 +297,18 @@ def eigenvalues(A) -> np.ndarray:
 
 
 def qr_solve(A, B, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
-    """Least-squares solve of A X = B via economy QR and back substitution.
+    """The minimizer X of ||A X - B||_2, A p x q with p >= q and B a
+    vector or matrix with p rows, by economy QR and back substitution.
 
-    The LAPACK calls are those of ``scipy.linalg.qr(mode="economic")``
-    and ``solve_triangular``, made directly: zgeqrf and zungqr on a
-    Fortran copy of A at their optimal workspace (queried once per
-    shape), then ztrtrs on R^T as a lower triangle with trans=1.  Q must
-    stay Fortran-ordered: with a C-ordered Q (as ``np.linalg.qr`` returns
-    it) Q^H B takes another BLAS path and other last bits.
-
-    Parameters
-    ----------
-    A : array_like, shape (p, q) with p >= q
-        Coefficient matrix.
-    B : array_like
-        Right-hand side, vector or matrix with p rows.
-    rtol : float, optional
-        Declare RankDeficient when min |R_ii| < rtol * max |R_jj|.
-        Pass 0 to skip the check entirely.
-
-    Returns
-    -------
-    numpy.ndarray
-        The minimizer of ||A X - B||_2, same trailing shape as B.
+    The LAPACK calls are those of ``scipy.linalg.qr(mode="economic")`` and
+    ``solve_triangular``: zgeqrf and zungqr on a Fortran copy of A at
+    their optimal workspace, then ztrtrs on R^T as a lower triangle with
+    trans=1.  Q^H B is formed from a Fortran-ordered Q: a C-ordered Q (as
+    ``np.linalg.qr`` returns it) takes another BLAS path and other bits.
 
     Raises ValueError for bad shapes, NonFinite for NaN/inf entries and
-    RankDeficient for a pivot ratio below rtol or, with rtol=0, an
-    exactly zero pivot (ztrtrs info > 0).
+    RankDeficient when min |R_ii| < rtol * max |R_jj| or, with rtol=0,
+    which skips that check, at an exactly zero pivot.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -295,22 +316,31 @@ def qr_solve(A, B, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
         raise ValueError(f"need p >= q >= 1, got shape {A.shape}")
     if B.shape[0] != A.shape[0]:
         raise ValueError(f"rhs has {B.shape[0]} rows, expected {A.shape[0]}")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+    if not (all_finite(A) and all_finite(B)):
         raise NonFinite("least-squares system contains non-finite entries")
-    qr_work, q_work, _ = _workspace(*A.shape)
-    qr, tau, _, _ = _geqrf(A, lwork=qr_work)
-    Q, _, _ = _ungqr(qr, tau, lwork=q_work)
-    diag = np.abs(qr.diagonal())
-    if rtol > 0 and diag.min() < rtol * diag.max():
-        raise RankDeficient(
-            f"triangular factor has pivot ratio {diag.min() / max(diag.max(), 1e-300):.3e}"
-            f" below rtol={rtol:.1e}"
-        )
-    # ztrtrs reads only the lower triangle of R^T: no triu needed.
-    X, info = _trtrs(qr[: A.shape[1]].T, Q.conj().T @ B, lower=1, trans=1)
-    if info > 0:  # exactly-zero pivot with rtol=0
-        raise RankDeficient(f"triangular solve hit a zero pivot at diagonal {info - 1}")
-    return X
+    p, q = A.shape
+    layout = _qr_layout(p, q, 1 if B.ndim == 1 else B.shape[1])
+    size, (tau, work, rt, info), _, (P, Q, QR_WORK, Q_WORK, NRHS) = layout
+    buf, base, factor = _buffer(A, size)
+    _zgeqrf(P, Q, base, P, base + tau, base + work, QR_WORK, base + info)
+    R_t = buf[rt // 16 : rt // 16 + q * q].reshape(q, q)  # R in C order: R^T in Fortran order
+    R_t[...] = factor[:q]
+    if rtol > 0:
+        diag = np.abs(R_t.diagonal()).tolist()  # builtin min and max are faster at small q
+        if min(diag) < rtol * max(diag):
+            ratio = min(diag) / max(max(diag), 1e-300)
+            raise RankDeficient(f"triangular factor has pivot ratio {ratio:.3e} below rtol={rtol:.1e}")
+    _zungqr(P, Q, Q, base, P, base + tau, base + work, Q_WORK, base + info)
+    # ztrtrs overwrites its Fortran B with X, so for a matrix B, x holds
+    # X^T in C order.  It reads only the lower triangle of R^T.
+    x = factor.conj().T @ B
+    if x.ndim == 2:
+        x = x.T.copy()
+    # With no right-hand side ztrtrs still checks the pivots; B is not read.
+    _ztrtrs(_LOWER, _TRANS, _NON_UNIT, Q, NRHS, base + rt, Q, _address(x) if x.size else base, Q, base + info, 1, 1, 1)
+    if _info(base + info) > 0:  # exactly-zero pivot with rtol=0
+        raise RankDeficient(f"triangular solve hit a zero pivot at diagonal {_info(base + info) - 1}")
+    return x.T
 
 
 def polynomial_roots(coeffs) -> np.ndarray:
@@ -330,7 +360,7 @@ def polynomial_roots(coeffs) -> np.ndarray:
         raise ValueError(f"coefficients must be a 1-D array, got shape {c.shape}")
     if c.size == 0:
         raise ValueError("empty coefficient array")
-    if not np.isfinite(c).all():
+    if not all_finite(c):
         raise NonFinite("polynomial coefficients must be finite")
     nonzero = np.flatnonzero(c)
     if nonzero.size == 0:
@@ -348,7 +378,7 @@ def polynomial_roots(coeffs) -> np.ndarray:
             # -= as polycompanion does: = -(...) would flip zeros' signs.
             companion[:, -1] -= c[:-1] / c[-1]
             roots = np.sort(eigenvalues(companion))
-    if not np.isfinite(roots).all():
+    if not all_finite(roots):
         raise NonFinite("polynomial roots overflow: the leading coefficient is tiny next to the others")
     return roots
 

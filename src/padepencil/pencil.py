@@ -17,7 +17,7 @@ import numpy as np
 
 from .baseline import Conformation, RationalApproximant, combined_window, numerator_from_denominator
 from .errors import Collapse, DuplicatePole, InsufficientCoefficients, NonFinite, RankDeficient, SingularVandermonde
-from .numerics import DEFAULT_RANK_RTOL, eigenvalues, poly_from_roots, qr_solve, root_order
+from .numerics import DEFAULT_RANK_RTOL, all_finite, eigenvalues, poly_from_roots, qr_solve, root_order
 from .series import PowerSeries
 
 
@@ -44,12 +44,12 @@ class PoleResidueForm:
 
     def __post_init__(self):
         head = np.array(self.head, dtype=complex).reshape(-1)
-        if not np.isfinite(head).all():
+        if not all_finite(head):
             raise NonFinite("head coefficients must be finite")
         head.flags.writeable = False
         object.__setattr__(self, "head", head)
         pe = np.array(self.terms, dtype=complex).reshape(len(self.terms), 2)
-        if not np.isfinite(pe).all():
+        if not all_finite(pe):
             raise NonFinite("pole-residue terms must be finite")
         p = pe[:, 0]
         # Moduli by hypot, as Python's abs takes them (np.abs may differ
@@ -176,7 +176,7 @@ def pm1_residues(s: PowerSeries, poles, conf: Conformation) -> np.ndarray:
     if poles.size == 0:
         raise ValueError("need at least one pole to solve for residues")
     D, rhs = residue_system(s, poles, conf, use_all_rows=False)
-    if not np.isfinite(D).all():
+    if not all_finite(D):
         raise SingularVandermonde("inverse-pole powers are non-finite (pole at the origin)")
     try:
         return qr_solve(D, rhs)
@@ -192,7 +192,8 @@ def to_rational(prf: PoleResidueForm, s: PowerSeries, conf: Conformation) -> Rat
     happens exactly when some pole sits at the origin); the numerator of
     degree l + k then follows from the series convolution identity.
     With no terms at all a non-negative k yields the bare head over 1
-    and a negative k raises Collapse.
+    and a negative k raises Collapse.  Poles whose denominator overflows
+    raise NonFinite.
     """
     l = len(prf.terms)
     if l == 0:
@@ -200,10 +201,10 @@ def to_rational(prf: PoleResidueForm, s: PowerSeries, conf: Conformation) -> Rat
             raise Collapse("no poles and k < 0 leaves nothing to represent")
         return RationalApproximant(numer=prf.head, denom=np.array([1.0 + 0j]))
     denom = poly_from_roots(prf.poles)
-    if denom[0] != 0:
-        denom = denom / denom[0]
-    else:
-        denom = denom / denom[np.argmax(np.abs(denom))]
+    # Huge or tiny poles may overflow the product or the scaling; the
+    # inf or NaN left makes numerator_from_denominator raise NonFinite.
+    with np.errstate(all="ignore"):
+        denom = denom / (denom[0] if denom[0] != 0 else denom[np.argmax(np.abs(denom))])
     numer = numerator_from_denominator(s, denom, conf)
     return RationalApproximant(numer=numer, denom=denom)
 

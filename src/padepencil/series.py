@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite
+from .numerics import all_finite
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class PowerSeries:
         arr = np.array(self.coeffs, dtype=complex, ndmin=1)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficient array must be 1-D and non-empty")
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise NonFinite("series coefficients must be finite")
         if not self.t > 0:
             raise ValueError(f"accuracy estimate t must be positive, got {self.t}")
@@ -115,7 +116,8 @@ def gen_from_poles(poles, weights, n: int) -> PowerSeries:
     """Series of sum_j e_j/(1 - z/p_j) from simple poles and weights.
 
     The coefficient of z^i is sum_j e_j p_j^{-i}.  Poles must be nonzero;
-    pole/weight lists must have equal length.
+    pole/weight lists must have equal length.  Raises NonFinite when a
+    coefficient overflows.
     """
     p = np.atleast_1d(np.asarray(poles, dtype=complex))
     e = np.atleast_1d(np.asarray(weights, dtype=complex))
@@ -127,7 +129,10 @@ def gen_from_poles(poles, weights, n: int) -> PowerSeries:
         raise ValueError("poles must be nonzero")
     if n < 1:
         raise ValueError(f"need at least one coefficient, got n={n}")
-    d = 1.0 / p
     # c_i = sum_j e_j d_j^i, assembled as a Vandermonde-vector product.
-    c = (d[None, :] ** np.arange(n)[:, None]) @ e
+    # A power that overflows leaves inf or NaN, which PowerSeries rejects
+    # with NonFinite.
+    with np.errstate(all="ignore"):
+        d = 1.0 / p
+        c = (d[None, :] ** np.arange(n)[:, None]) @ e
     return PowerSeries(c, t=15.0)

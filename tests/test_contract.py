@@ -15,6 +15,8 @@ roots with NonFinite, both quietly.  So do ``gen_geometric_noisy`` a
 noise amplitude outside [0, 1) and ``unit_disk_mesh`` a spacing that is
 not a real number, both with ValueError.  The evaluators return NaN
 quietly at non-finite points, which ``error_sweep`` flags.
+``gen_from_poles``, ``to_rational`` and ``numerator_from_denominator``
+raise NonFinite, quietly, where a coefficient overflows or is not finite.
 """
 
 import json
@@ -42,8 +44,10 @@ from padepencil import (
     pm1,
     unit_disk_mesh,
 )
+from padepencil.baseline import numerator_from_denominator
 from padepencil.cli import main
 from padepencil.experiments import METHODS
+from padepencil.pencil import PoleResidueForm, to_rational
 
 CONTRACT = settings(
     deadline=None,
@@ -169,6 +173,35 @@ class TestOverflowingRoots:
         assert (rc, err) == (0, "")
         assert json.loads(out) == {"method": "dm", "conformation": {"m": 1, "k": 0, "final_l": 1},
                                    "poles": [[1.0000000000000002, 0.0]]}
+
+
+class TestOverflowingHelpers:
+    """Three public helpers let an overflow through: gen_from_poles and
+    to_rational printed a numpy RuntimeWarning, and
+    numerator_from_denominator returned NaN for a NaN denominator."""
+
+    def _raises_nonfinite_quietly(self, fn, capfd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                fn()
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("poles", [[1e-200], [1e-320], [1.0, 1e-110]])
+    def test_gen_from_poles(self, poles, capfd):
+        self._raises_nonfinite_quietly(lambda: gen_from_poles(poles, [1.0] * len(poles), 4), capfd)
+
+    @pytest.mark.parametrize("poles", [(1e200, 2e200), (1e-160, 2e-160)])
+    def test_to_rational(self, poles, capfd):
+        prf = PoleResidueForm(head=[], terms=tuple((p, 1) for p in poles))
+        self._raises_nonfinite_quietly(lambda: to_rational(prf, PowerSeries(np.ones(5)), Conformation(2, 0)), capfd)
+
+    @pytest.mark.parametrize("denom", [[np.nan, 1], [1, np.inf], [1, 0.5, complex(0, np.nan)]])
+    @pytest.mark.parametrize("k", [0, -1])  # at k = -1 the truncated product drops the last coefficient
+    def test_numerator_from_denominator(self, denom, k, capfd):
+        self._raises_nonfinite_quietly(
+            lambda: numerator_from_denominator(PowerSeries(np.ones(5)), denom, Conformation(2, k)), capfd
+        )
 
 
 class TestConformationDegrees:
