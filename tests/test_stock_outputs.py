@@ -1,11 +1,15 @@
-"""The stock outputs of ``tools/stock_outputs.py`` against their recorded
-SHA-256 manifest.
+"""The stock outputs of ``tools/stock_outputs.py`` and the benchmark slot
+outputs of ``tools/slot_hashes.py`` against their recorded SHA-256
+manifests.
 
-``tests/golden/stock.sha256`` holds the hash of every file the tool
-writes except the ``cli/help-*`` texts, which carry no numbers.  Their
-last bits depend on the Python and numpy versions and on the kernels
-OpenBLAS picks for the CPU, so ``tests/golden/fingerprint.json`` records
-those three; on another host the test skips and names both.
+``tests/golden/stock.sha256`` holds the hash of every file
+``stock_outputs.py`` writes except the ``cli/help-*`` texts, which carry
+no numbers.  ``tests/golden/slots.sha256`` holds the hash of every
+``stream_small``, ``deep_filter`` and ``cli_requests`` slot output at
+seeds 1-3, as ``slot_hashes.py`` prints it.  Their last bits depend on
+the Python and numpy versions and on the kernels OpenBLAS picks for the
+CPU, so ``tests/golden/fingerprint.json`` records those three; on
+another host both tests skip and name both.
 """
 
 import ctypes
@@ -35,15 +39,22 @@ def host_fingerprint() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__, "openblas_core": core}
 
 
-def test_stock_outputs_match_the_manifest(tmp_path):
+def parse_manifest(text: str) -> dict:
+    """Name -> digest from ``sha256sum``-style lines."""
+    return {key: digest for digest, key in (line.split("  ", 1) for line in text.splitlines())}
+
+
+def recorded_manifest(name: str) -> dict:
+    """A golden manifest; skips on another host."""
     recorded = json.loads((GOLDEN / "fingerprint.json").read_text())
     host = host_fingerprint()
     if host != recorded:
         pytest.skip(f"manifest recorded on {recorded}, this host is {host}")
-    want = {}
-    for line in (GOLDEN / "stock.sha256").read_text().splitlines():
-        digest, name = line.split("  ", 1)
-        want[name] = digest
+    return parse_manifest((GOLDEN / name).read_text())
+
+
+def test_stock_outputs_match_the_manifest(tmp_path):
+    want = recorded_manifest("stock.sha256")
     out = tmp_path / "stock"
     subprocess.run([sys.executable, str(ROOT / "tools" / "stock_outputs.py"), str(out)], check=True,
                    capture_output=True, timeout=300)
@@ -52,5 +63,14 @@ def test_stock_outputs_match_the_manifest(tmp_path):
         for path in out.rglob("*")
         if path.is_file() and not path.relative_to(out).as_posix().startswith("cli/help-")
     }
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] != want[name]] == []
+
+
+def test_benchmark_slot_outputs_match_the_manifest():
+    want = recorded_manifest("slots.sha256")
+    printed = subprocess.run([sys.executable, str(ROOT / "tools" / "slot_hashes.py")], check=True,
+                             capture_output=True, text=True, timeout=300).stdout
+    got = parse_manifest(printed)
     assert sorted(got) == sorted(want)
     assert [name for name in want if got[name] != want[name]] == []

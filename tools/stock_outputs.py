@@ -27,6 +27,16 @@ Writes into OUTDIR:
   subcommand, ``--m x`` and a missing coefficient file), run between
   successful calls, so a parser reused after a usage error is compared
   too;
+* ``cli/usage-approximate-bogus.status``,
+  ``cli/usage-misspelt-command.status``,
+  ``cli/usage-experiment-no-name.status`` and
+  ``cli/usage-experiment-log-branch-bogus.status``: an unrecognized
+  option after a subcommand, a misspelt command, ``experiment`` with no
+  experiment named and an unrecognized option after a nested
+  subcommand;
+* ``cli/nonfinite.json``, ``cli/approximate-nonfinite.json.status`` and
+  ``cli/poles-nonfinite.json.status``: both commands on a coefficient
+  file that holds 1e400, which reads as infinity;
 * ``cli/log-201.json``, ``cli/poles4-240.json`` and
   ``cli/approximate-<method>-<input>.json`` for pm2 and svd:
   ln(1.2-z) at [100/100] and a seeded noisy sum of 4 poles at [119/120],
@@ -106,7 +116,8 @@ def write_experiments() -> None:
 def write_inputs() -> None:
     """The three INPUTS: a complex noisy 3-pole series as JSON pairs and
     as text, and a real noisy geometric series as JSON numbers; the
-    overflowing ``tiny.json``; and the two large-m series."""
+    overflowing ``tiny.json``; ``nonfinite.json``; and the two large-m
+    series."""
     rng = np.random.default_rng(2022)
     poles = [1.5, -2.0 + 0.5j, 0.8 + 1.1j]
     exact = gen_from_poles(poles, [1.0, 0.5 - 0.25j, 2.0], 12).coeffs
@@ -117,6 +128,7 @@ def write_inputs() -> None:
     lines = ["# re im, one coefficient per line"] + [f"{c.real!r} {c.imag!r}" for c in noisy.tolist()]
     Path("cli/lines.txt").write_text("\n".join(lines) + "\n")
     Path("cli/tiny.json").write_text(json.dumps([1e-300] * 3))
+    Path("cli/nonfinite.json").write_text("[[1, 0], [1e400, 0], [1, 0]]")
     Path("cli/log-201.json").write_text(json.dumps([[c.real, c.imag] for c in gen_log_series(201).coeffs.tolist()]))
     poles4 = gen_from_poles([1.3, -1.5 + 0.4j, 0.2 + 1.6j, -0.9 - 1.2j], [1.0, 0.5j, -0.7, 0.3 + 0.3j], 240).coeffs
     poles4 = poles4 * (1 + 1e-8 * rng.uniform(-1, 1, poles4.size))
@@ -152,6 +164,12 @@ def write_cli() -> None:
     run_cli([], "cli/usage-no-command")
     run_cli(["approximate", "--coeffs", "cli/pairs.json", "--m", "x"], "cli/usage-approximate-m-x")
     run_cli(["poles", "--coeffs", "cli/missing.json", "--m", "3"], "cli/poles-missing-file")
+    run_cli(["approximate", "--coeffs", "cli/pairs.json", "--m", "3", "--bogus", "1"], "cli/usage-approximate-bogus")
+    run_cli(["aproximate", "--m", "3"], "cli/usage-misspelt-command")
+    run_cli(["experiment"], "cli/usage-experiment-no-name")
+    run_cli(["experiment", "log-branch", "--n", "21", "--bogus"], "cli/usage-experiment-log-branch-bogus")
+    for command in ("approximate", "poles"):
+        run_cli([command, "--coeffs", "cli/nonfinite.json", "--m", "1"], f"cli/{command}-nonfinite.json")
     for command in ("approximate", "poles"):
         run_cli([command, "--coeffs", "cli/tiny.json", "--method", "dm", "--m", "1", "--k", "0"],
                 f"cli/{command}-dm-tiny.json")
