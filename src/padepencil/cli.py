@@ -8,7 +8,9 @@ Subcommands::
     padepencil experiment log-branch [--n 41 --t 14]
 
 Exit codes: 0 on success, 2 when the approximation itself fails
-(degenerate or singular systems, collapse), 3 on usage or input errors.
+(degenerate or singular systems, collapse), 3 on usage or input errors,
+among them a coefficient that is not finite (NaN, inf, or a number such
+as 1e400 that overflows a double).
 A closed stdout (its reader, such as head, has gone) is not an error:
 the rest of the output is dropped and the exit code is 0, with nothing
 on stderr.
@@ -23,6 +25,7 @@ fail on numerator roots that it would never print.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import os
@@ -38,6 +41,7 @@ from .experiments import (
     METHODS,
     ExperimentConfig,
     approximate_series,
+    json_text,
     run_geometric_noise,
     run_log_branch,
     solve,
@@ -80,14 +84,19 @@ def load_coefficients(path: str) -> np.ndarray:
         raise ValueError(f"{path}: no coefficients found")
     values = []
     for lineno, pair in entries:
+        expected = "a number, 're im' or [re, im]"
         if isinstance(pair, list) and len(pair) == 2:
             try:
-                values.append(complex(float(pair[0]), float(pair[1])))
-                continue
+                value = complex(float(pair[0]), float(pair[1]))
             except (TypeError, OverflowError):  # null or a list inside, an integer beyond float
                 pass
+            else:
+                if cmath.isfinite(value):
+                    values.append(value)
+                    continue
+                expected = "finite values"
         where = path if lineno is None else f"{path}:{lineno}"
-        raise ValueError(f"{where}: expected a number, 're im' or [re, im], got {pair!r}")
+        raise ValueError(f"{where}: expected {expected}, got {pair!r}")
     return np.array(values, dtype=complex)
 
 
@@ -117,7 +126,7 @@ def cli_approximate(args) -> int:
         }
     if args.format == "json":
         head = {"method": args.method, "conformation": {"m": conf.m, "k": conf.k, "final_l": final_l}}
-        text = json.dumps(head | payload, indent=2) + "\n"
+        text = json_text(head | payload) + "\n"
     else:
         lines = ["kind,index,re,im"]
         for kind, pairs in payload.items():
@@ -143,11 +152,11 @@ def cli_experiment(args) -> int:
         view = {"config": result["config"], "summary": result["summary"]}
     else:
         view = run_log_branch(cfg)
-    print(json.dumps(view, indent=2))
+    print(json_text(view))
     return 0
 
 
-def _add_approximation_parser(sub, command: str, summary: str) -> None:
+def _add_approximation_parser(sub, command: str, summary: str) -> argparse.ArgumentParser:
     """A subcommand that solves and writes its view of the approximant."""
     p = sub.add_parser(command, help=summary)
     p.add_argument("--coeffs", required=True, help="coefficient file (JSON array or 're im' lines)")
@@ -159,20 +168,22 @@ def _add_approximation_parser(sub, command: str, summary: str) -> None:
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cli_approximate)
+    return p
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later one:
-    parsing does not change it, and help text is formatted when printed."""
+    parsing does not change it, and help text is formatted when printed.
+    Its ``commands`` maps each subcommand name to that subcommand's parser."""
     parser = _Parser(prog="padepencil", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    _add_approximation_parser(sub, "approximate", "full approximant from a coefficient file")
-    _add_approximation_parser(sub, "poles", "pole estimates only")
-
-    p_exp = sub.add_parser("experiment", help="stock reproducibility studies")
-    exp_sub = p_exp.add_subparsers(dest="experiment", parser_class=_Parser)
+    parser.commands = {
+        "approximate": _add_approximation_parser(sub, "approximate", "full approximant from a coefficient file"),
+        "poles": _add_approximation_parser(sub, "poles", "pole estimates only"),
+        "experiment": sub.add_parser("experiment", help="stock reproducibility studies"),
+    }
+    exp_sub = parser.commands["experiment"].add_subparsers(dest="experiment", parser_class=_Parser)
 
     defaults = ExperimentConfig()
     p_geo = exp_sub.add_parser("geometric-noise", help="noise study on 1/(1-z)")
@@ -198,15 +209,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_arguments(argv: list) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: the same namespace, output and
+    exit.  When argv[0] names a subcommand, that subcommand's parser reads
+    the rest and the top-level parse is skipped; leftover arguments are
+    reported through the top-level parser, as parse_args reports them."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     """Run one command on argv (default sys.argv[1:]) and return its exit
     code.  It may be called repeatedly in one process, and it never closes
     or redirects the caller's streams: on a closed stdout it returns 0."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_arguments(sys.argv[1:] if argv is None else list(argv))
     func = getattr(args, "func", None)
     if func is None:
-        parser.print_usage(sys.stderr)
+        build_parser().print_usage(sys.stderr)
         print("error: a subcommand is required", file=sys.stderr)
         return 3
     try:

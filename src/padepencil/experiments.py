@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import stat
 from dataclasses import asdict, dataclass, replace
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -65,22 +65,85 @@ def write_output(path: str, text: str) -> None:
     """Write ``text`` to ``path`` in place; every output file of the CLI
     and the experiments is written here.
 
-    The file is opened without O_TRUNC, written and flushed, and then,
-    when it is a regular file, cut to the written length.  The text is
-    ASCII, so the bytes are those that ``open(path, "w")`` writes, and
-    like it this is not atomic.  A symlink is written through, an
-    existing file keeps its mode bits, and a device such as /dev/null is
-    not truncated.  O_TRUNC would free the file's blocks before the write
+    The file is opened without O_TRUNC and written with ``os.write``
+    (again after a short write); then, when it is a regular file longer
+    than the text, it is cut to the written length.  The text is ASCII,
+    so the bytes are those that ``open(path, "w")`` writes, and like it
+    this is not atomic.  A symlink is written through, an existing file
+    keeps its mode bits, and a device such as /dev/null is not
+    truncated.  O_TRUNC would free the file's blocks before the write
     allocates them again; on a filesystem that discards freed blocks
     online (ext4 mounted with ``discard``) that costs several hundred
     microseconds, far more than the write.
     """
     data = text.encode()
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate(len(data))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
+#: JSON spellings of the non-finite floats, keyed by ``float.__repr__``.
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)`` for dicts, lists, tuples, strings,
+    ints, floats, bools and None, which is all the package writes.
+
+    With an indent, ``json`` runs its pure-Python encoder; this writer
+    joins each container's items in one step instead.  Like ``json``,
+    floats (subclasses too) print by ``float.__repr__``, NaN and
+    infinities as NaN, Infinity and -Infinity, keys that are not strings
+    as ``json`` converts them, and any other value raises TypeError.
+    """
+    return _json(obj, "\n")
+
+
+def _json(obj, newline: str) -> str:
+    """One value of ``json_text``, with its items on lines that start with
+    ``newline`` plus two spaces."""
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _JSON_FLOATS.get(text, text)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json(item, inner) for item in obj]) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{_json_key(key)}: {_json(value, inner)}" for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it: a string, or a number, bool or None
+    in quotes."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (float, int)) or key is None:
+        return encode_basestring_ascii(_json(key, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 @dataclass
@@ -277,7 +340,7 @@ def _write_geometric(path: str, result: dict) -> None:
     writer.writerows({k: _cell(v) for k, v in row.items()} for row in result["rows"])
     write_output(f"{path}.samples.csv", buf.getvalue())
     view = {"config": result["config"], "summary": result["summary"]}
-    write_output(f"{path}.summary.json", json.dumps(view, indent=2) + "\n")
+    write_output(f"{path}.summary.json", json_text(view) + "\n")
 
 
 def _cell(v) -> str:
@@ -386,5 +449,5 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
     result["assimilation"] = assim
 
     if cfg.output_path:
-        write_output(f"{cfg.output_path}.json", json.dumps(result, indent=2) + "\n")
+        write_output(f"{cfg.output_path}.json", json_text(result) + "\n")
     return result

@@ -6,8 +6,9 @@ that error mapping and rank policy live in one place.  All run in one
 LAPACK build, the ILP64 OpenBLAS bundled with numpy (scipy-openblas64):
 ``svd`` and ``qr_solve`` call the routines they need through ``ctypes``,
 by the symbols (``scipy_zgeqrf_64_`` and the like) that numpy's
-``_umath_linalg`` resolves, and the rest call ``np.linalg``.  Importing
-this module raises ImportError naming the symbol that numpy lacks.
+``_umath_linalg`` resolves, ``eigenvalues`` calls that module's
+``eigvals`` gufunc, and the rest call ``np.linalg``.  Importing this
+module raises ImportError naming the symbol that numpy lacks.
 """
 
 from __future__ import annotations
@@ -283,17 +284,24 @@ def solve(A, b) -> np.ndarray:
         raise RankDeficient(str(exc)) from exc
 
 
+def _eigenvalues_did_not_converge(err, flag):
+    raise ConvergenceFailure("eigenvalue iteration failed: Eigenvalues did not converge")
+
+
 def eigenvalues(A) -> np.ndarray:
-    """Eigenvalues of a square matrix, no particular order guaranteed."""
+    """Eigenvalues of a square matrix, no particular order guaranteed.
+
+    Calls numpy's zgeev gufunc as ``np.linalg.eigvals`` does for a complex
+    matrix, in the same ``errstate``, without its second finiteness check
+    and dtype dispatch: the same bits."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ValueError(f"need a non-empty square matrix, got shape {A.shape}")
     if not all_finite(A):
         raise NonFinite("matrix contains non-finite entries")
-    try:
-        return np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigenvalue iteration failed: {exc}") from exc
+    with np.errstate(call=_eigenvalues_did_not_converge, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.eigvals(A, signature="D->D")
 
 
 def qr_solve(A, B, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
@@ -405,7 +413,7 @@ def root_order(z) -> np.ndarray:
 
 def complex_pairs(values) -> list:
     """JSON form of complex values: a list of [re, im] float pairs."""
-    return [[float(v.real), float(v.imag)] for v in np.atleast_1d(values)]
+    return [[v.real, v.imag] for v in np.atleast_1d(np.asarray(values, dtype=complex)).tolist()]
 
 
 def complex_from_parts(re, im) -> np.ndarray:

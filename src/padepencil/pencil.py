@@ -37,6 +37,8 @@ class PoleResidueForm:
     ``terms`` holds (p_j, e_j) pairs and shift = len(head).  The head
     carries c_0..c_k when k >= 0 (so shift = k+1) and is empty
     otherwise.  Terms are stored sorted by pole magnitude, then phase.
+    Non-finite entries, and a finite pole whose modulus overflows, raise
+    NonFinite; two poles within a relative 1e-12 raise DuplicatePole.
     """
 
     head: np.ndarray
@@ -56,6 +58,8 @@ class PoleResidueForm:
         # in the last bit); ties in (modulus, angle) keep input order.
         with np.errstate(over="ignore"):
             a = np.hypot(p.real, p.imag)
+        if not all_finite(a):
+            raise NonFinite("pole moduli must be finite: one overflows")
         order = np.lexsort((np.angle(p), a))
         if p.size > 1:
             _reject_duplicates(p, a, order)
@@ -82,12 +86,11 @@ def _reject_duplicates(p, a, order) -> None:
     Such a pair has moduli within a relative 1e-12, so each pole is
     compared only with the poles after it in modulus ``order`` whose
     modulus lies in that band, widened for rounding and, where 1e-12 of
-    a modulus underflows, by 1e-300.  An infinite modulus is close to
-    every pole."""
+    a modulus underflows, by 1e-300."""
     n = p.size
     s = a[order]
     with np.errstate(over="ignore"):
-        top = s * (1 + 4e-12) + 1e-300 if s[-1] < np.inf else np.full(n, np.inf)
+        top = s * (1 + 4e-12) + 1e-300
         count = np.searchsorted(s, top, side="right") - np.arange(1, n + 1)
         if not count.any():
             return

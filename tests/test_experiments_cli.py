@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padepencil
 from padepencil import (
@@ -35,11 +38,13 @@ from padepencil.experiments import (
     MethodResult,
     _geometric_row,
     approximate_series,
+    json_text,
     on_ray,
     pruned_square_refit,
     run_geometric_noise,
     run_log_branch,
     sample_rng,
+    write_output,
 )
 
 
@@ -243,6 +248,21 @@ class TestLogBranch:
         assert all(on_ray(p) for p in prf.poles)
 
 
+#: Non-finite coefficients in each spelling: file name, text, and where
+#: the error points (the file, and for text the line).
+NON_FINITE = [
+    ("c.json", "[[1, 0], [1e400, 0], [1, 0]]", "c.json"),
+    ("c.json", "[1, 1e400]", "c.json"),
+    ("c.json", "[1, NaN]", "c.json"),
+    ("c.json", "[[1, 0], [0, Infinity]]", "c.json"),
+    ("c.json", "[1, -Infinity]", "c.json"),
+    ("c.txt", "1\ninf\n", "c.txt:2"),
+    ("c.txt", "1 nan\n", "c.txt:1"),
+    ("c.txt", "# head\n1 0\n1e400 0\n", "c.txt:3"),
+    ("c.txt", "1\n0 -inf\n", "c.txt:2"),
+]
+
+
 class TestCoefficientFiles:
     def test_json_real_numbers(self, tmp_path):
         path = tmp_path / "c.json"
@@ -293,6 +313,13 @@ class TestCoefficientFiles:
         path = tmp_path / "c.json"
         path.write_text(text)
         with pytest.raises(ValueError, match=r"c\.json: expected a number, 're im' or \[re, im\]"):
+            load_coefficients(str(path))
+
+    @pytest.mark.parametrize("name, text, where", NON_FINITE, ids=[text for _, text, _ in NON_FINITE])
+    def test_non_finite_rejected_with_location(self, tmp_path, name, text, where):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / where))}: expected finite values, got "):
             load_coefficients(str(path))
 
     def test_json_true_reads_as_one(self, tmp_path):
@@ -372,6 +399,17 @@ class TestCli:
         rc = main(["approximate", "--coeffs", str(coeffs), "--m", "1", "--k", "-1"])
         assert rc == 3
         assert "expected a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["approximate", "poles"])
+    @pytest.mark.parametrize("name, text, where", NON_FINITE, ids=[text for _, text, _ in NON_FINITE])
+    def test_non_finite_coefficients_exit_3(self, tmp_path, capsys, command, name, text, where):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main([command, "--coeffs", str(path), "--m", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {tmp_path / where}: expected finite values, got ")
 
     def test_usage_error_exits_3(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -587,6 +625,54 @@ class TestOutputFiles:
         assert (rc, err) == (3, f"error: [Errno 21] Is a directory: '{tmp_path / f'out{suffixes[0]}'}'\n")
 
 
+class ReprFloat(float):
+    """A float subclass with its own repr, which JSON does not use."""
+
+    def __repr__(self):
+        return "ReprFloat()"
+
+
+_floats = (
+    st.floats()
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-7])
+    | st.floats().map(ReprFloat)
+)
+_scalars = st.none() | st.booleans() | st.integers() | _floats | st.text()
+_keys = st.text() | st.integers() | _floats | st.booleans() | st.none()
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonText:
+    """json_text writes what json.dumps(obj, indent=2) writes."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_json_values)
+    def test_same_text_as_json_dumps(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [object(), np.int64(1), np.float32(1.0), {1j: 1}, [{(1, 2): 0}], {1, 2}])
+    def test_other_values_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError):
+            json_text(obj)
+
+
+class TestWriteOutput:
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("#" * 100)
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+        write_output(str(path), "0123456789" * 5)
+        monkeypatch.undo()
+        assert path.read_text() == "0123456789" * 5
+
+
 class TestRepeatedRequests:
     """main may be called many times in one process; the parser is built
     once and shared, and no request sees state left by an earlier one."""
@@ -637,3 +723,72 @@ class TestRepeatedRequests:
         assert main(["experiment", "log-branch", "--n", "7"]) == 0
         assert calls == [7]
         assert json.loads(capsys.readouterr().out) == {"n": 7}
+
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _cli_requests_calls():
+    """The 32 argv shapes of the benchmark's cli_requests workload, on a
+    noisy 3-pole series read as JSON pairs (req.json) and as text lines
+    (req.txt), with each call's --out."""
+    for method in METHODS:
+        m, t = (8, "15") if method == "pm1" else (10, "8")
+        for command in ("approximate", "poles"):
+            for in_fmt, out_fmt in (("json", "json"), ("txt", "csv"), ("json", "csv"), ("txt", "json")):
+                out = f"req-{method}-{command}-{in_fmt}.{out_fmt}"
+                yield ([command, "--coeffs", f"req.{in_fmt}", "--method", method, "--m", str(m), "--k", "-1",
+                        "--t", t, "--format", out_fmt, "--out", out], (out,))
+
+
+#: Argument orders that the stock calls do not reach.
+ODD_ARGV = [
+    ["-h"], [""], ["--", "approximate"], ["approximate"], ["approximate", "--h"], ["experiment", "--help"],
+    ["approximate", "--", "--m", "3"], ["poles", "--coeffs=req.json", "--m=3", "--k", "-1"],
+    ["poles", "--coeffs", "req.json", "--m", "3", "stray"], ["poles", "--co", "req.json", "--m", "3", "--k", "-1"],
+    ["experiment", "geometric-noise", "--samples", "1", "--eps", "1e-6", "stray", "--bogus"],
+    ["experiment", "log-brunch"], ["approximate", "poles", "--coeffs", "req.json", "--m", "3"],
+]
+
+
+class TestSubcommandDispatch:
+    """main hands argv[1:] to the parser of the subcommand that argv[0]
+    names; what it returns, prints and writes, and the namespace it acts
+    on, are those of a top-level ``build_parser().parse_args``."""
+
+    def _outcome(self, monkeypatch, capsys, argv, outputs, parse):
+        namespaces = []
+        monkeypatch.setattr("padepencil.cli.parse_arguments", lambda a: namespaces.append(parse(a)) or namespaces[-1])
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        written = {}
+        for path in map(Path, outputs):
+            if path.exists():
+                written[path.name] = path.read_bytes()
+                path.unlink()
+        return rc, out, err, namespaces, written
+
+    def test_every_stock_and_benchmark_call(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.syspath_prepend(str(TOOLS))
+        import stock_outputs
+
+        monkeypatch.chdir(tmp_path)
+        Path("cli").mkdir()
+        stock_outputs.write_inputs()
+        exact = padepencil.gen_from_poles([1.5, -2.0 + 0.5j, 0.8 + 1.1j], [1.0, 0.5 - 0.25j, 2.0], 20).coeffs
+        noisy = (exact * (1 + 1e-9 * np.sin(np.arange(20)))).tolist()
+        Path("req.json").write_text(json.dumps([[c.real, c.imag] for c in noisy]))
+        Path("req.txt").write_text("# noisy sum of known poles\n" + "".join(f"{c.real!r} {c.imag!r}\n" for c in noisy))
+        calls = [(argv, held) for argv, _, held in stock_outputs.cli_calls()]
+        calls += list(_cli_requests_calls()) + [(argv, ()) for argv in ODD_ARGV]
+        dispatched = padepencil.cli.parse_arguments
+        exits = set()
+        for argv, outputs in calls:
+            got = self._outcome(monkeypatch, capsys, argv, outputs, dispatched)
+            want = self._outcome(monkeypatch, capsys, argv, outputs, lambda a: build_parser().parse_args(a))
+            assert got == want, argv
+            exits.add(got[0])
+        assert exits == {0, 2, 3, ("SystemExit", 0), ("SystemExit", 3)}

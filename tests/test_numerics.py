@@ -8,6 +8,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from padepencil import numerics
 from padepencil.baseline import combined_window
 from padepencil.numerics import (
     DEFAULT_RANK_RTOL,
+    complex_pairs,
     eigenvalues,
     poly_from_roots,
     polynomial_roots,
@@ -272,6 +274,19 @@ class TestSvdBitwise:
             sys.setswitchinterval(interval)
 
 
+class TestComplexPairs:
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([1 + 2j, -0.0 - 0.0j, complex(np.inf, np.nan), 5e-324j]), np.array([1.0, -0.0, np.inf]),
+         np.array([3, -1]), [1j, 2], 2.5 - 1j, np.array([], dtype=complex), ()],
+    )
+    def test_float_pairs_of_each_value(self, values):
+        got = complex_pairs(values)
+        want = [[float(v.real), float(v.imag)] for v in np.atleast_1d(values)]
+        assert json.dumps(got) == json.dumps(want)
+        assert all(type(x) is float for pair in got for x in pair)
+
+
 class TestEigenvalues:
     def test_companion_pair(self):
         # characteristic polynomial x^2 - 5x + 6
@@ -288,6 +303,24 @@ class TestEigenvalues:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             eigenvalues(np.ones((2, 3)))
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_bitwise_against_numpy_eigvals(self, data):
+        # Random dense matrices and companion matrices, real and complex,
+        # over a wide range of scales.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(1, 60))
+        scale = 10.0 ** data.draw(st.integers(-150, 150))
+        if data.draw(st.booleans()):
+            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        else:
+            A = np.diag(np.ones(n - 1, dtype=complex), -1)
+            A[0] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if data.draw(st.booleans()):
+            A = A.real.astype(complex)
+        A = A * scale
+        np.testing.assert_array_equal(eigenvalues(A).view(np.int64), np.linalg.eigvals(A).view(np.int64))
 
 
 class TestQrSolve:
@@ -521,10 +554,11 @@ class TestPolynomialRoots:
         assert capfd.readouterr() == ("", "")
 
     def test_eigen_failure_is_convergence_failure(self, monkeypatch):
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        def fail(a, signature):
+            # zgeev's failure as the gufunc reports it: an invalid flag
+            return np.zeros(a.shape[:-1]) / np.zeros(a.shape[:-1])
 
-        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        monkeypatch.setattr(numerics, "_umath_linalg", SimpleNamespace(eigvals=fail))
         with pytest.raises(ConvergenceFailure):
             polynomial_roots([1.0, 2.0, 3.0])
 

@@ -207,12 +207,13 @@ class TestPoleResidueForm:
                 assert PoleResidueForm(head=[], terms=terms).terms == want
 
     def test_moduli_near_overflow(self):
-        # 1e-12 times an infinite modulus bounds every finite distance;
-        # a finite modulus near the largest double overflows no warning.
+        # A finite pole whose modulus overflows is non-finite, alone or
+        # not; a finite modulus near the largest double overflows no warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DuplicatePole, match=r"poles \(1\+0j\) and \(1\.5e\+308"):
-                PoleResidueForm(head=[], terms=[(1.0, 1.0), (1.5e308 + 1.5e308j, 1.0), (2.0, 1.0)])
+            for terms in ([(1.0, 1.0), (1.5e308 + 1.5e308j, 1.0), (2.0, 1.0)], [(1.5e308 + 1.5e308j, 1.0)]):
+                with pytest.raises(NonFinite, match="pole moduli must be finite"):
+                    PoleResidueForm(head=[], terms=terms)
             big = np.finfo(float).max
             prf = PoleResidueForm(head=[], terms=[(big, 1.0), (-big, 1.0), (1.0, 1.0)])
         assert prf.poles.tolist() == [1.0, big, -big]

@@ -60,7 +60,6 @@ import sys
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-os.environ["COLUMNS"] = "100"  # argparse wraps help text to the terminal width
 
 import contextlib
 import io
@@ -149,9 +148,10 @@ def run_cli(argv, name: str) -> None:
     Path(f"{name}.status").write_text(f"exit {rc}\n{err.getvalue()}")
 
 
-def write_cli() -> None:
-    Path("cli").mkdir()
-    write_inputs()
+def cli_calls():
+    """Every CLI call the tool makes, in order: its argv, the name its
+    outputs are written under, and the paths that hold the placeholder
+    before it runs."""
     for src, label in INPUTS.items():
         for method in METHODS:
             for command in ("approximate", "poles"):
@@ -159,35 +159,44 @@ def write_cli() -> None:
                     out = f"cli/{command}-{method}-{label}.{fmt}"
                     argv = [command, "--coeffs", f"cli/{src}", "--method", method, "--m", "3", "--k", "-1",
                             "--t", "8", "--format", fmt, "--out", out]
-                    hold(out)
-                    run_cli(argv, out)
-    run_cli([], "cli/usage-no-command")
-    run_cli(["approximate", "--coeffs", "cli/pairs.json", "--m", "x"], "cli/usage-approximate-m-x")
-    run_cli(["poles", "--coeffs", "cli/missing.json", "--m", "3"], "cli/poles-missing-file")
-    run_cli(["approximate", "--coeffs", "cli/pairs.json", "--m", "3", "--bogus", "1"], "cli/usage-approximate-bogus")
-    run_cli(["aproximate", "--m", "3"], "cli/usage-misspelt-command")
-    run_cli(["experiment"], "cli/usage-experiment-no-name")
-    run_cli(["experiment", "log-branch", "--n", "21", "--bogus"], "cli/usage-experiment-log-branch-bogus")
+                    yield argv, out, (out,)
+    yield [], "cli/usage-no-command", ()
+    yield ["approximate", "--coeffs", "cli/pairs.json", "--m", "x"], "cli/usage-approximate-m-x", ()
+    yield ["poles", "--coeffs", "cli/missing.json", "--m", "3"], "cli/poles-missing-file", ()
+    yield ["approximate", "--coeffs", "cli/pairs.json", "--m", "3", "--bogus", "1"], "cli/usage-approximate-bogus", ()
+    yield ["aproximate", "--m", "3"], "cli/usage-misspelt-command", ()
+    yield ["experiment"], "cli/usage-experiment-no-name", ()
+    yield ["experiment", "log-branch", "--n", "21", "--bogus"], "cli/usage-experiment-log-branch-bogus", ()
     for command in ("approximate", "poles"):
-        run_cli([command, "--coeffs", "cli/nonfinite.json", "--m", "1"], f"cli/{command}-nonfinite.json")
+        yield [command, "--coeffs", "cli/nonfinite.json", "--m", "1"], f"cli/{command}-nonfinite.json", ()
     for command in ("approximate", "poles"):
-        run_cli([command, "--coeffs", "cli/tiny.json", "--method", "dm", "--m", "1", "--k", "0"],
-                f"cli/{command}-dm-tiny.json")
+        yield ([command, "--coeffs", "cli/tiny.json", "--method", "dm", "--m", "1", "--k", "0"],
+               f"cli/{command}-dm-tiny.json", ())
     for method in ("pm2", "svd"):
-        run_cli(["approximate", "--coeffs", "cli/log-201.json", "--method", method, "--m", "100", "--k", "0"],
-                f"cli/approximate-{method}-log-201.json")
-        run_cli(["approximate", "--coeffs", "cli/poles4-240.json", "--method", method, "--m", "120", "--k", "-1",
-                 "--t", "8"], f"cli/approximate-{method}-poles4-240.json")
-    hold("cli/experiment-geo.samples.csv", "cli/experiment-geo.summary.json", "cli/experiment-log.json")
-    run_cli(["experiment", "geometric-noise", "--eps", "1e-4", "--eps", "1e-9", "--samples", "2",
-             "--out", "cli/experiment-geo"], "cli/experiment-geo.printed.json")
-    run_cli(["experiment", "log-branch", "--n", "21", "--out", "cli/experiment-log"], "cli/experiment-log.printed.json")
+        yield (["approximate", "--coeffs", "cli/log-201.json", "--method", method, "--m", "100", "--k", "0"],
+               f"cli/approximate-{method}-log-201.json", ())
+        yield (["approximate", "--coeffs", "cli/poles4-240.json", "--method", method, "--m", "120", "--k", "-1",
+                "--t", "8"], f"cli/approximate-{method}-poles4-240.json", ())
+    yield (["experiment", "geometric-noise", "--eps", "1e-4", "--eps", "1e-9", "--samples", "2",
+            "--out", "cli/experiment-geo"], "cli/experiment-geo.printed.json",
+           ("cli/experiment-geo.samples.csv", "cli/experiment-geo.summary.json"))
+    yield (["experiment", "log-branch", "--n", "21", "--out", "cli/experiment-log"], "cli/experiment-log.printed.json",
+           ("cli/experiment-log.json",))
     for command in ([], ["approximate"], ["poles"], ["experiment"], ["experiment", "geometric-noise"],
                     ["experiment", "log-branch"]):
-        run_cli([*command, "--help"], f"cli/help-{'-'.join(['padepencil', *command])}.txt")
+        yield [*command, "--help"], f"cli/help-{'-'.join(['padepencil', *command])}.txt", ()
+
+
+def write_cli() -> None:
+    Path("cli").mkdir()
+    write_inputs()
+    for argv, name, held in cli_calls():
+        hold(*held)
+        run_cli(argv, name)
 
 
 def write_all(outdir: str) -> None:
+    os.environ["COLUMNS"] = "100"  # argparse wraps help text to the terminal width
     os.makedirs(outdir)
     os.chdir(outdir)
     write_experiments()
