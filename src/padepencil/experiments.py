@@ -94,14 +94,15 @@ _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2)`` for dicts, lists, tuples, strings,
-    ints, floats, bools and None, which is all the package writes.
+    """``json.dumps(obj, indent=2)`` for dicts with string keys, lists,
+    tuples, strings, ints, floats, bools and None, which is all the
+    package writes.
 
     With an indent, ``json`` runs its pure-Python encoder; this writer
     joins each container's items in one step instead.  Like ``json``,
-    floats (subclasses too) print by ``float.__repr__``, NaN and
-    infinities as NaN, Infinity and -Infinity, keys that are not strings
-    as ``json`` converts them, and any other value raises TypeError.
+    floats (subclasses too) print by ``float.__repr__``, and NaN and the
+    infinities as NaN, Infinity and -Infinity.  Any other value, and a
+    key that is not a string, raises TypeError.
     """
     return _json(obj, "\n")
 
@@ -121,7 +122,7 @@ def _json(obj, newline: str) -> str:
         if not obj:
             return "{}"
         inner = newline + "  "
-        items = [f"{_json_key(key)}: {_json(value, inner)}" for key, value in obj.items()]
+        items = [f"{encode_basestring_ascii(key)}: {_json(value, inner)}" for key, value in obj.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -134,16 +135,6 @@ def _json(obj, newline: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    """A dict key as ``json`` writes it: a string, or a number, bool or None
-    in quotes."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (float, int)) or key is None:
-        return encode_basestring_ascii(_json(key, ""))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 @dataclass
