@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import Collapse, DegenerateError, InsufficientCoefficients, NonFinite, RankDeficient
-from .numerics import all_finite, solve, svd
+from .numerics import all_finite, convolve, solve, svd
 from .series import PowerSeries
 
 
@@ -103,9 +104,19 @@ def combined_window(s: PowerSeries, conf: Conformation, l: int) -> np.ndarray:
     if not 1 <= l <= m:
         raise ValueError(f"the pencil needs 1 <= l <= m, got l={l} with m={m}")
     _require_length(s, conf)
-    lead = max(-(k + 1), 0)
-    vals = np.concatenate((np.zeros(lead, dtype=complex), s.coeffs[k + 1 + lead : conf.n]))
-    return vals[np.arange(2 * m - l)[:, None] + np.arange(l + 1)]
+    if k >= -1:
+        vals = s.coeffs[k + 1 : conf.n]
+    else:
+        vals = np.concatenate((np.zeros(-(k + 1), dtype=complex), s.coeffs[: conf.n]))
+    return vals[_hankel_index(2 * m - l, l + 1)]
+
+
+@lru_cache(maxsize=1024)
+def _hankel_index(rows: int, cols: int) -> np.ndarray:
+    """Read-only rows x cols index array with entry i + j at (i, j)."""
+    index = np.arange(rows)[:, None] + np.arange(cols)
+    index.flags.writeable = False
+    return index
 
 
 def dm_denominator(s: PowerSeries, conf: Conformation) -> np.ndarray:
@@ -168,5 +179,4 @@ def numerator_from_denominator(s: PowerSeries, denom, conf: Conformation) -> np.
         raise InsufficientCoefficients(
             f"numerator of degree {deg} needs {deg + 1} coefficients, series has {len(s)}"
         )
-    head = s.coeffs[: deg + 1]
-    return np.convolve(head, b)[: deg + 1]
+    return convolve(s.coeffs[: deg + 1], b)[: deg + 1]

@@ -85,11 +85,13 @@ def load_coefficients(path: str) -> np.ndarray:
     values = []
     for lineno, pair in entries:
         expected = "a number, 're im' or [re, im]"
-        if isinstance(pair, list) and len(pair) == 2:
+        # float reads the text fields; a JSON string is no number, whatever it spells.
+        if (isinstance(pair, list) and len(pair) == 2
+                and (lineno is not None or not any(isinstance(x, str) for x in pair))):
             try:
                 value = complex(float(pair[0]), float(pair[1]))
-            except (TypeError, OverflowError):  # null or a list inside, an integer beyond float
-                pass
+            except (TypeError, ValueError, OverflowError):
+                pass  # null or a list inside, a text field that is no number, an integer beyond float
             else:
                 if cmath.isfinite(value):
                     values.append(value)

@@ -6,8 +6,11 @@ that error mapping and rank policy live in one place.  All run in one
 LAPACK build, the ILP64 OpenBLAS bundled with numpy (scipy-openblas64):
 ``svd`` and ``qr_solve`` call the routines they need through ``ctypes``,
 by the symbols (``scipy_zgeqrf_64_`` and the like) that numpy's
-``_umath_linalg`` resolves, ``eigenvalues`` calls that module's
-``eigvals`` gufunc, and the rest call ``np.linalg``.  Importing this
+``_umath_linalg`` resolves.  ``eigenvalues``, ``singular_values`` and
+``solve`` call that module's ``eigvals``, ``svd`` and ``solve1``
+gufuncs inside the ``errstate`` that ``np.linalg`` sets around them,
+which gives ``np.linalg``'s bits without its Python wrappers; only the
+fallback of ``svd`` still calls ``np.linalg.svd``.  Importing this
 module raises ImportError naming the symbol that numpy lacks.
 """
 
@@ -19,6 +22,7 @@ import threading
 from functools import lru_cache, partial
 
 import numpy as np
+from numpy._core.multiarray import correlate as _correlate
 from numpy.linalg import _umath_linalg
 
 from .errors import AllZero, ConvergenceFailure, NonFinite, RankDeficient
@@ -268,24 +272,36 @@ def _right_vectors(buf: np.ndarray, base: int, layout: tuple) -> np.ndarray:
     return np.ascontiguousarray(vt.T)
 
 
-def singular_values(A) -> np.ndarray:
-    """``np.linalg.svd(A, compute_uv=False)``; ConvergenceFailure if it fails."""
-    try:
-        return np.linalg.svd(A, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+# np.linalg's handling of the floating-point flags around a LAPACK gufunc,
+# which reports a failure as the invalid flag; the call= handlers below
+# raise where np.linalg raises LinAlgError.
+_GUFUNC_FLAGS = {"invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
 
 
-def solve(A, b) -> np.ndarray:
-    """``np.linalg.solve(A, b)``; RankDeficient at an exactly zero LU pivot."""
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(str(exc)) from exc
+def _svd_did_not_converge(err, flag):
+    raise ConvergenceFailure("SVD did not converge")
+
+
+def _singular_matrix(err, flag):
+    raise RankDeficient("Singular matrix")
 
 
 def _eigenvalues_did_not_converge(err, flag):
     raise ConvergenceFailure("eigenvalue iteration failed: Eigenvalues did not converge")
+
+
+def singular_values(A) -> np.ndarray:
+    """``np.linalg.svd(A, compute_uv=False)`` of a complex matrix, by its
+    zgesdd gufunc; ConvergenceFailure if it fails."""
+    with np.errstate(call=_svd_did_not_converge, **_GUFUNC_FLAGS):
+        return _umath_linalg.svd(A, signature="D->d")
+
+
+def solve(A, b) -> np.ndarray:
+    """``np.linalg.solve(A, b)`` of a complex square A and vector b, by its
+    zgesv gufunc; RankDeficient at an exactly zero LU pivot."""
+    with np.errstate(call=_singular_matrix, **_GUFUNC_FLAGS):
+        return _umath_linalg.solve1(A, b, signature="DD->D")
 
 
 def eigenvalues(A) -> np.ndarray:
@@ -299,8 +315,7 @@ def eigenvalues(A) -> np.ndarray:
         raise ValueError(f"need a non-empty square matrix, got shape {A.shape}")
     if not all_finite(A):
         raise NonFinite("matrix contains non-finite entries")
-    with np.errstate(call=_eigenvalues_did_not_converge, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
+    with np.errstate(call=_eigenvalues_did_not_converge, **_GUFUNC_FLAGS):
         return _umath_linalg.eigvals(A, signature="D->D")
 
 
@@ -396,14 +411,25 @@ def poly_from_roots(roots) -> np.ndarray:
     first, with the bits of numpy's ``polyfromroots``: linear factors of
     the sorted roots multiplied pairwise in its order, without its
     per-product validation."""
-    factors = [np.array([-r, 1.0 + 0j]) for r in np.sort(np.asarray(roots, dtype=complex))]
+    r = np.sort(np.asarray(roots, dtype=complex))
+    factors = np.ones((r.size, 2), dtype=complex)
+    np.negative(r, out=factors[:, 0])
+    factors = list(factors)  # row i is the factor [-r_i, 1]
     while len(factors) > 1:
         half, odd = divmod(len(factors), 2)
-        products = [np.convolve(factors[i], factors[i + half]) for i in range(half)]
+        products = [convolve(factors[i], factors[i + half]) for i in range(half)]
         if odd:
-            products[0] = np.convolve(products[0], factors[-1])
+            products[0] = convolve(products[0], factors[-1])
         factors = products
     return factors[0]
+
+
+def convolve(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.convolve(a, v)`` of two non-empty 1-D complex arrays: the
+    correlation that it calls, without its conversions and checks."""
+    if v.size > a.size:
+        a, v = v, a
+    return _correlate(a, v[::-1], "full")
 
 
 def root_order(z) -> np.ndarray:

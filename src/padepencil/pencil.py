@@ -10,12 +10,12 @@ stage, which is what makes targeted pole filtering possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .baseline import Conformation, RationalApproximant, combined_window, numerator_from_denominator
+from .baseline import Conformation, RationalApproximant, _hankel_index, combined_window, numerator_from_denominator
 from .errors import Collapse, DuplicatePole, InsufficientCoefficients, NonFinite, RankDeficient, SingularVandermonde
 from .numerics import DEFAULT_RANK_RTOL, all_finite, eigenvalues, poly_from_roots, qr_solve, root_order
 from .series import PowerSeries
@@ -43,6 +43,7 @@ class PoleResidueForm:
 
     head: np.ndarray
     terms: tuple
+    _pairs: np.ndarray = field(init=False, repr=False, compare=False)  # terms as a read-only (l, 2) array
 
     def __post_init__(self):
         head = np.array(self.head, dtype=complex).reshape(-1)
@@ -60,10 +61,13 @@ class PoleResidueForm:
             a = np.hypot(p.real, p.imag)
         if not all_finite(a):
             raise NonFinite("pole moduli must be finite: one overflows")
-        order = np.lexsort((np.angle(p), a))
         if p.size > 1:
+            order = np.lexsort((np.angle(p), a))
             _reject_duplicates(p, a, order)
-        object.__setattr__(self, "terms", tuple(zip(*pe[order].T.tolist())))
+            pe = pe[order]
+        pe.flags.writeable = False
+        object.__setattr__(self, "_pairs", pe)
+        object.__setattr__(self, "terms", tuple(zip(*pe.T.tolist())))
 
     @property
     def shift(self) -> int:
@@ -72,11 +76,11 @@ class PoleResidueForm:
 
     @property
     def poles(self) -> np.ndarray:
-        return np.array([p for p, _ in self.terms], dtype=complex)
+        return self._pairs[:, 0].copy()
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array([e for _, e in self.terms], dtype=complex)
+        return self._pairs[:, 1].copy()
 
 
 def _reject_duplicates(p, a, order) -> None:
@@ -91,9 +95,11 @@ def _reject_duplicates(p, a, order) -> None:
     s = a[order]
     with np.errstate(over="ignore"):
         top = s * (1 + 4e-12) + 1e-300
-        count = np.searchsorted(s, top, side="right") - np.arange(1, n + 1)
-        if not count.any():
+        # s is sorted and top grows with s: a pole has a later one in its
+        # band only if it has the next one.
+        if not (s[1:] <= top[:-1]).any():
             return
+        count = np.searchsorted(s, top, side="right") - np.arange(1, n + 1)
         first = np.repeat(np.arange(n), count)
         second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(count) - count, count)
         i, j = order[first], order[second]
@@ -160,7 +166,7 @@ def residue_system(s: PowerSeries, poles, conf: Conformation, use_all_rows: bool
     # non-finite matrix, so the overflow is expected and not warned about.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d = np.where(poles != 0, 1.0 / poles, np.inf)
-        D = d[None, :] ** np.arange(rows)[:, None]
+        D = d ** _hankel_index(rows, 1)  # the exponent column 0..rows-1
     return D, rhs_all[:rows]
 
 
@@ -203,7 +209,7 @@ def to_rational(prf: PoleResidueForm, s: PowerSeries, conf: Conformation) -> Rat
         if conf.k < 0:
             raise Collapse("no poles and k < 0 leaves nothing to represent")
         return RationalApproximant(numer=prf.head, denom=np.array([1.0 + 0j]))
-    denom = poly_from_roots(prf.poles)
+    denom = poly_from_roots(prf._pairs[:, 0])
     # Huge or tiny poles may overflow the product or the scaling; the
     # inf or NaN left makes numerator_from_denominator raise NonFinite.
     with np.errstate(all="ignore"):

@@ -3,7 +3,9 @@
 ``benchmarks/tracing.py`` looks up every layer it records with
 ``getattr`` when a ``Tracer`` is entered, so renaming or removing a
 traced function breaks traced benchmark runs.  Entering a tracer here
-makes such a refactor fail in the unit tests instead.
+makes such a refactor fail in the unit tests instead.  The benchmark
+also reads pm2's passes from the spans of the calls pm2 makes, so the
+second test checks that reading against pm2's own report.
 """
 
 from pathlib import Path
@@ -21,3 +23,27 @@ def test_every_traced_layer_resolves(monkeypatch):
     with tracing.Tracer():
         pass
     assert dict(vars(padepencil)) == before
+
+
+def test_traced_pm2_passes_match_its_report(monkeypatch):
+    # deep_filter's wide-magnitude check classifies each pm2 pass from the
+    # spans of the calls pm2 makes through its module bindings; a pm2 that
+    # skipped one of them would read as a wrong output there.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import oracles
+    import tracing
+    import workloads
+
+    import padepencil as pp
+
+    cases = [(oracles.log_series(41), pp.Conformation(20, 0))]
+    for i, (m, amp, period) in enumerate(workloads.WIDE_SLOTS):
+        rng = workloads._rng(1, "deep_filter", 100 + i)
+        cases.append((oracles.wide_magnitude_series(rng, 2 * m, amp, period), pp.Conformation(m, -1)))
+    for coeffs, conf in cases:
+        with tracing.Tracer() as tracer:
+            report = pp.pm2(pp.PowerSeries(coeffs, t=15.0), conf).report  # looked up after wrapping
+        (causes,) = tracing.pm2_pass_causes(tracer.spans())
+        assert causes["passes"] == len(report.iterations)
+        assert causes["vandermonde"] == report.d_matrix_reductions
+        assert causes["accepted"] == 1

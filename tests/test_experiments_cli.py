@@ -262,6 +262,16 @@ NON_FINITE = [
     ("c.txt", "1\n0 -inf\n", "c.txt:2"),
 ]
 
+#: Fields that are not numbers: file name, text, where the error points
+#: and the entry it shows.  A JSON string is rejected whatever it spells.
+NOT_NUMBERS = [
+    ("c.txt", "1 0\nabc 0\n", "c.txt:2", "['abc', '0']"),
+    ("c.txt", "# head\n1\n2 1e1x\n", "c.txt:3", "['2', '1e1x']"),
+    ("c.json", '[["1.5", 0]]', "c.json", "['1.5', 0]"),
+    ("c.json", '[[" 2 ", "1e1"]]', "c.json", "[' 2 ', '1e1']"),
+    ("c.json", '[1, [0, "0"]]', "c.json", "[0, '0']"),
+]
+
 
 class TestCoefficientFiles:
     def test_json_real_numbers(self, tmp_path):
@@ -320,6 +330,14 @@ class TestCoefficientFiles:
         path = tmp_path / name
         path.write_text(text)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / where))}: expected finite values, got "):
+            load_coefficients(str(path))
+
+    @pytest.mark.parametrize("name, text, where, shown", NOT_NUMBERS, ids=[text for _, text, _, _ in NOT_NUMBERS])
+    def test_non_number_rejected_with_location(self, tmp_path, name, text, where, shown):
+        path = tmp_path / name
+        path.write_text(text)
+        want = f"{tmp_path / where}: expected a number, 're im' or [re, im], got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_coefficients(str(path))
 
     def test_json_true_reads_as_one(self, tmp_path):
@@ -399,6 +417,16 @@ class TestCli:
         rc = main(["approximate", "--coeffs", str(coeffs), "--m", "1", "--k", "-1"])
         assert rc == 3
         assert "expected a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["approximate", "poles"])
+    @pytest.mark.parametrize("name, text, where, shown", NOT_NUMBERS, ids=[text for _, text, _, _ in NOT_NUMBERS])
+    def test_non_number_coefficients_exit_3(self, tmp_path, capsys, command, name, text, where, shown):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main([command, "--coeffs", str(path), "--m", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {tmp_path / where}: expected a number, 're im' or [re, im], got {shown}\n"
 
     @pytest.mark.parametrize("command", ["approximate", "poles"])
     @pytest.mark.parametrize("name, text, where", NON_FINITE, ids=[text for _, text, _ in NON_FINITE])

@@ -2,6 +2,7 @@
 
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from padepencil import (
     pm2,
     reduced_poles,
 )
+from padepencil import numerics
 from padepencil.numerics import svd
 from padepencil.pencil import combined_window, residue_system
 
@@ -248,14 +250,12 @@ class TestPm2:
     def test_residue_conditioning_svd_failure_is_mapped(self, monkeypatch):
         # A LAPACK failure in the residue Vandermonde's singular values
         # reaches the caller as ConvergenceFailure, not LinAlgError.
-        real_svd = np.linalg.svd
+        def failing_values_only(a, signature):
+            # zgesdd's failure as the gufunc reports it: an invalid flag
+            return np.zeros(a.shape[:-1]) / np.zeros(a.shape[:-1])
 
-        def failing_values_only(a, *args, compute_uv=True, **kwargs):
-            if not compute_uv:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return real_svd(a, *args, compute_uv=compute_uv, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", failing_values_only)
+        gufuncs = SimpleNamespace(eigvals=numerics._umath_linalg.eigvals, svd=failing_values_only)
+        monkeypatch.setattr(numerics, "_umath_linalg", gufuncs)
         s = gen_geometric_noisy(20, 1e-6, rng=np.random.default_rng(7))
         with pytest.raises(ConvergenceFailure, match="residue Vandermonde"):
             pm2(s, Conformation(m=10, k=-1))

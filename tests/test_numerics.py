@@ -20,9 +20,11 @@ from padepencil import (
     AllZero,
     Conformation,
     ConvergenceFailure,
+    DegenerateError,
     NonFinite,
     PowerSeries,
     RankDeficient,
+    dm_denominator,
     gen_geometric_noisy,
     gen_log_series,
 )
@@ -321,6 +323,75 @@ class TestEigenvalues:
             A = A.real.astype(complex)
         A = A * scale
         np.testing.assert_array_equal(eigenvalues(A).view(np.int64), np.linalg.eigvals(A).view(np.int64))
+
+
+class TestGufuncRoutes:
+    """singular_values, solve and convolve call numpy's cores directly and
+    must give the bits of the numpy functions that wrap them."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_singular_values_bitwise_against_numpy_svd(self, data):
+        # Dense matrices of any shape and tall Vandermonde matrices in
+        # inverse poles, as pm2's residue check builds them, over a wide
+        # range of scales.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        p, q = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        if data.draw(st.booleans()):
+            A = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
+            A = A * 10.0 ** data.draw(st.integers(-150, 150))
+        else:
+            d = 10.0 ** rng.uniform(-1, 1, q) * np.exp(2j * np.pi * rng.uniform(size=q))
+            A = d ** np.arange(max(p, q))[:, None]
+        if data.draw(st.booleans()):
+            A = A.real.astype(complex)
+        want = np.linalg.svd(A, compute_uv=False)
+        np.testing.assert_array_equal(numerics.singular_values(A).view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_solve_bitwise_against_numpy_solve(self, data):
+        # Random and Hankel systems, some exactly singular: a zero column
+        # or a repeated row makes LU meet an exactly zero pivot.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(1, 40))
+        if data.draw(st.booleans()):
+            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        else:
+            c = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+            A = c[np.arange(n)[:, None] + np.arange(n)]
+        A = A * 10.0 ** data.draw(st.integers(-150, 150))
+        singular = data.draw(st.sampled_from([None, "zero column", "repeated row"]))
+        if singular == "zero column":
+            A[:, data.draw(st.integers(0, n - 1))] = 0
+        elif singular == "repeated row" and n > 1:
+            A[-1] = A[0]
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        try:
+            want = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:
+            with pytest.raises(RankDeficient, match=f"^{exc}$"):
+                numerics.solve(A, b)
+        else:
+            np.testing.assert_array_equal(numerics.solve(A, b).view(np.int64), want.view(np.int64))
+
+    def test_singular_direct_system_keeps_its_message(self):
+        # [1, 0, 1] at [1/1]: the 1x1 direct system is exactly zero.
+        with pytest.raises(DegenerateError, match=r"^direct 1x1 denominator system is singular: Singular matrix$"):
+            dm_denominator(PowerSeries([1.0, 0.0, 1.0]), Conformation(m=1, k=0))
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_convolve_bitwise_against_numpy_convolve(self, data):
+        # Either operand the longer, with exact zeros and wide scales.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a, v = (rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                for size in (data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))))
+        for x in (a, v):
+            x *= 10.0 ** rng.uniform(-100, 100, x.size)
+            x[rng.uniform(size=x.size) < 0.2] = 0
+        got = numerics.convolve(a, v)
+        np.testing.assert_array_equal(got.view(np.int64), np.convolve(a, v).view(np.int64))
 
 
 class TestQrSolve:

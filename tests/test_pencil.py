@@ -187,6 +187,34 @@ class TestPoleResidueForm:
         else:
             assert PoleResidueForm(head=[], terms=terms).terms == want
 
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_duplicate_check_at_the_band_edge_matches_the_pairwise_loop(self, data):
+        # A pole is compared with the next ones in modulus up to the band
+        # edge s(1+4e-12)+1e-300, and not at all when no neighbour lies
+        # within it.  Real poles put moduli exactly at the edge, one ulp
+        # inside or one outside, beside true duplicates and far poles.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(1, 12))
+        poles = list(10.0 ** rng.uniform(-305, 300, n) * rng.choice([-1.0, 1.0], n))
+        for _ in range(data.draw(st.integers(1, 4))):
+            s = abs(poles[data.draw(st.integers(0, len(poles) - 1))])
+            edge = np.float64(s) * (1 + 4e-12) + 1e-300
+            q = data.draw(st.sampled_from([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]))
+            poles.insert(data.draw(st.integers(0, len(poles))), float(q) * data.draw(st.sampled_from([-1.0, 1.0])))
+        if data.draw(st.booleans()):
+            p = poles[data.draw(st.integers(0, len(poles) - 1))]
+            rel = data.draw(st.sampled_from([9.9e-13, 1.01e-12]))
+            poles.insert(data.draw(st.integers(0, len(poles))), p * (1 + rel))
+        terms = [(p, complex(i, 1.0)) for i, p in enumerate(poles)]
+        try:
+            want = loop_pole_residue_terms(terms)
+        except DuplicatePole as exc:
+            with pytest.raises(DuplicatePole, match=f"^{re.escape(str(exc))}$"):
+                PoleResidueForm(head=[], terms=terms)
+        else:
+            assert PoleResidueForm(head=[], terms=terms).terms == want
+
     def test_duplicate_check_where_the_tolerance_underflows(self):
         # Below about 1e-296, 1e-12 of a modulus is subnormal or zero, so
         # the modulus band must not rely on a relative width alone.
