@@ -18,7 +18,6 @@ stays meaningful when the direct system is singular.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import Collapse, DegenerateError, InsufficientCoefficients, NonFinite, RankDeficient
 from .numerics import all_finite, convolve, solve, svd
-from .series import PowerSeries
+from .series import PowerSeries, require_integer
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,8 @@ class Conformation:
     k: int
 
     def __post_init__(self):
-        for name, value in (("m", self.m), ("k", self.k)):
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        require_integer("m", self.m)
+        require_integer("k", self.k)
         if self.m < 0:
             raise ValueError(f"denominator degree must be >= 0, got m={self.m}")
         if self.k < -self.m:
@@ -101,6 +97,7 @@ def combined_window(s: PowerSeries, conf: Conformation, l: int) -> np.ndarray:
     at l = m its columns reversed form the direct and SVD systems.
     """
     m, k = conf.m, conf.k
+    require_integer("l", l)
     if not 1 <= l <= m:
         raise ValueError(f"the pencil needs 1 <= l <= m, got l={l} with m={m}")
     _require_length(s, conf)

@@ -63,11 +63,14 @@ def classify_roots(poles, zeros, expected_system, eps: float = 0.0) -> RootTaxon
     expected_system : array_like
         Locations where genuine poles are expected.
     eps : float, optional
-        Coefficient noise amplitude used to widen the system tolerance.
+        Coefficient noise amplitude used to widen the system tolerance:
+        finite and >= 0, or ValueError before any arithmetic.
 
     Raises NonFinite if a pole, zero or expected location is NaN or
     infinite.
     """
+    if not 0 <= eps < np.inf:  # also rejects NaN
+        raise ValueError(f"noise amplitude eps must be finite and >= 0, got {eps}")
     arrays = [np.atleast_1d(np.asarray(v, dtype=complex)) for v in (poles, zeros, expected_system)]
     if not all(np.isfinite(a).all() for a in arrays):
         raise NonFinite("poles, zeros and expected locations must be finite")

@@ -6,12 +6,13 @@ that error mapping and rank policy live in one place.  All run in one
 LAPACK build, the ILP64 OpenBLAS bundled with numpy (scipy-openblas64):
 ``svd`` and ``qr_solve`` call the routines they need through ``ctypes``,
 by the symbols (``scipy_zgeqrf_64_`` and the like) that numpy's
-``_umath_linalg`` resolves.  ``eigenvalues``, ``singular_values`` and
-``solve`` call that module's ``eigvals``, ``svd`` and ``solve1``
-gufuncs inside the ``errstate`` that ``np.linalg`` sets around them,
-which gives ``np.linalg``'s bits without its Python wrappers; only the
-fallback of ``svd`` still calls ``np.linalg.svd``.  Importing this
-module raises ImportError naming the symbol that numpy lacks.
+``_umath_linalg`` resolves; zgesdd is only asked for its workspace.
+``eigenvalues``, ``singular_values``, ``solve`` and the fallback of
+``svd`` call that module's ``eigvals``, ``svd``, ``solve1`` and
+``svd_f`` gufuncs inside the ``errstate`` that ``np.linalg`` sets
+around them, which gives ``np.linalg``'s bits without its Python
+wrappers; no ``np.linalg`` call is left.  Importing this module raises
+ImportError naming the symbol that numpy lacks.
 """
 
 from __future__ import annotations
@@ -113,26 +114,21 @@ def _qr_layout(p: int, q: int, nrhs: int) -> tuple:
 
 
 @lru_cache(maxsize=1024)
-def _tall_layout(p: int, q: int) -> tuple:
-    """The tall ``svd`` path's buffer: A, tau, work, U, VT, rwork, iwork
-    and INFO; and p, q, zgeqrf's workspace and the one zgesdd's QR path
-    leaves the SVD of R (its optimum W less q^2)."""
+def _svd_layout(p: int, q: int) -> tuple:
+    """``svd``'s buffer: A, tauq (zgeqrf's tau first), taup, work, s, e,
+    RU, RVT, dbdsdc's work, iwork, the q x q VT and INFO; its integer
+    arguments, also returned as Python ints: p, m, q, n = min(m, q),
+    zgeqrf's workspace and the one zgesdd hands zgebrd and zunmbr.
+    zgebrd reduces m x q: A itself, or R when p >= floor(17q/9) (m = q,
+    zgesdd's QR path, which hands them q^2 less than path 6's W - 2n)."""
+    m = q if p >= 17 * q // 9 else p
+    n = min(m, q)
     qr_work, _, gesdd = _workspace(p, q)
-    sizes = (16 * p * q, 16 * q, 16 * max(qr_work, gesdd - q * q), 16 * q * q, 16 * q * q, 8 * (5 * q * q + 7 * q),
-             64 * q, 8)
-    return _layout(sizes, (p, q, qr_work, gesdd - q * q))
-
-
-@lru_cache(maxsize=1024)
-def _bidiagonal_layout(p: int, q: int) -> tuple:
-    """zgesdd's path 6/6t: A, tauq, taup, work, s, e, RU, RVT, dbdsdc's
-    work, iwork, the q x q VT and INFO; and p, q, n = min(p, q) and the
-    workspace zgesdd hands zgebrd and zunmbr (its optimum W less 2n)."""
-    n = min(p, q)
-    lwork = _workspace(p, q)[2] - 2 * n
-    sizes = (16 * p * q, 16 * n, 16 * n, 16 * lwork, 8 * n, 8 * n, 8 * n * n, 8 * n * n, 8 * (3 * n * n + 4 * n),
-             64 * n, 16 * q * q, 8)
-    return _layout(sizes, (p, q, n, lwork))
+    lwork = gesdd - 2 * n - (q * q if m < p else 0)
+    counts = (p, m, q, n, qr_work, lwork)
+    sizes = (16 * p * q, 16 * n, 16 * n, 16 * max(qr_work, lwork), 8 * n, 8 * n, 8 * n * n, 8 * n * n,
+             8 * (3 * n * n + 4 * n), 64 * n, 16 * q * q, 8)
+    return *_layout(sizes, counts), counts
 
 
 @lru_cache(maxsize=1024)
@@ -174,22 +170,23 @@ def svd(A) -> SvdResult:
     """Singular values and Vh of the full SVD, with input checking.
 
     The bits are those of ``np.linalg.svd(A, full_matrices=True)``, whose
-    zgesdd also forms U, which no caller reads.  Two paths run without it:
+    zgesdd also forms U, which no caller reads.  Two shapes make only
+    the calls of zgesdd that sigma and Vh need:
 
-    * max(p, q) < floor(5 min(p, q)/3) (zgesdd's path 6 or 6t): zgebrd
-      and dbdsdc('I') give sigma; zunmbr('P', 'R', 'C') forms Vh when it
-      is first read.  Both get the workspace zgesdd hands them (W - 2
-      min(p, q), W its optimum for A), which sets the Vh bits from q = 34.
+    * max(p, q) < floor(5 min(p, q)/3) (zgesdd's path 6 or 6t): A itself
+      is bidiagonalized.
     * p >= floor(17q/9) (LAPACK's MNTHR1, the QR path): zgeqrf at its
-      optimal workspace, then zgesdd on the triangle R with the workspace
-      the QR path leaves it (W - q*q), which sets the Vh bits from q = 34;
+      optimal workspace gives the triangle R, which is bidiagonalized;
       the p x p Q that only U needs is not formed.
 
-    Each keeps its arrays in one buffer per call, addressed by offsets:
-    an array address from numpy costs more than a small LAPACK call.
-    Other shapes, and matrices near the range where zgesdd scales A or R
-    first, go to ``np.linalg.svd``.  Raises NonFinite for NaN/inf entries
-    and ConvergenceFailure if the backend does not converge.
+    zgebrd and dbdsdc('I') give sigma; zunmbr('P', 'R', 'C') forms Vh
+    when it is first read.  Both get the workspace zgesdd hands them,
+    which sets the Vh bits from q = 34.  The arrays live in one buffer
+    per call, addressed by offsets: an array address from numpy costs
+    more than a small LAPACK call.  Other shapes, and matrices near the
+    range where zgesdd scales A or R first, go to numpy's zgesdd gufunc.
+    Raises NonFinite for NaN/inf entries and ConvergenceFailure if
+    LAPACK does not converge.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.size == 0:
@@ -199,17 +196,14 @@ def svd(A) -> SvdResult:
         raise NonFinite("matrix contains non-finite entries")
     p, q = A.shape
     # zgesdd first scales a matrix whose largest modulus lies outside
-    # [SMLNUM, BIGNUM].
-    if max(p, q) < 5 * min(p, q) // 3 and _SMLNUM <= amax <= _BIGNUM:
+    # [SMLNUM, BIGNUM].  R's largest modulus lies between max|A|/sqrt(q)
+    # and sqrt(p) max|A|, so in the tall band (a factor 2 to spare)
+    # neither A nor R is scaled.
+    if (max(p, q) < 5 * min(p, q) // 3 and _SMLNUM <= amax <= _BIGNUM
+            or p >= 17 * q // 9 and 2 * q**0.5 * _SMLNUM <= amax <= _BIGNUM / (2 * p**0.5)):
         return _bidiagonal_svd(A)
-    # R's largest modulus lies between max|A|/sqrt(q) and sqrt(p) max|A|,
-    # so in this band (a factor 2 to spare) neither A nor R is scaled.
-    if p >= 17 * q // 9 and 2 * q**0.5 * _SMLNUM <= amax <= _BIGNUM / (2 * p**0.5):
-        return _tall_svd(A)
-    try:
-        _, sigma, Vh = np.linalg.svd(A, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+    with np.errstate(call=_svd_did_not_converge, **_GUFUNC_FLAGS):
+        _, sigma, Vh = _umath_linalg.svd_f(A, signature="D->DdD")
     return SvdResult(sigma, Vh)
 
 
@@ -222,37 +216,24 @@ def _buffer(A: np.ndarray, size: int) -> tuple:
     return buf, _address(buf), a
 
 
-def _tall_svd(A: np.ndarray) -> SvdResult:
-    """sigma and Vh as zgesdd's QR path computes them: zgeqrf, then
-    zgesdd('A') on the triangle R, zeroed below its diagonal in place."""
-    p, q = A.shape
-    size, (tau, work, u, vt, rwork, iwork, info), _, (P, Q, QR_WORK, LWORK) = _tall_layout(p, q)
-    buf, base, _ = _buffer(A, size)
-    _zgeqrf(P, Q, base, P, base + tau, base + work, QR_WORK, base + info)
-    buf[_below_diagonal(p, q)] = 0
-    sigma = np.empty(q)
-    _zgesdd(_ALL, Q, Q, base, P, _address(sigma), base + u, Q, base + vt, Q, base + work, LWORK, base + rwork,
-            base + iwork, base + info, 1)
-    if _info(base + info) > 0:
-        raise ConvergenceFailure(f"SVD did not converge: zgesdd info={_info(base + info)}")
-    # Fortran VT read in C order is Vh^T; Vh is copied to C order, as numpy returns it.
-    return SvdResult(sigma, buf[vt // 16 : vt // 16 + q * q].reshape(q, q).T.copy())
-
-
 def _bidiagonal_svd(A: np.ndarray) -> SvdResult:
-    """sigma by zgebrd and dbdsdc(uplo, 'I'), as zgesdd's path 6/6t
-    computes it, with Vh deferred to ``_right_vectors``."""
-    p, q = A.shape
-    layout = _bidiagonal_layout(p, q)
-    size, (tauq, taup, work, s, e, ru, rvt, rwork, iwork, _, info), _, (P, Q, N, LWORK) = layout
+    """sigma as zgesdd's path 6/6t computes it, or its QR path's zgeqrf
+    followed by path 6 on R, zeroed below its diagonal in place: zgebrd
+    and dbdsdc(uplo, 'I'), with Vh deferred to ``_right_vectors``."""
+    layout = _svd_layout(*A.shape)
+    size, (tauq, taup, work, s, e, ru, rvt, rwork, iwork, _, info), _, ints, (p, m, q, n, _, _) = layout
+    P, M, Q, N, QR_WORK, LWORK = ints
     buf, base, _ = _buffer(A, size)
-    _zgebrd(P, Q, base, P, base + s, base + e, base + tauq, base + taup, base + work, LWORK, base + info)
+    if m < p:
+        _zgeqrf(P, Q, base, P, base + tauq, base + work, QR_WORK, base + info)
+        buf[_below_diagonal(p, q)] = 0
+    _zgebrd(M, Q, base, P, base + s, base + e, base + tauq, base + taup, base + work, LWORK, base + info)
     # dbdsdc's Q and IQ are not referenced with COMPQ='I'; any address does.
-    _dbdsdc(_UPPER if p >= q else _LOWER, _VECTORS, N, base + s, base + e, base + ru, N, base + rvt, N,
+    _dbdsdc(_UPPER if m >= q else _LOWER, _VECTORS, N, base + s, base + e, base + ru, N, base + rvt, N,
             base + rwork, base + iwork, base + rwork, base + iwork, base + info, 1, 1)
     if _info(base + info) > 0:
         raise ConvergenceFailure(f"SVD did not converge: dbdsdc info={_info(base + info)}")
-    sigma = buf.view(float)[s // 8 : s // 8 + min(p, q)].copy()
+    sigma = buf.view(float)[s // 8 : s // 8 + n].copy()
     return SvdResult(sigma, partial(_right_vectors, buf, base, layout))
 
 
@@ -260,16 +241,19 @@ def _right_vectors(buf: np.ndarray, base: int, layout: tuple) -> np.ndarray:
     """Vh of a ``_bidiagonal_svd``: zunmbr('P', 'R', 'C') applies zgebrd's
     right reflectors to VT = [RVT 0; 0 I].  Read in C order, a Fortran
     array is its transpose: vt holds VT^T, copied back to C order."""
-    _, (_, taup, work, _, _, _, rvt, _, _, v, info), (_, q, n, _), (P, Q, N, LWORK) = layout
+    _, (_, taup, work, _, _, _, rvt, _, _, v, info), _, ints, (_, _, q, n, _, _) = layout
+    P, _, Q, N, _, LWORK = ints
     vt = buf[v // 16 : v // 16 + q * q]
+    rv = buf.view(float)[rvt // 8 : rvt // 8 + n * n]
     if n < q:
         vt[:] = 0
         vt[n * (q + 1) :: q + 1] = 1  # the identity block
-    vt = vt.reshape(q, q)
-    vt[:n, :n] = buf.view(float)[rvt // 8 : rvt // 8 + n * n].reshape(n, n)
+        vt.reshape(q, q)[:n, :n] = rv.reshape(n, n)
+    else:
+        vt[:] = rv
     _zunmbr(_APPLY_P, _RIGHT, _CONJ_TRANS, Q, Q, N, base, P, base + taup, base + v, Q, base + work, LWORK,
             base + info, 1, 1, 1)
-    return np.ascontiguousarray(vt.T)
+    return vt.reshape(q, q).T.copy()
 
 
 # np.linalg's handling of the floating-point flags around a LAPACK gufunc,

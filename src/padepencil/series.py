@@ -10,12 +10,21 @@ honours that.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFinite
 from .numerics import all_finite
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ValueError unless value is an integer (numpy integers pass)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -60,6 +69,7 @@ class PowerSeries:
 
     def truncate(self, n: int) -> "PowerSeries":
         """Return the series truncated to its first ``n`` coefficients."""
+        require_integer("n", n)
         if not 1 <= n <= self.coeffs.size:
             raise ValueError(f"cannot truncate length-{self.coeffs.size} series to {n}")
         return PowerSeries(self.coeffs[:n], t=self.t)
@@ -83,6 +93,7 @@ def gen_geometric_noisy(n: int, eps: float, rng: np.random.Generator | None = No
     rng : numpy.random.Generator, optional
         Source of randomness; required when ``eps > 0``.
     """
+    require_integer("n", n)
     if n < 1:
         raise ValueError(f"need at least one coefficient, got n={n}")
     if not 0 <= eps < 1:  # also rejects NaN
@@ -102,6 +113,7 @@ def gen_log_series(n: int) -> PowerSeries:
     c_0 = ln(1.2) and c_j = -(1/j)(1/1.2)^j for j >= 1; the function has
     a branch point at z = 1.2 and a cut along the real axis to its right.
     """
+    require_integer("n", n)
     if n < 1:
         raise ValueError(f"need at least one coefficient, got n={n}")
     c = np.empty(n, dtype=complex)
@@ -127,6 +139,7 @@ def gen_from_poles(poles, weights, n: int) -> PowerSeries:
         raise ValueError("need at least one pole")
     if np.any(p == 0):
         raise ValueError("poles must be nonzero")
+    require_integer("n", n)
     if n < 1:
         raise ValueError(f"need at least one coefficient, got n={n}")
     # c_i = sum_j e_j d_j^i, assembled as a Vandermonde-vector product.

@@ -10,8 +10,10 @@ The CLI's ``approximate`` and ``poles`` turn the same outcomes into exit
 code 0 with strict JSON, or exit code 2 with an error line; ``poles``
 extracts no zeros, so it fails only where ``approximate`` does.
 ``Conformation`` rejects non-integer
-degrees with ValueError, and ``classify_roots`` rejects non-finite
-roots with NonFinite, both quietly.  So do ``gen_geometric_noisy`` a
+degrees with ValueError, as do ``truncate``, the ``gen_*`` generators
+and ``combined_window`` a count that is not an integer and
+``classify_roots`` an eps that is NaN, infinite or negative, and
+``classify_roots`` rejects non-finite roots with NonFinite, all quietly.  So do ``gen_geometric_noisy`` a
 noise amplitude outside [0, 1) and ``unit_disk_mesh`` a spacing that is
 not a real number, both with ValueError.  The evaluators return NaN
 quietly at non-finite points, which ``error_sweep`` flags.
@@ -44,7 +46,7 @@ from padepencil import (
     pm1,
     unit_disk_mesh,
 )
-from padepencil.baseline import numerator_from_denominator
+from padepencil.baseline import combined_window, numerator_from_denominator
 from padepencil.cli import main
 from padepencil.experiments import METHODS
 from padepencil.pencil import PoleResidueForm, to_rational
@@ -217,6 +219,52 @@ class TestConformationDegrees:
         conf = Conformation(np.int64(3), np.int32(-1))
         res = approximate_series(gen_log_series(conf.n), conf, "pm2")
         assert np.isfinite(res.poles).all()
+
+
+#: Each call with a count that is not an integer: truncate, the three
+#: generators and the window's pole count l.  At 2.5 they used to raise
+#: TypeError or IndexError, or (gen_from_poles) return 3 coefficients.
+COUNT_CALLS = {
+    "truncate": lambda n: gen_log_series(6).truncate(n).coeffs,
+    "gen_geometric_noisy": lambda n: gen_geometric_noisy(n, 0.1, np.random.default_rng(0)).coeffs,
+    "gen_log_series": lambda n: gen_log_series(n).coeffs,
+    "gen_from_poles": lambda n: gen_from_poles([2.0], [1.0], n).coeffs,
+    "combined_window": lambda l: combined_window(gen_log_series(7), Conformation(3, 0), l),
+}
+
+
+class TestIntegerCounts:
+    """Coefficient counts and the pole count l must be integers, as the
+    degrees of ``Conformation`` must."""
+
+    @pytest.mark.parametrize("count", [2.5, np.float64(2.0), "2", None])
+    @pytest.mark.parametrize("call", COUNT_CALLS, ids=str)
+    def test_non_integer_count_raises_valueerror(self, call, count):
+        with pytest.raises(ValueError, match="must be an integer"):
+            COUNT_CALLS[call](count)
+
+    @pytest.mark.parametrize("call", COUNT_CALLS, ids=str)
+    def test_numpy_integers_pass(self, call):
+        got = COUNT_CALLS[call](np.int64(2))
+        np.testing.assert_array_equal(got, COUNT_CALLS[call](2))
+        assert got.shape in ((2,), (4, 3))
+
+
+class TestClassifyEps:
+    """eps widens the system tolerance, so it must be finite and >= 0: a
+    NaN used to leave an exact pole unclassified, and inf took any pole
+    as the system pole."""
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_bad_eps_raises_valueerror(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            classify_roots([1.0], [], [1.0], eps=eps)
+        with pytest.raises(ValueError, match="eps"):
+            classify_roots([5.0], [], [1.0], eps=eps)
+
+    def test_valid_eps_keeps_its_meaning(self):
+        assert classify_roots([1.0], [], [1.0], eps=0.0).system_poles == (1.0,)
+        assert classify_roots([5.0], [], [1.0], eps=1e-3).far_poles == (5.0,)
 
 
 #: Root values for classify_roots: finite (near the unit disk, far out,

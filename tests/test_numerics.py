@@ -79,26 +79,21 @@ class TestSvd:
         assert out == "" and err == ""
 
     def test_non_convergence_is_mapped(self, monkeypatch):
-        # dbdsdc info > 0 on the near-square path, zgesdd info > 0 on the
-        # tall path, LinAlgError on numpy's path
+        # dbdsdc info > 0 on the near-square and tall paths, the invalid
+        # flag of numpy's zgesdd gufunc on the other shapes
         def dbdsdc_not_converging(*args):
             ctypes.c_int64.from_address(args[-3]).value = 3  # INFO, before UPLO's and COMPQ's lengths
 
-        def zgesdd_not_converging(*args):
-            ctypes.c_int64.from_address(args[-2]).value = 3  # INFO, before JOBZ's length
-
         monkeypatch.setattr(numerics, "_dbdsdc", dbdsdc_not_converging)
-        for shape in ((5, 6), (6, 5)):
+        for shape in ((5, 6), (6, 5), (9, 2)):
             with pytest.raises(ConvergenceFailure, match="dbdsdc info=3"):
                 svd(np.ones(shape))
-        monkeypatch.setattr(numerics, "_zgesdd", zgesdd_not_converging)
-        with pytest.raises(ConvergenceFailure, match="zgesdd info=3"):
-            svd(np.ones((9, 2)))
 
-        def not_converging(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+        def not_converging(a, signature):
+            # zgesdd's failure as the gufunc reports it: an invalid flag
+            return a, np.zeros(min(a.shape)) / 0, a
 
-        monkeypatch.setattr(np.linalg, "svd", not_converging)
+        monkeypatch.setattr(numerics, "_umath_linalg", SimpleNamespace(svd_f=not_converging))
         with pytest.raises(ConvergenceFailure):
             svd(np.ones((2, 3)))
 
@@ -257,21 +252,38 @@ class TestSvdBitwise:
             np.testing.assert_array_equal(res.Vh.view(np.int64), Vh.view(np.int64))
             assert res.Vh.flags.c_contiguous and res.Vh is res.Vh
 
+    @pytest.mark.parametrize("shape", ((5, 6), (6, 5), (9, 2), (300, 100)))
+    def test_vh_is_formed_on_first_read(self, shape, monkeypatch):
+        # Near-square and tall results alike call zunmbr only when .Vh is
+        # first read, and once.
+        calls = []
+        real = numerics._zunmbr
+        monkeypatch.setattr(numerics, "_zunmbr", lambda *args: (calls.append(1), real(*args)))
+        rng = np.random.default_rng(41)
+        A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        res = svd(A)
+        assert calls == []
+        for _ in range(2):
+            np.testing.assert_array_equal(res.Vh.view(np.int64), numpy_svd(A)[1].view(np.int64))
+        assert calls == [1]
+
     def test_vh_read_by_many_threads_is_formed_once(self):
         # Forming Vh writes into the result's buffer with the GIL released;
-        # threads that read it at once must all get numpy's bits.
+        # threads that read it at once must all get numpy's bits, on a
+        # near-square and a tall window.
         rng = np.random.default_rng(37)
-        A = rng.standard_normal((150, 151)) + 1j * rng.standard_normal((150, 151))
-        want = numpy_svd(A)[1]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(3):
-                res = svd(A)
-                with ThreadPoolExecutor(max_workers=8) as pool:
-                    got = list(pool.map(lambda _: res.Vh, range(8), timeout=60))
-                for Vh in got:
-                    np.testing.assert_array_equal(Vh.view(np.int64), want.view(np.int64))
+            for shape in ((150, 151), (300, 100)):
+                A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                want = numpy_svd(A)[1]
+                for _ in range(3):
+                    res = svd(A)
+                    with ThreadPoolExecutor(max_workers=8) as pool:
+                        got = list(pool.map(lambda _: res.Vh, range(8), timeout=60))
+                    for Vh in got:
+                        np.testing.assert_array_equal(Vh.view(np.int64), want.view(np.int64))
         finally:
             sys.setswitchinterval(interval)
 
@@ -516,9 +528,10 @@ BUILD_SHAPES = sorted({(max(p, q), q) for q in SVD_WIDTHS for p in (q, 4 * q // 
 
 
 class TestOneLapackBuild:
-    """numerics runs zgeqrf, zungqr, ztrtrs, zgesdd, zgebrd, dbdsdc and
-    zunmbr in numpy's OpenBLAS; scipy.linalg's own build, the reference
-    here, gives the same workspace sizes and the same bytes."""
+    """numerics runs zgeqrf, zungqr, ztrtrs, zgebrd, dbdsdc and zunmbr,
+    and queries zgesdd's workspace, in numpy's OpenBLAS; scipy.linalg's
+    own build, the reference here, gives the same workspace sizes and
+    the same bytes."""
 
     @pytest.mark.parametrize("p, q", BUILD_SHAPES)
     def test_workspace_queries(self, p, q):
@@ -550,9 +563,9 @@ class TestOneLapackBuild:
 
     @pytest.mark.parametrize("p, q", BUILD_SHAPES)
     def test_svd_routines(self, p, q):
-        # zgesdd on the tall shapes, zgebrd, dbdsdc and zunmbr on the
-        # near-square ones and their transposes, and numpy's path on the
-        # rest, against scipy's zgesdd.
+        # zgeqrf, then zgebrd, dbdsdc and zunmbr on R, on the tall shapes;
+        # zgebrd, dbdsdc and zunmbr on the near-square ones and their
+        # transposes; numpy's gufunc on the rest; against scipy's zgesdd.
         rng = np.random.default_rng(p * 1000 + q + 1)
         for shape in ((p, q), (q, p)):
             A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
