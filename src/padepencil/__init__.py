@@ -5,8 +5,10 @@ solve (``dm_denominator``), the SVD null-vector variant
 (``svd_denominator``), the matrix-pencil solver (``pm1``) whose
 eigenvalues are the poles directly, and its filtered form (``pm2``)
 that detects and removes spurious poles caused by coefficient noise or
-over-parameterization.  Helpers cover evaluation, root taxonomy, and
-two reproducible experiment harnesses.
+over-parameterization.  Each returns a ``Solution`` or its denominator.
+Helpers cover evaluation, root taxonomy, and two reproducible
+experiment harnesses; the solvers' stages and kernels stay in their
+modules.
 """
 
 from types import ModuleType as _ModuleType
@@ -22,7 +24,6 @@ from .approximant import (
 from .baseline import (
     Conformation,
     RationalApproximant,
-    combined_window,
     dm_denominator,
     numerator_from_denominator,
     svd_denominator,
@@ -49,26 +50,9 @@ from .experiments import (
     run_geometric_noise,
     run_log_branch,
 )
-from .filtering import (
-    FilterIteration,
-    Pm2Result,
-    SpuriousPoleReport,
-    count_filtered,
-    pm2,
-    reduced_poles,
-)
-from .numerics import SvdResult, eigenvalues, horner, polynomial_roots, qr_solve, svd
-from .pencil import (
-    HankelBlocks,
-    Pm1Result,
-    PoleResidueForm,
-    build_blocks,
-    pm1,
-    pm1_poles,
-    pm1_residues,
-    residue_system,
-    to_rational,
-)
+from .filtering import FilterIteration, SpuriousPoleReport, pm2
+from .numerics import SvdResult, horner, svd
+from .pencil import PoleResidueForm, Solution, pm1
 from .series import (
     PowerSeries,
     gen_from_poles,

@@ -113,11 +113,10 @@ def cli_approximate(args) -> int:
         s = s.truncate(args.n)
     conf = Conformation(m=args.m, k=args.k)
     if args.command == "poles":
-        ra, _, _, final_l = solve(s, conf, args.method)
-        payload = {"poles": complex_pairs(sorted_roots(ra.denom))}
+        res = solve(s, conf, args.method)
+        payload = {"poles": complex_pairs(sorted_roots(res.rational.denom))}
     else:
         res = approximate_series(s, conf, args.method)
-        final_l = res.final_l
         payload = {
             "numer": complex_pairs(res.rational.numer),
             "denom": complex_pairs(res.rational.denom),
@@ -127,7 +126,7 @@ def cli_approximate(args) -> int:
             "report": res.report.to_dict() if res.report is not None else None,
         }
     if args.format == "json":
-        head = {"method": args.method, "conformation": {"m": conf.m, "k": conf.k, "final_l": final_l}}
+        head = {"method": args.method, "conformation": {"m": conf.m, "k": conf.k, "final_l": res.final_l}}
         text = json_text(head | payload) + "\n"
     else:
         lines = ["kind,index,re,im"]

@@ -35,8 +35,8 @@ from .classify import classify_roots
 from .errors import ApproximationError, Collapse
 from .filtering import pm2
 from .numerics import complex_pairs
-from .pencil import PoleResidueForm, _square_fit, build_blocks, pm1, pm1_poles
-from .series import PowerSeries, gen_geometric_noisy, gen_log_series
+from .pencil import PoleResidueForm, Solution, _square_fit, build_blocks, pm1, pm1_poles
+from .series import PowerSeries, gen_geometric_noisy, gen_log_series, require_integer
 
 METHODS = ("dm", "svd", "pm1", "pm2")
 
@@ -153,33 +153,33 @@ class ExperimentConfig:
 
 
 class MethodResult(NamedTuple):
-    """What one solver produced for one series."""
+    """What one solver produced for one series, with its roots."""
 
     rational: RationalApproximant
     prf: PoleResidueForm | None
     report: object | None
     poles: np.ndarray
     zeros: np.ndarray
-    final_l: int
+
+    final_l = Solution.final_l
 
 
-def solve(s: PowerSeries, conf: Conformation, method: str) -> tuple:
-    """Run one solver on one series: (rational, prf, report, final_l).
+def solve(s: PowerSeries, conf: Conformation, method: str) -> Solution:
+    """Run one solver on one series and return its Solution.
 
     ``method`` is one of dm, svd, pm1, pm2; pm2 filters at the series'
-    accuracy ``s.t``.  No root is extracted.  Solver failures propagate
-    as the usual ApproximationError subclasses.
+    accuracy ``s.t``.  dm and svd give no pole-residue form, and only
+    pm2 gives a report.  No root is extracted.  Solver failures
+    propagate as the usual ApproximationError subclasses.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    if method in ("dm", "svd"):
-        denom = (dm_denominator if method == "dm" else svd_denominator)(s, conf)
-        return RationalApproximant(numerator_from_denominator(s, denom, conf), denom), None, None, conf.m
     if method == "pm1":
-        prf, ra = pm1(s, conf)
-        return ra, prf, None, conf.m
-    prf, ra, report = pm2(s, conf)
-    return ra, prf, report, report.final_l
+        return pm1(s, conf)
+    if method == "pm2":
+        return pm2(s, conf)
+    denom = (dm_denominator if method == "dm" else svd_denominator)(s, conf)
+    return Solution(None, RationalApproximant(numerator_from_denominator(s, denom, conf), denom))
 
 
 def approximate_series(s: PowerSeries, conf: Conformation, method: str) -> MethodResult:
@@ -192,8 +192,8 @@ def approximate_series(s: PowerSeries, conf: Conformation, method: str) -> Metho
     ``approximant.sorted_roots`` on the denominator instead, as the CLI's
     ``poles`` does.
     """
-    ra, prf, report, final_l = solve(s, conf, method)
-    return MethodResult(ra, prf, report, *poles_and_zeros(ra), final_l)
+    prf, ra, report = solve(s, conf, method)
+    return MethodResult(ra, prf, report, *poles_and_zeros(ra))
 
 
 def sample_rng(seed: int, eps_index: int, sample_index: int) -> np.random.Generator:
@@ -292,8 +292,16 @@ def run_geometric_noise(cfg: ExperimentConfig) -> dict:
 
     With cfg.output_path set, writes {path}.samples.csv and
     {path}.summary.json; the returned dict holds config, rows and
-    summary either way.
+    summary either way.  A count or seed that is not an integer, a
+    negative sample count, and an eps_list that is not a sequence raise
+    ValueError before any draw.
     """
+    for name in ("n", "samples", "seed"):
+        require_integer(name, getattr(cfg, name))
+    if cfg.samples < 0:
+        raise ValueError(f"samples must be >= 0, got {cfg.samples}")
+    if np.ndim(cfg.eps_list) != 1:
+        raise ValueError(f"eps_list must be a sequence of noise amplitudes, got {cfg.eps_list!r}")
     conf = Conformation(m=cfg.m, k=cfg.k)
     if conf.n > cfg.n:
         raise ValueError(f"[{cfg.m + cfg.k}/{cfg.m}] needs {conf.n} coefficients but cfg.n={cfg.n}")
@@ -377,6 +385,7 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
     With cfg.output_path set, writes {path}.json.
     """
     n = cfg.n
+    require_integer("n", n)
     t = cfg.t if cfg.t is not None else 14.0
     m = (n - 1) // 2
     conf = Conformation(m=m, k=0)

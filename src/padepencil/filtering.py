@@ -32,7 +32,7 @@ import numpy as np
 from .baseline import Conformation, RationalApproximant, _require_length, combined_window
 from .errors import Collapse, ConvergenceFailure, RankDeficient
 from .numerics import SvdResult, all_finite, complex_pairs, qr_solve, singular_values, svd
-from .pencil import PoleResidueForm, _pencil_poles, _with_head, residue_system, to_rational
+from .pencil import PoleResidueForm, Solution, _pencil_poles, _with_head, residue_system, to_rational
 from .series import PowerSeries
 
 
@@ -82,12 +82,6 @@ class SpuriousPoleReport:
         }
 
 
-class Pm2Result(NamedTuple):
-    prf: PoleResidueForm
-    rational: RationalApproximant
-    report: SpuriousPoleReport
-
-
 def count_filtered(sigma, t: float) -> int:
     """Number of singular values below 10^-t relative to the largest.
 
@@ -123,13 +117,14 @@ def reduced_poles(svd_result: SvdResult) -> np.ndarray:
     return _pencil_poles(W[:, 1:], W[:, :l])
 
 
-def pm2(s: PowerSeries, conf: Conformation) -> Pm2Result:
+def pm2(s: PowerSeries, conf: Conformation) -> Solution:
     """Pencil solve with iterated spurious-pole filtering.
 
     Runs the detection loop described in the module docstring starting
-    from l = m, with the filtering accuracy t = s.t, and returns the
-    surviving poles with overdetermined least-squares residues, the
-    equivalent rational approximant, and the filtering report.
+    from l = m, with the filtering accuracy t = s.t, and returns a
+    Solution: the surviving poles with overdetermined least-squares
+    residues, the equivalent rational approximant, and the filtering
+    report.
 
     If every pole is removed, a non-negative k degrades to the bare head
     polynomial (report.head_only is set); a negative k raises Collapse.
@@ -192,7 +187,7 @@ def pm2(s: PowerSeries, conf: Conformation) -> Pm2Result:
             continue
 
         prf = _with_head(s, k, lam, qr_solve(D, rhs, rtol=0.0))
-        return Pm2Result(prf, to_rational(prf, s, conf), _report(m, l, iterations, origin_removed, d_reductions))
+        return Solution(prf, to_rational(prf, s, conf), _report(m, l, iterations, origin_removed, d_reductions))
     return _headonly_result(s, conf, _report(m, 0, iterations, origin_removed, d_reductions))
 
 
@@ -207,7 +202,7 @@ def _report(m, final_l, iterations, origin_removed, d_reductions) -> SpuriousPol
     )
 
 
-def _headonly_result(s, conf, report) -> Pm2Result:
+def _headonly_result(s, conf, report) -> Solution:
     """No poles left: the head polynomial over 1, with the finished
     report (final_l = 0).  A zero series gives the zero approximant for
     any k; otherwise k < 0 leaves no polynomial part and raises Collapse."""
@@ -219,4 +214,4 @@ def _headonly_result(s, conf, report) -> Pm2Result:
     head = np.zeros(shift, dtype=complex) if zero else s.coeffs[:shift]
     prf = PoleResidueForm(head=head, terms=())
     numer = head if shift else np.zeros(1, dtype=complex)
-    return Pm2Result(prf, RationalApproximant(numer=numer, denom=np.array([1.0 + 0j])), report)
+    return Solution(prf, RationalApproximant(numer=numer, denom=np.array([1.0 + 0j])), report)

@@ -112,9 +112,20 @@ def _reject_duplicates(p, a, order) -> None:
         raise DuplicatePole(f"poles {pi} and {pj} coincide to relative 1e-12")
 
 
-class Pm1Result(NamedTuple):
-    prf: PoleResidueForm
+class Solution(NamedTuple):
+    """What every solver returns: the pole-residue form (None for dm and
+    svd), the equivalent rational approximant, and pm2's
+    SpuriousPoleReport (None for the other three)."""
+
+    prf: PoleResidueForm | None
     rational: RationalApproximant
+    report: object | None = None
+
+    @property
+    def final_l(self) -> int:
+        """The approximant's pole count: its denominator's degree (m for
+        dm, svd and pm1, ``report.final_l`` for pm2)."""
+        return self.rational.denom.size - 1
 
 
 def _with_head(s: PowerSeries, k: int, poles=(), weights=()) -> PoleResidueForm:
@@ -224,12 +235,12 @@ def _square_fit(s: PowerSeries, poles, conf: Conformation) -> PoleResidueForm:
     return _with_head(s, conf.k, poles, pm1_residues(s, poles, conf))
 
 
-def pm1(s: PowerSeries, conf: Conformation) -> Pm1Result:
+def pm1(s: PowerSeries, conf: Conformation) -> Solution:
     """Full pencil solve at l = m: poles, square residue system, both forms.
 
     Returns the pole-residue form and the equivalent rational
-    approximant.  No filtering here; that is the job of the iterated
-    variant.
+    approximant, without a report.  No filtering here; that is the job
+    of the iterated variant.
     """
     prf = _square_fit(s, pm1_poles(build_blocks(s, conf)), conf)
-    return Pm1Result(prf, to_rational(prf, s, conf))
+    return Solution(prf, to_rational(prf, s, conf))

@@ -96,10 +96,13 @@ def scalar_horner(coeffs, z):
 
 
 def scalar_eval_rational(ra, z):
-    den = scalar_horner(ra.denom, z)
-    if den == 0:
-        raise PoleHit(f"denominator vanishes at z={z}")
-    return scalar_horner(ra.numer, z) / den
+    # An overflowing sum or quotient gives inf or NaN quietly, as the
+    # package's evaluator does.
+    with np.errstate(all="ignore"):
+        den = scalar_horner(ra.denom, z)
+        if den == 0:
+            raise PoleHit(f"denominator vanishes at z={z}")
+        return scalar_horner(ra.numer, z) / den
 
 
 def scalar_eval_pole_residue(prf, z):

@@ -11,13 +11,13 @@ from padepencil import (
     DegenerateError,
     PowerSeries,
     RationalApproximant,
-    combined_window,
     dm_denominator,
     gen_from_poles,
     gen_geometric_noisy,
     numerator_from_denominator,
     svd_denominator,
 )
+from padepencil.baseline import combined_window
 
 from helpers import (
     gen_quadratic_eps,

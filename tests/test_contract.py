@@ -19,37 +19,59 @@ not a real number, both with ValueError.  The evaluators return NaN
 quietly at non-finite points, which ``error_sweep`` flags.
 ``gen_from_poles``, ``to_rational`` and ``numerator_from_denominator``
 raise NonFinite, quietly, where a coefficient overflows or is not finite.
+The solvers called directly, ``svd``, ``horner``, ``poles_and_zeros``,
+``pruned_square_refit`` and the two experiment runners have cases of
+their own, and a gate fails for any function in ``padepencil.__all__``
+that this file never calls by name.
 """
 
+import ast
+import inspect
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import padepencil
 from padepencil import (
     ApproximationError,
     Conformation,
+    ConvergenceFailure,
+    ExperimentConfig,
     NonFinite,
+    PoleResidueForm,
     PowerSeries,
+    RationalApproximant,
     RootTaxonomy,
+    Solution,
     approximate_series,
     classify_roots,
+    dm_denominator,
     error_sweep,
     eval_pole_residue,
     eval_rational,
     gen_from_poles,
     gen_geometric_noisy,
     gen_log_series,
+    horner,
     pm1,
+    pm2,
+    poles_and_zeros,
+    pruned_square_refit,
+    run_geometric_noise,
+    run_log_branch,
+    svd,
+    svd_denominator,
     unit_disk_mesh,
 )
 from padepencil.baseline import combined_window, numerator_from_denominator
 from padepencil.cli import main
-from padepencil.experiments import METHODS
-from padepencil.pencil import PoleResidueForm, to_rational
+from padepencil.experiments import METHODS, on_ray
+from padepencil.pencil import to_rational
 
 CONTRACT = settings(
     deadline=None,
@@ -106,7 +128,48 @@ def test_solvers_return_finite_roots_or_raise(case, capfd):
             except (ValueError, ApproximationError):
                 continue
             assert np.isfinite(res.poles).all() and np.isfinite(res.zeros).all(), (method, res.poles, res.zeros)
+            assert res.final_l == (res.report.final_l if method == "pm2" else conf.m)
     assert capfd.readouterr() == ("", "")
+
+
+@settings(CONTRACT, max_examples=100)
+@given(case=series_cases())
+def test_solver_functions_return_their_results_or_raise(case, capfd):
+    # The solvers called directly, and the pole-deletion baseline: each
+    # returns or raises ValueError or an ApproximationError, quietly.
+    s, conf = case
+    calls = {
+        "pm1": lambda: pm1(s, conf),
+        "pm2": lambda: pm2(s, conf),
+        "dm": lambda: dm_denominator(s, conf),
+        "svd": lambda: svd_denominator(s, conf),
+        "pruned": lambda: pruned_square_refit(s, conf),
+    }
+    got = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in calls.items():
+            try:
+                got[name] = call()
+            except np.linalg.LinAlgError:
+                raise
+            except (ValueError, ApproximationError):
+                continue
+    assert capfd.readouterr() == ("", "")
+    for name in ("pm1", "pm2"):
+        if name in got:
+            sol = got[name]
+            assert isinstance(sol, Solution) and sol.final_l == len(sol.prf.terms)
+            assert sol.final_l == conf.m and sol.report is None if name == "pm1" else sol.final_l == sol.report.final_l
+    for name in ("dm", "svd"):
+        if name in got:
+            b = got[name]
+            assert b.shape == (conf.m + 1,) and np.isfinite(b).all()
+            assert b[0] == 1 if name == "dm" else np.abs(b).max() == pytest.approx(1)
+    if "pruned" in got:
+        prf = got["pruned"]
+        assert isinstance(prf, PoleResidueForm) and 1 <= len(prf.terms) <= conf.m
+        assert all(on_ray(p) for p in prf.poles)
 
 
 def _run_cli(argv, capfd):
@@ -363,3 +426,141 @@ class TestNonFinitePoints:
         plain, headed = self._forms()
         self._check(lambda z: eval_pole_residue(plain.prf, z), [not one for one in self.ONE_INFINITE_PART], capfd)
         self._check(lambda z: eval_pole_residue(headed.prf, z), [True] * len(self.NON_FINITE), capfd)
+
+
+#: Matrix entries for svd: finite ones, tiny and huge among them (the
+#: 2-norm of a 12 x 12 matrix of them stays finite), and non-finite ones.
+SVD_ENTRIES = st.sampled_from([0.0, 1.0, -0.5j, 3 - 4j, 1e-300, -1e300, 1e300j, np.nan, np.inf, complex(0, -np.inf)])
+
+
+@settings(CONTRACT, max_examples=200)
+@given(p=st.integers(1, 12), q=st.integers(1, 12), data=st.data())
+def test_svd_returns_an_ordered_spectrum_or_raises(p, q, data, capfd):
+    A = np.array(data.draw(st.lists(SVD_ENTRIES, min_size=p * q, max_size=p * q)), dtype=complex).reshape(p, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = svd(A)
+            sigma, Vh = res.sigma, res.Vh
+        except (NonFinite, ConvergenceFailure) as exc:
+            assert isinstance(exc, ConvergenceFailure) or not np.isfinite(A).all()
+            sigma = None
+    assert capfd.readouterr() == ("", "")
+    if sigma is not None:
+        assert np.isfinite(A).all()
+        assert sigma.shape == (min(p, q),) and np.isfinite(sigma).all() and (sigma >= 0).all()
+        assert (np.diff(sigma) <= 0).all()
+        assert Vh.shape == (q, q) and np.allclose(Vh @ Vh.conj().T, np.eye(q), atol=1e-12)
+
+
+@pytest.mark.parametrize("A", [np.ones(3), np.ones((0, 2)), np.ones((2, 2, 2))], ids=["1-D", "empty", "3-D"])
+def test_svd_needs_a_non_empty_matrix(A):
+    with pytest.raises(ValueError, match="non-empty 2-D matrix"):
+        svd(A)
+
+
+#: Finite polynomial coefficients, from 1e-300 to 1e300 in modulus.
+COEFF_VALUES = st.sampled_from([0.0, 1.0, -1.0 + 0.5j, 2j, 1e300, -1e-300, 1e-300j])
+
+
+@settings(CONTRACT, max_examples=200)
+@given(coeffs=st.lists(COEFF_VALUES, min_size=1, max_size=8), points=st.lists(ROOT_VALUES, max_size=6))
+def test_horner_keeps_the_shape_of_z_quietly(coeffs, points, capfd):
+    z = np.array(points, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        array = horner(coeffs, z)
+        scalars = [horner(coeffs, point) for point in points]
+    assert capfd.readouterr() == ("", "")
+    assert array.shape == z.shape and all(np.ndim(v) == 0 for v in scalars)
+    np.testing.assert_array_equal(array, scalars)
+    # A finite point in the closed unit disk keeps every partial sum below 8e300.
+    assert np.isfinite(array[np.isfinite(z) & (np.abs(z) <= 1)]).all()
+
+
+@settings(CONTRACT, max_examples=300)
+@given(numer=st.lists(COEFF_VALUES, min_size=1, max_size=6),
+       denom=st.lists(COEFF_VALUES, min_size=1, max_size=6).filter(any))
+def test_poles_and_zeros_are_finite_or_raise_nonfinite(numer, denom, capfd):
+    ra = RationalApproximant(numer, denom)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            poles, zeros = poles_and_zeros(ra)
+        except NonFinite:
+            poles = zeros = None
+    assert capfd.readouterr() == ("", "")
+    if poles is not None:
+        assert np.isfinite(poles).all() and np.isfinite(zeros).all()
+        assert poles.size < len(denom) and zeros.size < len(numer)
+        assert zeros.size == 0 or any(numer)
+
+
+class TestGeometricNoiseConfig:
+    """run_geometric_noise checks its counts, seed and eps list before
+    any draw: a float count or seed raised a raw TypeError, a bare eps a
+    TypeError from iterating it, and samples=-1 returned an empty study."""
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("samples", 2.5, "samples must be an integer"),
+        ("seed", 2.5, "seed must be an integer"),
+        ("n", 20.0, "n must be an integer"),
+        ("samples", -1, "samples must be >= 0"),
+        ("eps_list", 1e-3, "eps_list must be a sequence"),
+        ("eps_list", "1e-3", "eps_list must be a sequence"),
+    ])
+    def test_rejected_with_valueerror(self, field, value, match, capfd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                run_geometric_noise(ExperimentConfig(**{field: value}))
+        assert capfd.readouterr() == ("", "")
+
+    def test_cli_negative_samples_exits_3(self, capfd):
+        rc, out, err = _run_cli(["experiment", "geometric-noise", "--samples", "-1"], capfd)
+        assert (rc, out, err) == (3, "", "error: samples must be >= 0, got -1\n")
+
+    def test_numpy_integers_pass(self, capfd):
+        cfg = ExperimentConfig(n=np.int64(8), m=3, k=-1, eps_list=[1e-6, 0.0], samples=np.int32(2), seed=np.int64(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_geometric_noise(cfg)
+        assert capfd.readouterr() == ("", "")
+        assert len(result["rows"]) == 4 and [entry["samples"] for entry in result["summary"]] == [2, 2]
+
+
+@pytest.mark.parametrize("n", [3, 4, 11, 21])
+def test_run_log_branch_reports_each_solver(n, capfd):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_log_branch(ExperimentConfig(n=n))
+    assert capfd.readouterr() == ("", "")
+    for method in ("dm", "pm2"):
+        entry = result[method]
+        assert entry["failed"] is False, entry
+        assert entry["final_l"] == len(entry["poles"]) <= (n - 1) // 2
+        assert np.isfinite(entry["poles"]).all() and np.isfinite(entry["zeros"]).all()
+    assert result["pm2"]["final_l"] == result["pm2"]["report"]["final_l"]
+    assert result["assimilation"]["failed"] is (n < 5)
+
+
+@pytest.mark.parametrize("n, match", [(2.5, "n must be an integer"), ("41", "n must be an integer"),
+                                      (0, "m=-1"), (2, "m >= 1")])
+def test_run_log_branch_rejects_a_bad_length(n, match, capfd):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            run_log_branch(ExperimentConfig(n=n))
+    assert capfd.readouterr() == ("", "")
+
+
+def test_every_exported_function_is_called_here():
+    # The contract gate: each function in padepencil.__all__ has a case
+    # in this file, so a new public function arrives with its contract.
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(ast.parse(Path(__file__).read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    exported = {name for name in padepencil.__all__ if inspect.isfunction(getattr(padepencil, name))}
+    assert sorted(exported - called) == []

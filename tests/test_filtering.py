@@ -14,19 +14,16 @@ from padepencil import (
     Conformation,
     ConvergenceFailure,
     PowerSeries,
-    build_blocks,
-    count_filtered,
     eval_rational,
     gen_from_poles,
     gen_geometric_noisy,
     gen_log_series,
-    pm1_poles,
     pm2,
-    reduced_poles,
 )
 from padepencil import numerics
+from padepencil.filtering import count_filtered, reduced_poles
 from padepencil.numerics import svd
-from padepencil.pencil import combined_window, residue_system
+from padepencil.pencil import build_blocks, combined_window, pm1_poles, residue_system
 
 from helpers import gen_quadratic_eps, greedy_match_error, random_oracle
 
