@@ -78,14 +78,15 @@ def eval_pole_residue(prf: PoleResidueForm, z):
     and the form has no head and no shift: there every term, and so the
     value, is 0, the limit at infinity.
     """
-    if any(p == 0 and e != 0 for p, e in prf.terms):
+    terms = list(zip(prf.poles.tolist(), prf.weights.tolist()))
+    if any(p == 0 and e != 0 for p, e in terms):
         raise ZeroPole("a term with nonzero weight has its pole at the origin")
     z = np.asarray(z, dtype=complex)
     zr, zi = z.real, z.imag
     acc_r, acc_i = np.zeros(z.shape), np.zeros(z.shape)
     hit = np.zeros(z.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        for p, e in prf.terms:
+        for p, e in terms:
             if p == 0:
                 continue
             hit |= z == p

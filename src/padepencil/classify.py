@@ -81,24 +81,26 @@ def classify_roots(poles, zeros, expected_system, eps: float = 0.0) -> RootTaxon
     zero_used = [False] * len(zeros)
 
     system = []
-    for loc in expected:
-        best, best_d = None, np.inf
-        for i, p in enumerate(poles):
-            if pole_used[i]:
-                continue
-            d = abs(p - loc)
-            if d < best_d:
-                best, best_d = i, d
-        if best is not None and best_d <= system_tol:
-            pole_used[best] = True
-            system.append(poles[best])
+    # Distances between finite roots may overflow: inf matches nothing.
+    with np.errstate(over="ignore"):
+        for loc in expected:
+            best, best_d = None, np.inf
+            for i, p in enumerate(poles):
+                if pole_used[i]:
+                    continue
+                d = abs(p - loc)
+                if d < best_d:
+                    best, best_d = i, d
+            if best is not None and best_d <= system_tol:
+                pole_used[best] = True
+                system.append(poles[best])
 
-    pairs = sorted(
-        (abs(poles[i] - zeros[j]), i, j)
-        for i in range(len(poles))
-        for j in range(len(zeros))
-        if not pole_used[i]
-    )
+        pairs = sorted(
+            (abs(poles[i] - zeros[j]), i, j)
+            for i in range(len(poles))
+            for j in range(len(zeros))
+            if not pole_used[i]
+        )
     doublets = []
     for d, i, j in pairs:
         if d > DOUBLET_TOL:

@@ -294,14 +294,20 @@ def run_geometric_noise(cfg: ExperimentConfig) -> dict:
     {path}.summary.json; the returned dict holds config, rows and
     summary either way.  A count or seed that is not an integer, a
     negative sample count, and an eps_list that is not a sequence raise
-    ValueError before any draw.
+    ValueError before any draw.  Then the counts become ints, and each
+    eps and t a float, so numpy scalars give the same rows, summary,
+    config and files as Python numbers.  Each eps_list entry, repeated or not, has
+    its own samples and summary entry.
     """
-    for name in ("n", "samples", "seed"):
+    counts = ("n", "m", "k", "samples", "seed")
+    for name in counts:
         require_integer(name, getattr(cfg, name))
     if cfg.samples < 0:
         raise ValueError(f"samples must be >= 0, got {cfg.samples}")
     if np.ndim(cfg.eps_list) != 1:
         raise ValueError(f"eps_list must be a sequence of noise amplitudes, got {cfg.eps_list!r}")
+    cfg = replace(cfg, eps_list=tuple(float(eps) for eps in cfg.eps_list), t=None if cfg.t is None else float(cfg.t),
+                  **{name: int(getattr(cfg, name)) for name in counts})
     conf = Conformation(m=cfg.m, k=cfg.k)
     if conf.n > cfg.n:
         raise ValueError(f"[{cfg.m + cfg.k}/{cfg.m}] needs {conf.n} coefficients but cfg.n={cfg.n}")
@@ -318,8 +324,8 @@ def run_geometric_noise(cfg: ExperimentConfig) -> dict:
             else:
                 rows.append(_geometric_row(eps, si, cfg, res, None))
     summary = []
-    for eps in cfg.eps_list:
-        sub = [r for r in rows if r["eps"] == eps]
+    for ei, eps in enumerate(cfg.eps_list):
+        sub = rows[ei * cfg.samples : (ei + 1) * cfg.samples]
         ok = [r for r in sub if not r["failed"]]
         entry = {"eps": eps, "samples": len(sub), "failures": len(sub) - len(ok)}
         for key, column in SUMMARY_COLUMNS:
@@ -336,18 +342,10 @@ def _write_geometric(path: str, result: dict) -> None:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=GEOMETRIC_CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    writer.writerows({k: _cell(v) for k, v in row.items()} for row in result["rows"])
+    writer.writerows(result["rows"])  # floats by repr, the rest by str
     write_output(f"{path}.samples.csv", buf.getvalue())
     view = {"config": result["config"], "summary": result["summary"]}
     write_output(f"{path}.summary.json", json_text(view) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def on_ray(p: complex) -> bool:
@@ -384,9 +382,9 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
 
     With cfg.output_path set, writes {path}.json.
     """
-    n = cfg.n
-    require_integer("n", n)
-    t = cfg.t if cfg.t is not None else 14.0
+    require_integer("n", cfg.n)
+    n = int(cfg.n)
+    t = float(cfg.t) if cfg.t is not None else 14.0
     m = (n - 1) // 2
     conf = Conformation(m=m, k=0)
     log = replace(gen_log_series(n), t=t)
@@ -439,7 +437,7 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
         assim = {
             "failed": False,
             "conformation": {"m": m, "k": -1},
-            "n_kept_poles": len(naive.terms),
+            "n_kept_poles": naive.poles.size,
             "naive_max_error_01": _unflagged_max(naive_sweep),
             "pm2_final_l": res2.final_l,
             "pm2_max_error_01": _unflagged_max(pm2_sweep),

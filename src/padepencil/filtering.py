@@ -16,8 +16,8 @@ remaining poles are trustworthy:
    10^-t) indicates a still-redundant pole set.
 
 Every reduction re-enters the loop from the rebuilt window, so the
-report carries the full trajectory.  Every pass either returns or lowers
-l by at least one, so the loop ends within m passes.  The defect
+report carries the full trajectory.  Every pass either is accepted or
+lowers l by at least one, so the loop ends within m passes.  The defect
 estimate 2(m - final_l) counts how many series coefficients carried no
 usable information.
 """
@@ -32,7 +32,7 @@ import numpy as np
 from .baseline import Conformation, RationalApproximant, _require_length, combined_window
 from .errors import Collapse, ConvergenceFailure, RankDeficient
 from .numerics import SvdResult, all_finite, complex_pairs, qr_solve, singular_values, svd
-from .pencil import PoleResidueForm, Solution, _pencil_poles, _with_head, residue_system, to_rational
+from .pencil import PoleResidueForm, Solution, _with_head, pm1_poles, residue_system, to_rational
 from .series import PowerSeries
 
 
@@ -113,8 +113,7 @@ def reduced_poles(svd_result: SvdResult) -> np.ndarray:
         raise ValueError(f"window must have at least 2 columns, got {l + 1}")
     weights = np.zeros(l + 1)
     weights[: svd_result.sigma.size] = svd_result.sigma
-    W = weights[:, None] * svd_result.Vh
-    return _pencil_poles(W[:, 1:], W[:, :l])
+    return pm1_poles(weights[:, None] * svd_result.Vh)
 
 
 def pm2(s: PowerSeries, conf: Conformation) -> Solution:
@@ -131,17 +130,15 @@ def pm2(s: PowerSeries, conf: Conformation) -> Solution:
     An identically-zero coefficient window short-circuits to the zero
     approximant.
     """
-    m, k = conf.m, conf.k
+    m = conf.m
     if m < 1:
         raise ValueError("filtering needs a denominator degree m >= 1")
     _require_length(s, conf)
-    if not s.coeffs[: conf.n].any():
-        return _headonly_result(s, conf, _report(m, 0, (), (), 0))
-
     iterations: list[FilterIteration] = []
     origin_removed: list[complex] = []
     d_reductions = 0
-    l = m
+    # An identically-zero window has no poles to find: no pass runs.
+    l = m if s.coeffs[: conf.n].any() else 0
 
     while l > 0:
         sr = svd(combined_window(s, conf, l))
@@ -154,7 +151,7 @@ def pm2(s: PowerSeries, conf: Conformation) -> Solution:
         # overshoot by one, losing a genuine pole.  At l = 1 new_l is 1.
         rank_hat = sr.sigma.size - count_filtered(sr.sigma, s.t)
         new_l = max(1, min(l, rank_hat))
-        iterations.append(FilterIteration(l, sr.sigma.copy(), l - new_l))
+        iterations.append(FilterIteration(l, sr.sigma, l - new_l))
         if new_l < l:
             l = new_l
             continue
@@ -181,25 +178,22 @@ def pm2(s: PowerSeries, conf: Conformation) -> Solution:
             except ConvergenceFailure as exc:
                 raise ConvergenceFailure(f"residue Vandermonde SVD did not converge: {exc}") from exc
             ok = not dsig[-1] < 10.0 ** (-s.t) * dsig[0]
-        if not ok:
-            d_reductions += 1
-            l -= 1
-            continue
+        if ok:
+            break
+        d_reductions += 1
+        l -= 1
 
-        prf = _with_head(s, k, lam, qr_solve(D, rhs, rtol=0.0))
-        return Solution(prf, to_rational(prf, s, conf), _report(m, l, iterations, origin_removed, d_reductions))
-    return _headonly_result(s, conf, _report(m, 0, iterations, origin_removed, d_reductions))
-
-
-def _report(m, final_l, iterations, origin_removed, d_reductions) -> SpuriousPoleReport:
-    """The loop's trajectory and outcome, with defect estimate 2(m - final_l)."""
-    return SpuriousPoleReport(
+    report = SpuriousPoleReport(
         iterations=tuple(iterations),
         origin_poles_removed=tuple(origin_removed),
         d_matrix_reductions=d_reductions,
-        final_l=final_l,
-        defect_estimate=2 * (m - final_l),
+        final_l=l,
+        defect_estimate=2 * (m - l),
     )
+    if l == 0:
+        return _headonly_result(s, conf, report)
+    prf = _with_head(s, conf.k, lam, qr_solve(D, rhs, rtol=0.0))
+    return Solution(prf, to_rational(prf, s, conf), report)
 
 
 def _headonly_result(s, conf, report) -> Solution:
@@ -212,6 +206,6 @@ def _headonly_result(s, conf, report) -> Solution:
         raise Collapse(f"filtering removed every pole and k={k} < 0 leaves no polynomial part")
     shift = max(k + 1, 0)
     head = np.zeros(shift, dtype=complex) if zero else s.coeffs[:shift]
-    prf = PoleResidueForm(head=head, terms=())
+    prf = PoleResidueForm(head, (), ())
     numer = head if shift else np.zeros(1, dtype=complex)
     return Solution(prf, RationalApproximant(numer=numer, denom=np.array([1.0 + 0j])), report)

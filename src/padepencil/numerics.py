@@ -185,8 +185,9 @@ def svd(A) -> SvdResult:
     per call, addressed by offsets: an array address from numpy costs
     more than a small LAPACK call.  Other shapes, and matrices near the
     range where zgesdd scales A or R first, go to numpy's zgesdd gufunc.
-    Raises NonFinite for NaN/inf entries and ConvergenceFailure if
-    LAPACK does not converge.
+    Raises NonFinite for NaN/inf entries and for a largest singular
+    value that overflows, and ConvergenceFailure if LAPACK does not
+    converge.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.size == 0:
@@ -204,6 +205,8 @@ def svd(A) -> SvdResult:
         return _bidiagonal_svd(A)
     with np.errstate(call=_svd_did_not_converge, **_GUFUNC_FLAGS):
         _, sigma, Vh = _umath_linalg.svd_f(A, signature="D->DdD")
+    if not math.isfinite(sigma[0]):  # A is finite, but its 2-norm overflows
+        raise NonFinite("largest singular value overflows")
     return SvdResult(sigma, Vh)
 
 
@@ -313,9 +316,10 @@ def qr_solve(A, B, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     trans=1.  Q^H B is formed from a Fortran-ordered Q: a C-ordered Q (as
     ``np.linalg.qr`` returns it) takes another BLAS path and other bits.
 
-    Raises ValueError for bad shapes, NonFinite for NaN/inf entries and
-    RankDeficient when min |R_ii| < rtol * max |R_jj| or, with rtol=0,
-    which skips that check, at an exactly zero pivot.
+    Raises ValueError for bad shapes, NonFinite for NaN/inf entries or
+    a Q^H B that overflows, and RankDeficient when min |R_ii| < rtol *
+    max |R_jj| or, with rtol=0, which skips that check, at an exactly
+    zero pivot.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -323,7 +327,10 @@ def qr_solve(A, B, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
         raise ValueError(f"need p >= q >= 1, got shape {A.shape}")
     if B.shape[0] != A.shape[0]:
         raise ValueError(f"rhs has {B.shape[0]} rows, expected {A.shape[0]}")
-    if not (all_finite(A) and all_finite(B)):
+    # The sum of the squared moduli is finite only when every entry is,
+    # and then no entry of Q^H B can overflow (see all_finite).
+    huge = not math.isfinite(np.vdot(A, A).real + np.vdot(B, B).real)
+    if huge and not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise NonFinite("least-squares system contains non-finite entries")
     p, q = A.shape
     layout = _qr_layout(p, q, 1 if B.ndim == 1 else B.shape[1])
@@ -340,7 +347,13 @@ def qr_solve(A, B, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     _zungqr(P, Q, Q, base, P, base + tau, base + work, Q_WORK, base + info)
     # ztrtrs overwrites its Fortran B with X, so for a matrix B, x holds
     # X^T in C order.  It reads only the lower triangle of R^T.
-    x = factor.conj().T @ B
+    if huge:
+        with np.errstate(all="ignore"):
+            x = factor.conj().T @ B
+        if not np.isfinite(x).all():
+            raise NonFinite("least-squares system overflows: Q^H B is not finite")
+    else:
+        x = factor.conj().T @ B
     if x.ndim == 2:
         x = x.T.copy()
     # With no right-hand side ztrtrs still checks the pivots; B is not read.

@@ -10,7 +10,7 @@ stage, which is what makes targeted pole filtering possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,40 +21,34 @@ from .numerics import DEFAULT_RANK_RTOL, all_finite, eigenvalues, poly_from_root
 from .series import PowerSeries
 
 
-class HankelBlocks(NamedTuple):
-    """Shifted Hankel pair: C1 drops the last column of the combined
-    (2m-l) x (l+1) window, C2 drops the first."""
-
-    C1: np.ndarray
-    C2: np.ndarray
-
-
 @dataclass(frozen=True)
 class PoleResidueForm:
     """Head polynomial plus shifted simple-pole expansion.
 
     Represents  head(z) + z^shift * sum_j e_j / (1 - z/p_j)  where
-    ``terms`` holds (p_j, e_j) pairs and shift = len(head).  The head
-    carries c_0..c_k when k >= 0 (so shift = k+1) and is empty
-    otherwise.  Terms are stored sorted by pole magnitude, then phase.
-    Non-finite entries, and a finite pole whose modulus overflows, raise
-    NonFinite; two poles within a relative 1e-12 raise DuplicatePole.
+    ``poles`` holds the p_j, ``weights`` the e_j and shift = len(head).
+    The head carries c_0..c_k when k >= 0 (so shift = k+1) and is empty
+    otherwise.  All three are stored as read-only complex arrays, the
+    terms sorted by pole magnitude, then phase.  Unequal numbers of
+    poles and weights raise ValueError.  Non-finite entries, and a
+    finite pole whose modulus overflows, raise NonFinite; two poles
+    within a relative 1e-12 raise DuplicatePole.
     """
 
     head: np.ndarray
-    terms: tuple
-    _pairs: np.ndarray = field(init=False, repr=False, compare=False)  # terms as a read-only (l, 2) array
+    poles: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
         head = np.array(self.head, dtype=complex).reshape(-1)
         if not all_finite(head):
             raise NonFinite("head coefficients must be finite")
-        head.flags.writeable = False
-        object.__setattr__(self, "head", head)
-        pe = np.array(self.terms, dtype=complex).reshape(len(self.terms), 2)
-        if not all_finite(pe):
+        p = np.array(self.poles, dtype=complex).reshape(-1)
+        e = np.array(self.weights, dtype=complex).reshape(-1)
+        if p.size != e.size:
+            raise ValueError(f"{p.size} poles but {e.size} weights")
+        if not (all_finite(p) and all_finite(e)):
             raise NonFinite("pole-residue terms must be finite")
-        p = pe[:, 0]
         # Moduli by hypot, as Python's abs takes them (np.abs may differ
         # in the last bit); ties in (modulus, angle) keep input order.
         with np.errstate(over="ignore"):
@@ -64,23 +58,15 @@ class PoleResidueForm:
         if p.size > 1:
             order = np.lexsort((np.angle(p), a))
             _reject_duplicates(p, a, order)
-            pe = pe[order]
-        pe.flags.writeable = False
-        object.__setattr__(self, "_pairs", pe)
-        object.__setattr__(self, "terms", tuple(zip(*pe.T.tolist())))
+            p, e = p[order], e[order]
+        for name, value in (("head", head), ("poles", p), ("weights", e)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def shift(self) -> int:
         """Power of z multiplying the pole terms: the head length."""
         return self.head.size
-
-    @property
-    def poles(self) -> np.ndarray:
-        return self._pairs[:, 0].copy()
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._pairs[:, 1].copy()
 
 
 def _reject_duplicates(p, a, order) -> None:
@@ -128,33 +114,29 @@ class Solution(NamedTuple):
         return self.rational.denom.size - 1
 
 
-def _with_head(s: PowerSeries, k: int, poles=(), weights=()) -> PoleResidueForm:
+def _with_head(s: PowerSeries, k: int, poles, weights) -> PoleResidueForm:
     """Pole-residue form with the given terms and the series head for
     numerator offset k: c_0..c_k (shift k+1) when k >= 0, else none."""
-    return PoleResidueForm(head=s.coeffs[: max(k + 1, 0)], terms=tuple(zip(poles, weights)))
+    return PoleResidueForm(s.coeffs[: max(k + 1, 0)], poles, weights)
 
 
-def build_blocks(s: PowerSeries, conf: Conformation) -> HankelBlocks:
-    """Assemble the shifted Hankel pair for conformation [m+k/m] at l = m."""
-    H = combined_window(s, conf, conf.m)
-    return HankelBlocks(C1=H[:, :-1], C2=H[:, 1:])
+def build_blocks(s: PowerSeries, conf: Conformation) -> np.ndarray:
+    """The coefficient window of conformation [m+k/m] at l = m: the pencil
+    that ``pm1_poles`` takes."""
+    return combined_window(s, conf, conf.m)
 
 
-def _pencil_poles(A: np.ndarray, B: np.ndarray, rank_rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
-    """Eigenvalues of the least-squares solve of A X = B, sorted by
-    magnitude then phase."""
-    lam = eigenvalues(qr_solve(A, B, rtol=rank_rtol))
-    return lam[root_order(lam)]
-
-
-def pm1_poles(blocks: HankelBlocks, rank_rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
+def pm1_poles(H: np.ndarray, rank_rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     """Pole estimates: eigenvalues of the least-squares pencil solve.
 
-    Solves C2 X = C1 in the least-squares sense and returns eig(X),
-    sorted by magnitude then phase.  ``rank_rtol`` is passed through to
-    the QR rank check; 0 disables it, reproducing an unguarded solve.
+    The window's shifted blocks C1 = H[:, :-1] and C2 = H[:, 1:] form
+    the pencil: solves C2 X = C1 in the least-squares sense and returns
+    eig(X), sorted by magnitude then phase.  ``rank_rtol`` is passed
+    through to the QR rank check; 0 disables it, reproducing an
+    unguarded solve.
     """
-    return _pencil_poles(blocks.C2, blocks.C1, rank_rtol)
+    lam = eigenvalues(qr_solve(H[:, 1:], H[:, :-1], rtol=rank_rtol))
+    return lam[root_order(lam)]
 
 
 def residue_system(s: PowerSeries, poles, conf: Conformation, use_all_rows: bool):
@@ -215,12 +197,11 @@ def to_rational(prf: PoleResidueForm, s: PowerSeries, conf: Conformation) -> Rat
     and a negative k raises Collapse.  Poles whose denominator overflows
     raise NonFinite.
     """
-    l = len(prf.terms)
-    if l == 0:
+    if prf.poles.size == 0:
         if conf.k < 0:
             raise Collapse("no poles and k < 0 leaves nothing to represent")
         return RationalApproximant(numer=prf.head, denom=np.array([1.0 + 0j]))
-    denom = poly_from_roots(prf._pairs[:, 0])
+    denom = poly_from_roots(prf.poles)
     # Huge or tiny poles may overflow the product or the scaling; the
     # inf or NaN left makes numerator_from_denominator raise NonFinite.
     with np.errstate(all="ignore"):

@@ -6,12 +6,24 @@ BLAS runs on one thread, as in the benchmark and tools/stock_outputs.py,
 before any test module imports numpy: the bitwise tests compare numpy's
 and scipy's LAPACK builds, whose threaded kernels split work
 differently and can differ in the last bits on large matrices.
+
+Property tests run under the ``tier1`` hypothesis profile: a fixed
+sequence of examples and no example database, so a run's result depends
+on the commit alone, not on examples stored by earlier runs.
+``pytest --hypothesis-profile=wide`` runs hypothesis's default random
+search with its database instead; both keep every ``max_examples``.
 """
 
 import os
 
+from hypothesis import settings
+
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("wide")
+settings.load_profile("tier1")
 
 acceptance_lines = {}
 

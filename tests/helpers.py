@@ -108,7 +108,7 @@ def scalar_eval_rational(ra, z):
 def scalar_eval_pole_residue(prf, z):
     z = complex(z)
     acc = 0j
-    for p, e in prf.terms:
+    for p, e in zip(prf.poles.tolist(), prf.weights.tolist()):
         if p == 0:
             if e != 0:
                 raise ZeroPole(f"term with weight {e} has its pole at the origin")

@@ -361,16 +361,17 @@ def test_assimilation_beats_pole_deletion():
 def test_window_vandermonde_factorization():
     worst1 = worst2 = 0.0
     for poles, weights, conf, s in oracle_suite():
-        blocks = build_blocks(s, conf)
+        window = build_blocks(s, conf)
+        C1, C2 = window[:, :-1], window[:, 1:]
         d = 1.0 / poles
         m = conf.m
-        D1 = d[None, :] ** np.arange(blocks.C1.shape[0])[:, None]
+        D1 = d[None, :] ** np.arange(C1.shape[0])[:, None]
         E = np.diag(weights * d ** (conf.k + 1))
         D2 = d[:, None] ** np.arange(m)[None, :]
         D0 = np.diag(d)
-        scale = float(np.max(np.abs(blocks.C1)))
-        worst1 = max(worst1, float(np.max(np.abs(blocks.C1 - D1 @ E @ D2))) / scale)
-        worst2 = max(worst2, float(np.max(np.abs(blocks.C2 - D1 @ E @ D0 @ D2))) / scale)
+        scale = float(np.max(np.abs(C1)))
+        worst1 = max(worst1, float(np.max(np.abs(C1 - D1 @ E @ D2))) / scale)
+        worst2 = max(worst2, float(np.max(np.abs(C2 - D1 @ E @ D0 @ D2))) / scale)
 
     ok = worst1 <= 1e-9 and worst2 <= 1e-9
     _record(

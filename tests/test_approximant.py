@@ -51,33 +51,33 @@ class TestEvalRational:
 
 class TestEvalPoleResidue:
     def test_single_term(self):
-        prf = PoleResidueForm(head=[], terms=[(2.0, 3.0)])
+        prf = PoleResidueForm(head=[], poles=[2.0], weights=[3.0])
         #  3/(1 - z/2) at z=1 -> 6
         assert eval_pole_residue(prf, 1.0) == pytest.approx(6.0)
 
     def test_head_and_shift_composition(self):
         # head 1 + 2z, then z^2 * 5/(1 - z/3)
-        prf = PoleResidueForm(head=[1.0, 2.0], terms=[(3.0, 5.0)])
+        prf = PoleResidueForm(head=[1.0, 2.0], poles=[3.0], weights=[5.0])
         z = 0.5
         expected = 1 + 2 * z + z**2 * 5 / (1 - z / 3)
         assert eval_pole_residue(prf, z) == pytest.approx(expected)
 
     def test_large_argument_stays_finite(self):
-        prf = PoleResidueForm(head=[], terms=[(2.0, 1.0)])
+        prf = PoleResidueForm(head=[], poles=[2.0], weights=[1.0])
         #  p/(p - z) -> 0 as |z| grows; no overflow
         assert abs(eval_pole_residue(prf, 1e12)) < 1e-11
 
     def test_pole_hit(self):
-        prf = PoleResidueForm(head=[], terms=[(2.0, 1.0)])
+        prf = PoleResidueForm(head=[], poles=[2.0], weights=[1.0])
         with pytest.raises(PoleHit):
             eval_pole_residue(prf, 2.0)
 
     def test_origin_pole_with_zero_weight_is_skipped(self):
-        prf = PoleResidueForm(head=[], terms=[(0.0, 0.0), (2.0, 1.0)])
+        prf = PoleResidueForm(head=[], poles=[0.0, 2.0], weights=[0.0, 1.0])
         assert eval_pole_residue(prf, 1.0) == pytest.approx(2.0)
 
     def test_origin_pole_with_weight_rejected(self):
-        prf = PoleResidueForm(head=[], terms=[(0.0, 1.0)])
+        prf = PoleResidueForm(head=[], poles=[0.0], weights=[1.0])
         with pytest.raises(ZeroPole):
             eval_pole_residue(prf, 0.5)
 
@@ -170,13 +170,13 @@ class TestArrayEvaluation:
         np.testing.assert_allclose(vals[[0, 2]], [2.0, -1.0])
 
     def test_pole_residue_array_marks_pole_hits(self):
-        prf = PoleResidueForm(head=[1.0], terms=[(2.0, 1.0)])
+        prf = PoleResidueForm(head=[1.0], poles=[2.0], weights=[1.0])
         vals = eval_pole_residue(prf, np.array([[0.0, 2.0]]))
         assert vals.shape == (1, 2)
         assert vals[0, 0] == 1.0 and vals[0, 1] == np.inf
 
     def test_origin_pole_with_weight_rejected_for_arrays(self):
-        prf = PoleResidueForm(head=[], terms=[(0.0, 1.0), (2.0, 1.0)])
+        prf = PoleResidueForm(head=[], poles=[0.0, 2.0], weights=[1.0, 1.0])
         with pytest.raises(ZeroPole):
             eval_pole_residue(prf, np.array([0.5, 2.0]))
 
@@ -241,14 +241,14 @@ def pole_residue_and_points(draw):
     head = draw(st.lists(_coeff, max_size=3))
     poles = draw(st.lists(_point.filter(lambda p: p != 0), min_size=0, max_size=6, unique=True))
     weights = draw(st.lists(_coeff, min_size=len(poles), max_size=len(poles)))
-    terms = list(zip(poles, weights))
-    if draw(st.booleans()):
-        terms.append((0j, 0j))  # zero-weight origin term, skipped
+    origin = draw(st.booleans())  # add a zero-weight origin term, skipped
     points = draw(st.lists(_point, min_size=1, max_size=12))
     if poles:
         points += draw(st.lists(st.sampled_from(poles), max_size=3))  # exact hits
+    if origin:
+        poles, weights = poles + [0j], weights + [0j]
     try:
-        prf = PoleResidueForm(head=head, terms=terms)
+        prf = PoleResidueForm(head=head, poles=poles, weights=weights)
     except DuplicatePole:
         assume(False)
     return prf, np.array(points, dtype=complex)
@@ -354,7 +354,7 @@ class TestHornerAtStudySizes:
 class TestErrorSweepWarnings:
     def test_no_warning_on_flagged_points(self):
         ra = RationalApproximant([1.0], [1.0, -1.0])  # 1/(1-z), pole at 1
-        prf = PoleResidueForm(head=[], terms=[(2.0, 1.0)])  # pole at 2
+        prf = PoleResidueForm(head=[], poles=[2.0], weights=[1.0])  # pole at 2
         pts = np.array([0.0, 0.5, 1.0, 2.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

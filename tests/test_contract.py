@@ -95,7 +95,7 @@ def series_cases(draw):
         expo = amp * np.cos(2 * np.pi * np.arange(n) / period) + rng.uniform(-0.5, 0.5, n)
         s = PowerSeries(10.0**expo * np.exp(2j * np.pi * rng.uniform(size=n)))
     elif kind == "extreme":
-        s = PowerSeries(rng.choice([1e300, -1e300, 1e-300, 1.0], size=n))
+        s = PowerSeries(rng.choice([1e300, -1e300, 1e-300, 1.0, 1e308, -1e308], size=n))
     elif kind == "spike":
         c = np.zeros(n, dtype=complex)
         c[rng.integers(n)] = 10.0 ** rng.uniform(-300, 300) * np.exp(2j * np.pi * rng.uniform())
@@ -159,7 +159,7 @@ def test_solver_functions_return_their_results_or_raise(case, capfd):
     for name in ("pm1", "pm2"):
         if name in got:
             sol = got[name]
-            assert isinstance(sol, Solution) and sol.final_l == len(sol.prf.terms)
+            assert isinstance(sol, Solution) and sol.final_l == sol.prf.poles.size
             assert sol.final_l == conf.m and sol.report is None if name == "pm1" else sol.final_l == sol.report.final_l
     for name in ("dm", "svd"):
         if name in got:
@@ -168,7 +168,7 @@ def test_solver_functions_return_their_results_or_raise(case, capfd):
             assert b[0] == 1 if name == "dm" else np.abs(b).max() == pytest.approx(1)
     if "pruned" in got:
         prf = got["pruned"]
-        assert isinstance(prf, PoleResidueForm) and 1 <= len(prf.terms) <= conf.m
+        assert isinstance(prf, PoleResidueForm) and 1 <= prf.poles.size <= conf.m
         assert all(on_ray(p) for p in prf.poles)
 
 
@@ -258,7 +258,7 @@ class TestOverflowingHelpers:
 
     @pytest.mark.parametrize("poles", [(1e200, 2e200), (1e-160, 2e-160)])
     def test_to_rational(self, poles, capfd):
-        prf = PoleResidueForm(head=[], terms=tuple((p, 1) for p in poles))
+        prf = PoleResidueForm(head=[], poles=poles, weights=[1] * len(poles))
         self._raises_nonfinite_quietly(lambda: to_rational(prf, PowerSeries(np.ones(5)), Conformation(2, 0)), capfd)
 
     @pytest.mark.parametrize("denom", [[np.nan, 1], [1, np.inf], [1, 0.5, complex(0, np.nan)]])
@@ -333,7 +333,7 @@ class TestClassifyEps:
 #: Root values for classify_roots: finite (near the unit disk, far out,
 #: huge) and non-finite in every component.
 ROOT_VALUES = st.sampled_from([
-    0.0, 1.0, -1.0 + 0.5j, 0.9 + 0.2j, 1.05, 4.0, 1e300, -1e300j, 1e-300,
+    0.0, 1.0, -1.0 + 0.5j, 0.9 + 0.2j, 1.05, 4.0, 1e300, -1e300j, 1e-300, 1e308, -1e308,
     complex(np.inf, 0), complex(0, -np.inf), complex(np.nan, 0), complex(1, np.nan), complex(np.inf, np.nan),
 ])
 
@@ -527,6 +527,44 @@ class TestGeometricNoiseConfig:
             result = run_geometric_noise(cfg)
         assert capfd.readouterr() == ("", "")
         assert len(result["rows"]) == 4 and [entry["samples"] for entry in result["summary"]] == [2, 2]
+
+    def test_numpy_scalars_write_the_files_of_python_numbers(self, tmp_path, capfd):
+        # A numpy count or float32 t used to raise a raw TypeError from the
+        # summary writer, and a numpy eps was written as np.float64(1e-06).
+        path = tmp_path / "study"
+        want = {}
+        for cfg in (
+            ExperimentConfig(n=8, m=3, k=-1, eps_list=[1e-6, 0.0], samples=2, seed=5, t=8.0, output_path=str(path)),
+            ExperimentConfig(n=np.int64(8), m=np.int64(3), k=np.int32(-1), eps_list=[np.float64(1e-6), np.float64(0.0)],
+                             samples=np.int64(2), seed=np.int64(5), t=np.float32(8.0), output_path=str(path)),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = run_geometric_noise(cfg)
+            got = {suffix: Path(f"{path}{suffix}").read_bytes() for suffix in (".samples.csv", ".summary.json")}
+            assert got == want.setdefault("files", got)
+            assert result == want.setdefault("result", result)
+            assert {type(v) for v in result["config"].values()} <= {int, float, str, tuple, type(None)}
+            assert {type(v) for row in result["rows"] for v in row.values()} <= {int, float, str, bool}
+        assert capfd.readouterr() == ("", "")
+
+    def test_log_branch_numpy_scalars_write_the_file_of_python_numbers(self, tmp_path):
+        path = tmp_path / "log"
+        written = []
+        for n, t in ((11, 8.0), (np.int64(11), np.float32(8.0))):
+            run_log_branch(ExperimentConfig(n=n, t=t, output_path=str(path)))
+            written.append(Path(f"{path}.json").read_bytes())
+        assert written[0] == written[1]
+
+    def test_a_repeated_eps_has_its_own_samples_and_summary(self):
+        # The summary grouped rows by eps value, so each of two equal
+        # entries claimed all four samples.
+        result = run_geometric_noise(ExperimentConfig(eps_list=(1e-3, 1e-3), samples=2))
+        rows, summary = result["rows"], result["summary"]
+        assert len(rows) == 4 and [entry["samples"] for entry in summary] == [2, 2]
+        assert summary[0] == run_geometric_noise(ExperimentConfig(eps_list=(1e-3,), samples=2))["summary"][0]
+        for entry, part in zip(summary, (rows[:2], rows[2:])):
+            assert entry["mean_system_pole_error"] == np.mean([row["system_pole_error"] for row in part])
 
 
 @pytest.mark.parametrize("n", [3, 4, 11, 21])

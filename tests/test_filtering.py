@@ -80,7 +80,7 @@ class TestReducedPoles:
 class TestPm2:
     def test_degenerate_quadratic_becomes_constant(self):
         prf, ra, report = pm2(PowerSeries([1.0, 0.0, 1.0], t=14), Conformation(m=1, k=0))
-        assert len(prf.terms) == 0
+        assert prf.poles.size == 0
         np.testing.assert_allclose(ra.numer, [1.0])
         np.testing.assert_allclose(ra.denom, [1.0])
         assert report.head_only
@@ -211,7 +211,7 @@ class TestPm2:
         np.testing.assert_allclose(ra.denom, [1.0])
         # negative k has no head but the zero approximant still stands
         prf2, ra2, _ = pm2(PowerSeries(np.zeros(10)), Conformation(m=4, k=-1))
-        assert len(prf2.terms) == 0
+        assert prf2.poles.size == 0
         np.testing.assert_allclose(ra2.numer, [0.0])
 
     def test_report_serialises(self):
@@ -241,7 +241,7 @@ class TestPm2:
         out, err = capfd.readouterr()
         assert "DLASCL" not in out + err
         assert report.d_matrix_reductions >= 1
-        assert 1 <= report.final_l == len(prf.terms) < m
+        assert 1 <= report.final_l == prf.poles.size < m
         assert np.all(np.isfinite(prf.poles)) and np.all(np.isfinite(ra.denom))
 
     def test_residue_conditioning_svd_failure_is_mapped(self, monkeypatch):

@@ -45,10 +45,10 @@ class TestWindow:
         conf = Conformation(m=2, k=-1)
         H = combined_window(s, conf, 2)
         np.testing.assert_array_equal(H, [[1, 2, 3], [2, 3, 4]])
-        blocks = build_blocks(s, conf)
-        np.testing.assert_array_equal(blocks.C1, [[1, 2], [2, 3]])
-        np.testing.assert_array_equal(blocks.C2, [[2, 3], [3, 4]])
-        assert blocks.C1.shape == (2, 2)
+        window = build_blocks(s, conf)
+        np.testing.assert_array_equal(window[:, :-1], [[1, 2], [2, 3]])
+        np.testing.assert_array_equal(window[:, 1:], [[2, 3], [3, 4]])
+        assert window[:, :-1].shape == (2, 2)
 
     def test_window_shape_follows_l(self):
         s = PowerSeries(np.arange(1.0, 9.0))
@@ -84,14 +84,14 @@ class TestPoles:
 
     def test_rank_deficient_pencil_raises_by_default(self):
         s = gen_log_series(41)
-        blocks = build_blocks(s, Conformation(m=20, k=0))
+        window = build_blocks(s, Conformation(m=20, k=0))
         with pytest.raises(RankDeficient):
-            pm1_poles(blocks)
+            pm1_poles(window)
 
     def test_rank_check_can_be_disabled(self):
         s = gen_log_series(41)
-        blocks = build_blocks(s, Conformation(m=20, k=0))
-        poles = pm1_poles(blocks, rank_rtol=0.0)
+        window = build_blocks(s, Conformation(m=20, k=0))
+        poles = pm1_poles(window, rank_rtol=0.0)
         assert poles.size == 20
         assert np.all(np.isfinite(poles))
 
@@ -143,21 +143,37 @@ class TestResidues:
             pm1_residues(s, [], Conformation(m=1, k=-1))
 
 
+def form_of(terms) -> PoleResidueForm:
+    """The form with no head and the given (pole, weight) pairs."""
+    return PoleResidueForm(head=[], poles=[p for p, _ in terms], weights=[e for _, e in terms])
+
+
+def pairs_of(prf: PoleResidueForm) -> tuple:
+    """The form's terms as (pole, weight) pairs of Python complex numbers."""
+    return tuple(zip(prf.poles.tolist(), prf.weights.tolist()))
+
+
 class TestPoleResidueForm:
     def test_terms_sorted(self):
-        prf = PoleResidueForm(head=[],
-                              terms=[(2.0, 1.0), (1j, 2.0), (-1.0, 3.0)])
+        prf = PoleResidueForm(head=[], poles=[2.0, 1j, -1.0], weights=[1.0, 2.0, 3.0])
         np.testing.assert_allclose(prf.poles, [1j, -1.0, 2.0])
         np.testing.assert_allclose(prf.weights, [2.0, 3.0, 1.0])
 
     def test_duplicate_pole_rejected(self):
         with pytest.raises(DuplicatePole):
-            PoleResidueForm(head=[],
-                            terms=[(1.0, 1.0), (1.0 + 1e-14, 2.0)])
+            PoleResidueForm(head=[], poles=[1.0, 1.0 + 1e-14], weights=[1.0, 2.0])
+
+    def test_arrays_are_read_only_and_counts_must_match(self):
+        prf = PoleResidueForm(head=[1.0], poles=[2.0], weights=[3.0])
+        for values in (prf.head, prf.poles, prf.weights):
+            with pytest.raises(ValueError):
+                values[0] = 0
+        with pytest.raises(ValueError, match="2 poles but 1 weights"):
+            PoleResidueForm(head=[], poles=[1.0, 2.0], weights=[1.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFinite):
-            PoleResidueForm(head=[], terms=[(np.inf, 1.0)])
+            PoleResidueForm(head=[], poles=[np.inf], weights=[1.0])
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
@@ -178,10 +194,10 @@ class TestPoleResidueForm:
             want = loop_pole_residue_terms(terms)
         except DuplicatePole as exc:
             with pytest.raises(DuplicatePole) as got:
-                PoleResidueForm(head=[], terms=terms)
+                form_of(terms)
             assert str(got.value) == str(exc)
         else:
-            assert PoleResidueForm(head=[], terms=terms).terms == want
+            assert pairs_of(form_of(terms)) == want
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
@@ -207,9 +223,9 @@ class TestPoleResidueForm:
             want = loop_pole_residue_terms(terms)
         except DuplicatePole as exc:
             with pytest.raises(DuplicatePole, match=f"^{re.escape(str(exc))}$"):
-                PoleResidueForm(head=[], terms=terms)
+                form_of(terms)
         else:
-            assert PoleResidueForm(head=[], terms=terms).terms == want
+            assert pairs_of(form_of(terms)) == want
 
     def test_duplicate_check_where_the_tolerance_underflows(self):
         # Below about 1e-296, 1e-12 of a modulus is subnormal or zero, so
@@ -226,9 +242,9 @@ class TestPoleResidueForm:
                 want = loop_pole_residue_terms(terms)
             except DuplicatePole as exc:
                 with pytest.raises(DuplicatePole, match=f"^{re.escape(str(exc))}$"):
-                    PoleResidueForm(head=[], terms=terms)
+                    form_of(terms)
             else:
-                assert PoleResidueForm(head=[], terms=terms).terms == want
+                assert pairs_of(form_of(terms)) == want
 
     def test_moduli_near_overflow(self):
         # A finite pole whose modulus overflows is non-finite, alone or
@@ -237,9 +253,9 @@ class TestPoleResidueForm:
             warnings.simplefilter("error")
             for terms in ([(1.0, 1.0), (1.5e308 + 1.5e308j, 1.0), (2.0, 1.0)], [(1.5e308 + 1.5e308j, 1.0)]):
                 with pytest.raises(NonFinite, match="pole moduli must be finite"):
-                    PoleResidueForm(head=[], terms=terms)
+                    form_of(terms)
             big = np.finfo(float).max
-            prf = PoleResidueForm(head=[], terms=[(big, 1.0), (-big, 1.0), (1.0, 1.0)])
+            prf = PoleResidueForm(head=[], poles=[big, -big, 1.0], weights=[1.0, 1.0, 1.0])
         assert prf.poles.tolist() == [1.0, big, -big]
 
 
@@ -256,7 +272,7 @@ class TestToRationalDenominator:
             new = {"real": complex(rng.uniform(-3, 3)), "origin": 0j, "conjugate": poles[0].conjugate()}
             poles.insert(data.draw(st.integers(0, len(poles))), new[kind])
         try:
-            prf = PoleResidueForm(head=[], terms=[(p, 1.0) for p in poles])
+            prf = PoleResidueForm(head=[], poles=poles, weights=[1.0] * len(poles))
         except DuplicatePole:
             return
         s = PowerSeries(rng.standard_normal(prf.poles.size) + 0j)
@@ -283,7 +299,7 @@ class TestToRational:
     def test_head_only_form(self):
         s = PowerSeries([3.0, 1.0, 4.0])
         conf = Conformation(m=0, k=1)
-        prf = PoleResidueForm(head=[3.0, 1.0], terms=())
+        prf = PoleResidueForm(head=[3.0, 1.0], poles=(), weights=())
         assert prf.shift == 2
         ra = to_rational(prf, s, conf)
         np.testing.assert_allclose(ra.numer, [3.0, 1.0])
@@ -292,7 +308,7 @@ class TestToRational:
     def test_empty_form_with_negative_offset_collapses(self):
         s = PowerSeries([1.0, 1.0])
         conf = Conformation(m=1, k=-1)
-        prf = PoleResidueForm(head=[], terms=())
+        prf = PoleResidueForm(head=[], poles=(), weights=())
         with pytest.raises(Collapse):
             to_rational(prf, s, conf)
 
