@@ -275,6 +275,11 @@ def _geometric_row(eps: float, sample: int, cfg: ExperimentConfig, res: MethodRe
     return row
 
 
+def _python(v):
+    """A numpy scalar as the Python number it holds; anything else as is."""
+    return v.item() if isinstance(v, np.generic) else v
+
+
 def _mean(values) -> float | None:
     values = [v for v in values if v != "" and v is not None]
     return float(np.mean(values)) if values else None
@@ -294,10 +299,11 @@ def run_geometric_noise(cfg: ExperimentConfig) -> dict:
     {path}.summary.json; the returned dict holds config, rows and
     summary either way.  A count or seed that is not an integer, a
     negative sample count, and an eps_list that is not a sequence raise
-    ValueError before any draw.  Then the counts become ints, and each
-    eps and t a float, so numpy scalars give the same rows, summary,
-    config and files as Python numbers.  Each eps_list entry, repeated or not, has
-    its own samples and summary entry.
+    ValueError before any draw.  Then numpy scalars among the counts,
+    the eps and t become the Python numbers they hold, so they give the
+    same rows, summary, config and files as Python numbers.  Each
+    eps_list entry, repeated or not, has its own samples and summary
+    entry.
     """
     counts = ("n", "m", "k", "samples", "seed")
     for name in counts:
@@ -306,8 +312,8 @@ def run_geometric_noise(cfg: ExperimentConfig) -> dict:
         raise ValueError(f"samples must be >= 0, got {cfg.samples}")
     if np.ndim(cfg.eps_list) != 1:
         raise ValueError(f"eps_list must be a sequence of noise amplitudes, got {cfg.eps_list!r}")
-    cfg = replace(cfg, eps_list=tuple(float(eps) for eps in cfg.eps_list), t=None if cfg.t is None else float(cfg.t),
-                  **{name: int(getattr(cfg, name)) for name in counts})
+    cfg = replace(cfg, eps_list=tuple(_python(eps) for eps in cfg.eps_list), t=_python(cfg.t),
+                  **{name: _python(getattr(cfg, name)) for name in counts})
     conf = Conformation(m=cfg.m, k=cfg.k)
     if conf.n > cfg.n:
         raise ValueError(f"[{cfg.m + cfg.k}/{cfg.m}] needs {conf.n} coefficients but cfg.n={cfg.n}")
@@ -383,8 +389,8 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
     With cfg.output_path set, writes {path}.json.
     """
     require_integer("n", cfg.n)
-    n = int(cfg.n)
-    t = float(cfg.t) if cfg.t is not None else 14.0
+    n = _python(cfg.n)
+    t = _python(cfg.t) if cfg.t is not None else 14.0
     m = (n - 1) // 2
     conf = Conformation(m=m, k=0)
     log = replace(gen_log_series(n), t=t)

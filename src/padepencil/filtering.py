@@ -24,13 +24,14 @@ usable information.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .baseline import Conformation, RationalApproximant, _require_length, combined_window
-from .errors import Collapse, ConvergenceFailure, RankDeficient
+from .errors import Collapse, ConvergenceFailure, NonFinite, RankDeficient
 from .numerics import SvdResult, all_finite, complex_pairs, qr_solve, singular_values, svd
 from .pencil import PoleResidueForm, Solution, _with_head, pm1_poles, residue_system, to_rational
 from .series import PowerSeries
@@ -106,11 +107,14 @@ def reduced_poles(svd_result: SvdResult) -> np.ndarray:
     zeros to the full column count: the unitary factor U drops out, but
     each row must keep its singular-value weight.  Raises RankDeficient
     when the weighted system loses rank, in which case the caller
-    shrinks l and retries.
+    shrinks l and retries, and NonFinite when the largest singular
+    value overflows (a finite window whose 2-norm does not fit).
     """
     l = svd_result.Vh.shape[0] - 1
     if l < 1:
         raise ValueError(f"window must have at least 2 columns, got {l + 1}")
+    if not math.isfinite(svd_result.sigma[0]):
+        raise NonFinite("largest singular value of the window overflows")
     weights = np.zeros(l + 1)
     weights[: svd_result.sigma.size] = svd_result.sigma
     return pm1_poles(weights[:, None] * svd_result.Vh)

@@ -185,9 +185,8 @@ def svd(A) -> SvdResult:
     per call, addressed by offsets: an array address from numpy costs
     more than a small LAPACK call.  Other shapes, and matrices near the
     range where zgesdd scales A or R first, go to numpy's zgesdd gufunc.
-    Raises NonFinite for NaN/inf entries and for a largest singular
-    value that overflows, and ConvergenceFailure if LAPACK does not
-    converge.
+    Raises NonFinite for NaN/inf entries and ConvergenceFailure if
+    LAPACK does not converge.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.size == 0:
@@ -205,8 +204,6 @@ def svd(A) -> SvdResult:
         return _bidiagonal_svd(A)
     with np.errstate(call=_svd_did_not_converge, **_GUFUNC_FLAGS):
         _, sigma, Vh = _umath_linalg.svd_f(A, signature="D->DdD")
-    if not math.isfinite(sigma[0]):  # A is finite, but its 2-norm overflows
-        raise NonFinite("largest singular value overflows")
     return SvdResult(sigma, Vh)
 
 

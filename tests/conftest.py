@@ -10,8 +10,9 @@ differently and can differ in the last bits on large matrices.
 Property tests run under the ``tier1`` hypothesis profile: a fixed
 sequence of examples and no example database, so a run's result depends
 on the commit alone, not on examples stored by earlier runs.
-``pytest --hypothesis-profile=wide`` runs hypothesis's default random
-search with its database instead; both keep every ``max_examples``.
+``pytest --hypothesis-profile=default`` runs hypothesis's built-in
+random search with its database instead; both keep every
+``max_examples``.
 """
 
 import os
@@ -22,7 +23,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 settings.register_profile("tier1", derandomize=True, database=None)
-settings.register_profile("wide")
 settings.load_profile("tier1")
 
 acceptance_lines = {}

@@ -269,6 +269,30 @@ class TestOverflowingHelpers:
         )
 
 
+class TestOverflowingWindow:
+    """A finite window whose 2-norm overflows: zgesdd scales it, so the
+    svd method still gets its null direction, while pm1 and pm2, which
+    multiply by that norm, raise NonFinite.  All quietly."""
+
+    S = PowerSeries([1e308, -1e308] * 4)
+
+    @pytest.mark.parametrize("m, k", [(2, 0), (3, 1)])
+    def test_svd_denominator_stays_finite(self, m, k, capfd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = svd_denominator(self.S, Conformation(m, k))
+        assert capfd.readouterr() == ("", "")
+        assert np.isfinite(b).all() and np.abs(b).max() == 1
+
+    @pytest.mark.parametrize("method", ["pm1", "pm2"])
+    def test_pencil_solvers_raise_nonfinite(self, method, capfd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                approximate_series(self.S, Conformation(3, 1), method)
+        assert capfd.readouterr() == ("", "")
+
+
 class TestConformationDegrees:
     """Degrees must be integers: a float or a string degree used to reach
     the solvers and fail there with a raw TypeError from slicing."""
@@ -547,6 +571,20 @@ class TestGeometricNoiseConfig:
             assert {type(v) for v in result["config"].values()} <= {int, float, str, tuple, type(None)}
             assert {type(v) for row in result["rows"] for v in row.values()} <= {int, float, str, bool}
         assert capfd.readouterr() == ("", "")
+
+    def test_python_numbers_keep_their_type(self, tmp_path):
+        # An int eps or t is written as an int, as before numpy scalars
+        # were converted.
+        path = tmp_path / "study"
+        result = run_geometric_noise(ExperimentConfig(n=8, m=3, k=-1, eps_list=[0], samples=1, t=8,
+                                                      output_path=str(path)))
+        assert result["config"]["eps_list"] == (0,) and type(result["config"]["t"]) is int
+        summary = json.loads(Path(f"{path}.summary.json").read_text())
+        assert type(summary["config"]["t"]) is int and type(summary["summary"][0]["eps"]) is int
+        csv_rows = Path(f"{path}.samples.csv").read_text().splitlines()
+        assert csv_rows[1].split(",")[csv_rows[0].split(",").index("eps")] == "0"
+        run_log_branch(ExperimentConfig(n=11, t=8, output_path=str(tmp_path / "log")))
+        assert type(json.loads((tmp_path / "log.json").read_text())["t"]) is int
 
     def test_log_branch_numpy_scalars_write_the_file_of_python_numbers(self, tmp_path):
         path = tmp_path / "log"
