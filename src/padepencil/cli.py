@@ -34,7 +34,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .approximant import sorted_roots
+from .approximant import poles_and_zeros, sorted_roots
 from .baseline import Conformation
 from .errors import ApproximationError
 from .experiments import (
@@ -44,7 +44,6 @@ from .experiments import (
     json_text,
     run_geometric_noise,
     run_log_branch,
-    solve,
     write_output,
 )
 from .numerics import complex_pairs
@@ -67,7 +66,7 @@ def load_coefficients(path: str) -> np.ndarray:
         text = fh.read()
     # Both formats become (line number, [re, im]) entries, with no line
     # number for JSON; a JSON entry that is neither a number nor a list
-    # is kept as is and rejected below.
+    # (true and false are no numbers here) is kept as is and rejected below.
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
@@ -79,15 +78,15 @@ def load_coefficients(path: str) -> np.ndarray:
     else:
         if not isinstance(data, list):
             raise ValueError(f"{path}: JSON coefficient file must be an array")
-        entries = [(None, [item, 0.0] if isinstance(item, (int, float)) else item) for item in data]
+        entries = [(None, [item, 0.0] if type(item) in (int, float) else item) for item in data]
     if not entries:
         raise ValueError(f"{path}: no coefficients found")
     values = []
     for lineno, pair in entries:
         expected = "a number, 're im' or [re, im]"
-        # float reads the text fields; a JSON string is no number, whatever it spells.
+        # float reads the text fields; a JSON string or boolean is no number.
         if (isinstance(pair, list) and len(pair) == 2
-                and (lineno is not None or not any(isinstance(x, str) for x in pair))):
+                and (lineno is not None or not any(isinstance(x, (str, bool)) for x in pair))):
             try:
                 value = complex(float(pair[0]), float(pair[1]))
             except (TypeError, ValueError, OverflowError):
@@ -105,28 +104,28 @@ def load_coefficients(path: str) -> np.ndarray:
 def cli_approximate(args) -> int:
     """Solve, then write what the subcommand prints: every key for
     ``approximate``; for ``poles`` the denominator's roots alone, so the
-    numerator's roots and the report are never computed.  JSON after
+    numerator's roots are never computed.  JSON after
     ``method`` and ``conformation``, CSV without the report."""
     coeffs = load_coefficients(args.coeffs)
     s = PowerSeries(coeffs) if args.t is None else PowerSeries(coeffs, t=args.t)
     if args.n is not None:
         s = s.truncate(args.n)
     conf = Conformation(m=args.m, k=args.k)
+    sol = approximate_series(s, conf, args.method)
     if args.command == "poles":
-        res = solve(s, conf, args.method)
-        payload = {"poles": complex_pairs(sorted_roots(res.rational.denom))}
+        payload = {"poles": complex_pairs(sorted_roots(sol.rational.denom))}
     else:
-        res = approximate_series(s, conf, args.method)
+        poles, zeros = poles_and_zeros(sol.rational)
         payload = {
-            "numer": complex_pairs(res.rational.numer),
-            "denom": complex_pairs(res.rational.denom),
-            "poles": complex_pairs(res.poles),
-            "zeros": complex_pairs(res.zeros),
-            "residues": complex_pairs(res.prf.weights) if res.prf is not None else [],
-            "report": res.report.to_dict() if res.report is not None else None,
+            "numer": complex_pairs(sol.rational.numer),
+            "denom": complex_pairs(sol.rational.denom),
+            "poles": complex_pairs(poles),
+            "zeros": complex_pairs(zeros),
+            "residues": complex_pairs(sol.prf.weights) if sol.prf is not None else [],
+            "report": sol.report.to_dict() if sol.report is not None else None,
         }
     if args.format == "json":
-        head = {"method": args.method, "conformation": {"m": conf.m, "k": conf.k, "final_l": res.final_l}}
+        head = {"method": args.method, "conformation": {"m": conf.m, "k": conf.k, "final_l": sol.final_l}}
         text = json_text(head | payload) + "\n"
     else:
         lines = ["kind,index,re,im"]
@@ -186,24 +185,24 @@ def build_parser() -> argparse.ArgumentParser:
     }
     exp_sub = parser.commands["experiment"].add_subparsers(dest="experiment", parser_class=_Parser)
 
-    defaults = ExperimentConfig()
+    # A flag left out stays None, and ExperimentConfig gives its default.
     p_geo = exp_sub.add_parser("geometric-noise", help="noise study on 1/(1-z)")
-    p_geo.add_argument("--method", choices=METHODS, default=defaults.method)
-    p_geo.add_argument("--m", type=int, default=defaults.m)
-    p_geo.add_argument("--k", type=int, default=defaults.k)
-    p_geo.add_argument("--n", type=int, default=defaults.n)
+    p_geo.add_argument("--method", choices=METHODS)
+    p_geo.add_argument("--m", type=int)
+    p_geo.add_argument("--k", type=int)
+    p_geo.add_argument("--n", type=int)
     p_geo.add_argument(
         "--eps", dest="eps_list", metavar="EPS", type=float, action="append", help="repeatable noise amplitude"
     )
-    p_geo.add_argument("--samples", type=int, default=defaults.samples)
-    p_geo.add_argument("--seed", type=int, default=defaults.seed)
-    p_geo.add_argument("--t", type=float, default=defaults.t)
+    p_geo.add_argument("--samples", type=int)
+    p_geo.add_argument("--seed", type=int)
+    p_geo.add_argument("--t", type=float)
     p_geo.add_argument("--out", dest="output_path", metavar="OUT", help="base path for .samples.csv/.summary.json")
     p_geo.set_defaults(func=cli_experiment)
 
     p_log = exp_sub.add_parser("log-branch", help="branch-cut study on ln(1.2-z)")
     p_log.add_argument("--n", type=int, default=41)
-    p_log.add_argument("--t", type=float, default=defaults.t)
+    p_log.add_argument("--t", type=float)
     p_log.add_argument("--out", dest="output_path", metavar="OUT", help="base path for .json output")
     p_log.set_defaults(func=cli_experiment)
 

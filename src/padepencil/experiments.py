@@ -25,7 +25,6 @@ import os
 import stat
 from dataclasses import asdict, dataclass, replace
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 import numpy as np
 
@@ -152,48 +151,29 @@ class ExperimentConfig:
     output_path: str | None = None
 
 
-class MethodResult(NamedTuple):
-    """What one solver produced for one series, with its roots."""
-
-    rational: RationalApproximant
-    prf: PoleResidueForm | None
-    report: object | None
-    poles: np.ndarray
-    zeros: np.ndarray
-
-    final_l = Solution.final_l
+def _require_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
 
 
-def solve(s: PowerSeries, conf: Conformation, method: str) -> Solution:
+def approximate_series(s: PowerSeries, conf: Conformation, method: str) -> Solution:
     """Run one solver on one series and return its Solution.
 
     ``method`` is one of dm, svd, pm1, pm2; pm2 filters at the series'
     accuracy ``s.t``.  dm and svd give no pole-residue form, and only
-    pm2 gives a report.  No root is extracted.  Solver failures
-    propagate as the usual ApproximationError subclasses.
+    pm2 gives a report.  No root is extracted: a caller that needs the
+    poles and zeros calls ``poles_and_zeros`` on ``rational``, and one
+    that needs only the poles ``sorted_roots`` on its denominator.
+    Solver failures propagate as the usual ApproximationError
+    subclasses.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    _require_method(method)
     if method == "pm1":
         return pm1(s, conf)
     if method == "pm2":
         return pm2(s, conf)
     denom = (dm_denominator if method == "dm" else svd_denominator)(s, conf)
     return Solution(None, RationalApproximant(numerator_from_denominator(s, denom, conf), denom))
-
-
-def approximate_series(s: PowerSeries, conf: Conformation, method: str) -> MethodResult:
-    """Run one solver on one series (``solve``) and extract both its
-    poles and its zeros (``poles_and_zeros``).
-
-    Root extraction can fail on its own, for instance with NonFinite
-    when the numerator's roots overflow; that failure propagates like a
-    solver's.  A caller that needs only the poles calls ``solve`` and
-    ``approximant.sorted_roots`` on the denominator instead, as the CLI's
-    ``poles`` does.
-    """
-    prf, ra, report = solve(s, conf, method)
-    return MethodResult(ra, prf, report, *poles_and_zeros(ra))
 
 
 def sample_rng(seed: int, eps_index: int, sample_index: int) -> np.random.Generator:
@@ -249,25 +229,27 @@ SUMMARY_COLUMNS = (
 )
 
 
-def _geometric_row(eps: float, sample: int, cfg: ExperimentConfig, res: MethodResult | None, exc) -> dict:
+def _geometric_row(eps: float, sample: int, cfg: ExperimentConfig, sol: Solution | None, roots, exc) -> dict:
+    """A sample's CSV row from ``sol`` and its (poles, zeros), or a failed row naming ``exc``."""
     row = {c: "" for c in GEOMETRIC_CSV_COLUMNS}
     row.update(eps=eps, sample=sample, method=cfg.method, failed=exc is not None)
     if exc is not None:
         row["error_type"] = type(exc).__name__
         return row
-    sweep = error_sweep(lambda z: eval_rational(res.rational, z), lambda z: 1.0 / (1.0 - z), STUDY_GRID)
-    tax = classify_roots(res.poles, res.zeros, [1.0 + 0j], eps=eps)
-    if res.poles.size:
-        row["system_pole_error"] = float(np.min(np.abs(res.poles - 1.0)))
+    poles, zeros = roots
+    sweep = error_sweep(lambda z: eval_rational(sol.rational, z), lambda z: 1.0 / (1.0 - z), STUDY_GRID)
+    tax = classify_roots(poles, zeros, [1.0 + 0j], eps=eps)
+    if poles.size:
+        row["system_pole_error"] = float(np.min(np.abs(poles - 1.0)))
     row.update(
-        n_poles=res.poles.size,
+        n_poles=poles.size,
         n_system=len(tax.system_poles),
         n_doublets=len(tax.doublets),
         n_far_poles=len(tax.far_poles),
         n_far_zeros=len(tax.far_zeros),
         n_unclassified=len(tax.unclassified),
-        final_l=res.final_l,
-        defect_estimate=res.report.defect_estimate if res.report is not None else "",
+        final_l=sol.final_l,
+        defect_estimate=sol.report.defect_estimate if sol.report is not None else "",
     )
     for name, part in _GRID_PARTS.items():
         row[f"max_err_{name}"] = _unflagged_max(sweep, part)
@@ -291,25 +273,27 @@ def run_geometric_noise(cfg: ExperimentConfig) -> dict:
     For each eps in cfg.eps_list, draws cfg.samples coefficient vectors
     of 1*(1+eps*u) with u uniform on [-1, 1), runs cfg.method at
     [m+k/m], classifies roots against the single expected pole at 1,
-    and sweeps errors over the three stock grids.  The filtering
+    and sweeps errors over the three stock grids.  A sample whose solve
+    or root extraction fails gives a failed row.  The filtering
     accuracy is cfg.t when set, else the t that gen_geometric_noisy
     gives the series.
 
     With cfg.output_path set, writes {path}.samples.csv and
     {path}.summary.json; the returned dict holds config, rows and
     summary either way.  A count or seed that is not an integer, a
-    negative sample count, and an eps_list that is not a sequence raise
-    ValueError before any draw.  Then numpy scalars among the counts,
-    the eps and t become the Python numbers they hold, so they give the
-    same rows, summary, config and files as Python numbers.  Each
-    eps_list entry, repeated or not, has its own samples and summary
-    entry.
+    negative sample count, an unknown method and an eps_list that is
+    not a sequence raise ValueError before any draw.  Then numpy
+    scalars among the counts, the eps and t become the Python numbers
+    they hold, so they give the same rows, summary, config and files as
+    Python numbers.  Each eps_list entry, repeated or not, has its own
+    samples and summary entry.
     """
     counts = ("n", "m", "k", "samples", "seed")
     for name in counts:
         require_integer(name, getattr(cfg, name))
     if cfg.samples < 0:
         raise ValueError(f"samples must be >= 0, got {cfg.samples}")
+    _require_method(cfg.method)
     if np.ndim(cfg.eps_list) != 1:
         raise ValueError(f"eps_list must be a sequence of noise amplitudes, got {cfg.eps_list!r}")
     cfg = replace(cfg, eps_list=tuple(_python(eps) for eps in cfg.eps_list), t=_python(cfg.t),
@@ -324,11 +308,12 @@ def run_geometric_noise(cfg: ExperimentConfig) -> dict:
             if cfg.t is not None:
                 s = replace(s, t=cfg.t)
             try:
-                res = approximate_series(s.truncate(conf.n), conf, cfg.method)
+                sol = approximate_series(s.truncate(conf.n), conf, cfg.method)
+                roots = poles_and_zeros(sol.rational)
             except ApproximationError as exc:
-                rows.append(_geometric_row(eps, si, cfg, None, exc))
+                rows.append(_geometric_row(eps, si, cfg, None, None, exc))
             else:
-                rows.append(_geometric_row(eps, si, cfg, res, None))
+                rows.append(_geometric_row(eps, si, cfg, sol, roots, None))
     summary = []
     for ei, eps in enumerate(cfg.eps_list):
         sub = rows[ei * cfg.samples : (ei + 1) * cfg.samples]
@@ -385,6 +370,7 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
     filtered pencil, and evaluates both on the disk mesh of spacing 0.01
     and radius 1/2.  Also reports the pole-deletion baseline against the
     filtered solver on [0, 1].  The series carry t = cfg.t, default 14.
+    An n that is not an integer, or below 3, raises ValueError first.
 
     With cfg.output_path set, writes {path}.json.
     """
@@ -392,6 +378,8 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
     n = _python(cfg.n)
     t = _python(cfg.t) if cfg.t is not None else 14.0
     m = (n - 1) // 2
+    if n < 3:
+        raise ValueError(f"log-branch needs n >= 3 coefficients, so that m >= 1; got n={n}, m={m}")
     conf = Conformation(m=m, k=0)
     log = replace(gen_log_series(n), t=t)
     s = log.truncate(conf.n)
@@ -408,24 +396,25 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
 
     for method in ("dm", "pm2"):
         try:
-            res = approximate_series(s, conf, method)
+            sol = approximate_series(s, conf, method)
+            poles, zeros = poles_and_zeros(sol.rational)
         except ApproximationError as exc:
             result[method] = {"failed": True, "error_type": type(exc).__name__, "error": str(exc)}
             continue
-        sweep = error_sweep(lambda z: eval_rational(res.rational, z), ref, mesh)
-        off_ray = [p for p in res.poles if not on_ray(p)]
+        sweep = error_sweep(lambda z: eval_rational(sol.rational, z), ref, mesh)
+        off_ray = [p for p in poles if not on_ray(p)]
         entry = {
             "failed": False,
-            "final_l": res.final_l,
+            "final_l": sol.final_l,
             "max_mesh_error": _unflagged_max(sweep),
             "n_flagged": int(np.count_nonzero(sweep.flagged)),
-            "poles": complex_pairs(res.poles),
-            "zeros": complex_pairs(res.zeros),
+            "poles": complex_pairs(poles),
+            "zeros": complex_pairs(zeros),
             "n_off_ray_poles": len(off_ray),
             "off_ray_poles": complex_pairs(off_ray),
         }
-        if res.report is not None:
-            entry["report"] = res.report.to_dict()
+        if sol.report is not None:
+            entry["report"] = sol.report.to_dict()
         result[method] = entry
 
     # Pole-deletion comparison on the near-diagonal conformation

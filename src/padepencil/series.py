@@ -51,8 +51,12 @@ class PowerSeries:
             raise ValueError("coefficient array must be 1-D and non-empty")
         if not all_finite(arr):
             raise NonFinite("series coefficients must be finite")
-        if not self.t > 0:
-            raise ValueError(f"accuracy estimate t must be positive, got {self.t}")
+        try:
+            positive = self.t > 0
+        except TypeError:  # a string, a complex number, None
+            positive = False
+        if not positive:
+            raise ValueError(f"accuracy estimate t must be positive, got {self.t!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 

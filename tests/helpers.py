@@ -162,7 +162,7 @@ def _require_length(s, conf):
 
 def _coeff_window(s, lo, hi):
     """Coefficients c_lo..c_hi inclusive, with c_j = 0 for j < 0."""
-    return np.array([s.coeff(j) if j >= 0 else 0j for j in range(lo, hi + 1)])
+    return np.array([s.coeffs[j] if j >= 0 else 0j for j in range(lo, hi + 1)])
 
 
 def toeplitz_dm_denominator(s, conf):
@@ -207,7 +207,7 @@ def list_combined_window(s, conf, l):
         raise InsufficientCoefficients(
             f"[{m + k}/{m}] needs {conf.n} coefficients, series has {len(s)}"
         )
-    vals = np.array([s.coeff(j) if j >= 0 else 0j for j in range(k + 1, 2 * m + k + 1)])
+    vals = np.array([s.coeffs[j] if j >= 0 else 0j for j in range(k + 1, 2 * m + k + 1)])
     rows = 2 * m - l
     return sla.hankel(vals[:rows], vals[rows - 1 :])
 

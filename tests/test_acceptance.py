@@ -31,7 +31,7 @@ from padepencil.classify import classify_roots
 from padepencil.errors import DegenerateError
 from padepencil.experiments import ExperimentConfig, run_log_branch, sample_rng
 from padepencil.filtering import pm2
-from padepencil.pencil import build_blocks, pm1, pm1_poles
+from padepencil.pencil import combined_window, pm1, pm1_poles
 from padepencil.series import PowerSeries, gen_from_poles, gen_geometric_noisy
 
 INNER_GRID = np.linspace(-0.9, 0.9, 500).astype(complex)
@@ -97,7 +97,7 @@ def test_degenerate_series_all_methods():
 
     b = svd_denominator(s, conf)
     a = numerator_from_denominator(s, b, conf)
-    poles = pm1_poles(build_blocks(s, conf))
+    poles = pm1_poles(combined_window(s, conf, conf.m))
     res = pm2(s, conf)
 
     svd_ok = abs(b[0]) <= 1e-12 and abs(b[1] - 1.0) <= 1e-12
@@ -115,7 +115,7 @@ def test_degenerate_series_all_methods():
         except DegenerateError:
             pass
         svd_denominator(s, conf)
-        pm1_poles(build_blocks(s, conf))
+        pm1_poles(combined_window(s, conf, conf.m))
         pm2(s, conf)
 
     run_all()  # warm up caches and lazy imports before timing
@@ -361,7 +361,7 @@ def test_assimilation_beats_pole_deletion():
 def test_window_vandermonde_factorization():
     worst1 = worst2 = 0.0
     for poles, weights, conf, s in oracle_suite():
-        window = build_blocks(s, conf)
+        window = combined_window(s, conf, conf.m)
         C1, C2 = window[:, :-1], window[:, 1:]
         d = 1.0 / poles
         m = conf.m

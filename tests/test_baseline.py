@@ -123,7 +123,7 @@ class TestSvdDenominator:
         s = gen_from_poles(poles, weights, conf.n)
         b = svd_denominator(s, conf)
         # rebuild the m x (m+1) coefficient matrix and check C b ~ 0
-        rows = [[s.coeff(conf.m + conf.k + 1 + r - j) for j in range(conf.m + 1)]
+        rows = [[s.coeffs[conf.m + conf.k + 1 + r - j] for j in range(conf.m + 1)]
                 for r in range(conf.m)]
         C = np.array(rows, dtype=complex)
         assert np.linalg.norm(C @ b) <= 1e-10 * np.linalg.norm(C)

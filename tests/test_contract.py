@@ -2,15 +2,17 @@
 ``classify_roots``, ``gen_geometric_noisy``, ``unit_disk_mesh`` and the
 two evaluators.
 
-For any series and conformation, ``approximate_series`` returns finite
-poles and zeros or raises ValueError or an ApproximationError subclass.
+For any series and conformation, ``approximate_series`` and then
+``poles_and_zeros`` on its rational form give finite poles and zeros or
+raise ValueError or an ApproximationError subclass.
 No numpy warning and no raw ``LinAlgError`` (itself a ValueError) may
 escape, and nothing may be printed, LAPACK's own complaints included.
 The CLI's ``approximate`` and ``poles`` turn the same outcomes into exit
 code 0 with strict JSON, or exit code 2 with an error line; ``poles``
 extracts no zeros, so it fails only where ``approximate`` does.
 ``Conformation`` rejects non-integer
-degrees with ValueError, as do ``truncate``, the ``gen_*`` generators
+degrees with ValueError, as do ``PowerSeries`` a t that is not a
+positive number, and ``truncate``, the ``gen_*`` generators
 and ``combined_window`` a count that is not an integer and
 ``classify_roots`` an eps that is NaN, infinite or negative, and
 ``classify_roots`` rejects non-finite roots with NonFinite, all quietly.  So do ``gen_geometric_noisy`` a
@@ -68,6 +70,7 @@ from padepencil import (
     svd_denominator,
     unit_disk_mesh,
 )
+from padepencil import experiments
 from padepencil.baseline import combined_window, numerator_from_denominator
 from padepencil.cli import main
 from padepencil.experiments import METHODS, on_ray
@@ -114,6 +117,10 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _not_reached(*args, **kwargs):
+    raise AssertionError("called before the inputs were checked")
+
+
 @settings(CONTRACT, max_examples=150)
 @given(case=series_cases())
 def test_solvers_return_finite_roots_or_raise(case, capfd):
@@ -123,11 +130,12 @@ def test_solvers_return_finite_roots_or_raise(case, capfd):
         for method in METHODS:
             try:
                 res = approximate_series(s, conf, method)
+                poles, zeros = poles_and_zeros(res.rational)
             except np.linalg.LinAlgError:
                 raise
             except (ValueError, ApproximationError):
                 continue
-            assert np.isfinite(res.poles).all() and np.isfinite(res.zeros).all(), (method, res.poles, res.zeros)
+            assert np.isfinite(poles).all() and np.isfinite(zeros).all(), (method, poles, zeros)
             assert res.final_l == (res.report.final_l if method == "pm2" else conf.m)
     assert capfd.readouterr() == ("", "")
 
@@ -218,7 +226,7 @@ class TestOverflowingRoots:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFinite):
-                approximate_series(PowerSeries(coeffs), Conformation(1, 0), method)
+                poles_and_zeros(approximate_series(PowerSeries(coeffs), Conformation(1, 0), method).rational)
         assert capfd.readouterr() == ("", "")
 
     def test_cli_exits_2_without_output(self, tmp_path, capfd):
@@ -293,6 +301,16 @@ class TestOverflowingWindow:
         assert capfd.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("t", ["3", 1j, None])
+def test_accuracy_that_is_no_number_raises_valueerror(t, capfd):
+    # The comparison t > 0 used to raise a raw TypeError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="accuracy estimate t must be positive"):
+            PowerSeries([1.0, 0.5], t=t)
+    assert capfd.readouterr() == ("", "")
+
+
 class TestConformationDegrees:
     """Degrees must be integers: a float or a string degree used to reach
     the solvers and fail there with a raw TypeError from slicing."""
@@ -305,7 +323,7 @@ class TestConformationDegrees:
     def test_numpy_integers_pass(self):
         conf = Conformation(np.int64(3), np.int32(-1))
         res = approximate_series(gen_log_series(conf.n), conf, "pm2")
-        assert np.isfinite(res.poles).all()
+        assert np.isfinite(poles_and_zeros(res.rational)[0]).all()
 
 
 #: Each call with a count that is not an integer: truncate, the three
@@ -540,6 +558,14 @@ class TestGeometricNoiseConfig:
                 run_geometric_noise(ExperimentConfig(**{field: value}))
         assert capfd.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("fields", [{"samples": 0}, {"eps_list": ()}, {}], ids=["no_samples", "no_eps", "samples"])
+    def test_unknown_method_rejected_before_any_draw(self, fields, monkeypatch):
+        # With nothing to solve, the study used to come back labelled with
+        # the unknown method; with samples, it failed after a draw.
+        monkeypatch.setattr(experiments, "gen_geometric_noisy", _not_reached)
+        with pytest.raises(ValueError, match="unknown method 'xx'"):
+            run_geometric_noise(ExperimentConfig(method="xx", **fields))
+
     def test_cli_negative_samples_exits_3(self, capfd):
         rc, out, err = _run_cli(["experiment", "geometric-noise", "--samples", "-1"], capfd)
         assert (rc, out, err) == (3, "", "error: samples must be >= 0, got -1\n")
@@ -628,6 +654,14 @@ def test_run_log_branch_rejects_a_bad_length(n, match, capfd):
         with pytest.raises(ValueError, match=match):
             run_log_branch(ExperimentConfig(n=n))
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_run_log_branch_rejects_a_short_series_before_any_solve(n, monkeypatch):
+    # n = 0 failed on the conformation, n = 1 and 2 only after dm's solve.
+    monkeypatch.setattr(experiments, "approximate_series", _not_reached)
+    with pytest.raises(ValueError, match=f"n >= 3 coefficients, so that m >= 1; got n={n}"):
+        run_log_branch(ExperimentConfig(n=n))
 
 
 def test_every_exported_function_is_called_here():

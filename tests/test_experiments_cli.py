@@ -20,6 +20,7 @@ from padepencil import (
     Conformation,
     PowerSeries,
     RationalApproximant,
+    Solution,
     error_sweep,
     eval_rational,
     gen_geometric_noisy,
@@ -35,7 +36,6 @@ from padepencil.experiments import (
     OUTER_GRID,
     RING_GRID,
     ExperimentConfig,
-    MethodResult,
     _geometric_row,
     approximate_series,
     json_text,
@@ -71,7 +71,7 @@ class TestApproximateSeries:
         p2 = approximate_series(s, conf, "pm2")
         assert dm.final_l == 10 and dm.report is None and dm.prf is None
         assert p2.final_l == p2.report.final_l < 10
-        assert dm.poles.size == 10
+        assert poles_and_zeros(dm.rational)[0].size == 10
 
     def test_unknown_method_rejected(self):
         from padepencil import gen_geometric_noisy
@@ -95,11 +95,12 @@ class TestApproximateSeries:
         s = PowerSeries(coeffs)
         conf = Conformation(m=m, k=k)
         res = approximate_series(s, conf, method)
+        poles, zeros = poles_and_zeros(res.rational)
         assert not np.any(res.rational.numer)
-        assert res.zeros.size == 0
+        assert zeros.size == 0
         # the poles are the denominator's roots and final_l is the solver's own
-        np.testing.assert_array_equal(res.poles, polynomial_roots(res.rational.denom))
-        np.testing.assert_allclose(res.poles, expected_poles, atol=1e-12)
+        np.testing.assert_array_equal(poles, polynomial_roots(res.rational.denom))
+        np.testing.assert_allclose(poles, expected_poles, atol=1e-12)
         if method == "svd":
             np.testing.assert_array_equal(res.rational.denom, svd_denominator(s, conf))
             assert res.final_l == m
@@ -176,10 +177,8 @@ class TestFusedSweep:
     RING_ROOT = 137  # the RING_GRID point that is a root of the denominator
 
     @staticmethod
-    def _result(numer, denom) -> MethodResult:
-        ra = RationalApproximant(numer, denom)
-        poles, zeros = poles_and_zeros(ra)
-        return MethodResult(ra, None, None, poles, zeros)
+    def _result(numer, denom) -> Solution:
+        return Solution(None, RationalApproximant(numer, denom))
 
     def _cases(self):
         s = gen_geometric_noisy(20, 1e-3, sample_rng(7, 0, 0))
@@ -191,7 +190,7 @@ class TestFusedSweep:
     def test_row_matches_three_sweeps(self):
         cfg = ExperimentConfig()
         for label, res in self._cases():
-            row = _geometric_row(1e-3, 0, cfg, res, None)
+            row = _geometric_row(1e-3, 0, cfg, res, poles_and_zeros(res.rational), None)
             for name, grid in (("inner", INNER_GRID), ("ring", RING_GRID), ("outer", OUTER_GRID)):
                 sweep = error_sweep(lambda z: eval_rational(res.rational, z), lambda z: 1.0 / (1.0 - z),
                                     grid.astype(complex))
@@ -201,11 +200,11 @@ class TestFusedSweep:
                 assert row[f"n_flagged_{name}"] == int(np.count_nonzero(sweep.flagged)), (label, name)
 
     def test_flags_land_in_their_own_grid(self):
-        cases = dict(self._cases())
-        row = _geometric_row(1e-3, 0, ExperimentConfig(), cases["ring_root"], None)
+        cases = {label: (res, poles_and_zeros(res.rational)) for label, res in self._cases()}
+        row = _geometric_row(1e-3, 0, ExperimentConfig(), *cases["ring_root"], None)
         assert (row["n_flagged_inner"], row["n_flagged_ring"], row["n_flagged_outer"]) == (0, 1, 0)
         assert np.isfinite(row["max_err_ring"])
-        row = _geometric_row(1e-3, 0, ExperimentConfig(), cases["outer_overflow"], None)
+        row = _geometric_row(1e-3, 0, ExperimentConfig(), *cases["outer_overflow"], None)
         assert row["n_flagged_inner"] == row["n_flagged_ring"] == 0
         assert 0 < row["n_flagged_outer"] < OUTER_GRID.size
 
@@ -271,6 +270,8 @@ NOT_NUMBERS = [
     ("c.json", '[["1.5", 0]]', "c.json", "['1.5', 0]"),
     ("c.json", '[[" 2 ", "1e1"]]', "c.json", "[' 2 ', '1e1']"),
     ("c.json", '[1, [0, "0"]]', "c.json", "[0, '0']"),
+    ("c.json", "[true, 1, 2]", "c.json", "True"),
+    ("c.json", "[[1, true], [2, 0]]", "c.json", "[1, True]"),
 ]
 
 
@@ -341,12 +342,12 @@ class TestCoefficientFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_coefficients(str(path))
 
-    def test_json_true_reads_as_one(self, tmp_path):
+    def test_json_true_is_no_number(self, tmp_path):
+        # bool is an int, so [true, 2] used to read as [1, 2].
         path = tmp_path / "c.json"
         path.write_text("[true, 2]")
-        got = load_coefficients(str(path))
-        np.testing.assert_array_equal(got, [1.0, 2.0])
-        assert got.dtype == complex
+        with pytest.raises(ValueError, match=r"expected a number, 're im' or \[re, im\], got True$"):
+            load_coefficients(str(path))
 
     def test_one_field_text_line_is_real(self, tmp_path):
         path = tmp_path / "c.txt"

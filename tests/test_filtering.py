@@ -23,7 +23,7 @@ from padepencil import (
 from padepencil import numerics
 from padepencil.filtering import count_filtered, reduced_poles
 from padepencil.numerics import svd
-from padepencil.pencil import build_blocks, combined_window, pm1_poles, residue_system
+from padepencil.pencil import combined_window, pm1_poles, residue_system
 
 from helpers import gen_quadratic_eps, greedy_match_error, random_oracle
 
@@ -69,7 +69,7 @@ class TestReducedPoles:
         conf = Conformation(m=2, k=-1)
         s = gen_from_poles(true_p, true_w, conf.n)
         lam = reduced_poles(svd(combined_window(s, conf, conf.m)))
-        direct = pm1_poles(build_blocks(s, conf))
+        direct = pm1_poles(combined_window(s, conf, conf.m))
         np.testing.assert_allclose(lam, direct, atol=1e-9 * np.abs(direct).max())
 
     def test_single_column_window_rejected(self):

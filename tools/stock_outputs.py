@@ -79,8 +79,8 @@ from padepencil import (  # noqa: E402
     run_log_branch,
 )
 from padepencil.cli import main  # noqa: E402
+from padepencil.experiments import METHODS  # noqa: E402
 
-METHODS = ("dm", "svd", "pm1", "pm2")
 SEEDS = (1, 101, 7)
 GEO_CONFIGS = {
     "default": {},
