@@ -34,8 +34,9 @@ from .classify import classify_roots
 from .errors import ApproximationError, Collapse
 from .filtering import pm2
 from .numerics import complex_pairs
-from .pencil import PoleResidueForm, Solution, _square_fit, build_blocks, pm1, pm1_poles
-from .series import PowerSeries, gen_geometric_noisy, gen_log_series, require_integer
+from .pencil import PoleResidueForm, Solution, _with_head, build_blocks, pm1, pm1_poles, pm1_residues
+from .series import (PowerSeries, gen_geometric_noisy, gen_log_series, require_accuracy, require_integer,
+                     require_noise_amplitude)
 
 METHODS = ("dm", "svd", "pm1", "pm2")
 
@@ -281,12 +282,13 @@ def run_geometric_noise(cfg: ExperimentConfig) -> dict:
     With cfg.output_path set, writes {path}.samples.csv and
     {path}.summary.json; the returned dict holds config, rows and
     summary either way.  A count or seed that is not an integer, a
-    negative sample count, an unknown method and an eps_list that is
-    not a sequence raise ValueError before any draw.  Then numpy
-    scalars among the counts, the eps and t become the Python numbers
-    they hold, so they give the same rows, summary, config and files as
-    Python numbers.  Each eps_list entry, repeated or not, has its own
-    samples and summary entry.
+    negative sample count, an unknown method, an eps_list that is not a
+    sequence of amplitudes in [0, 1) and a set t that is not positive
+    raise ValueError before any draw.  Then numpy scalars among the
+    counts, the eps and t become the Python numbers they hold, so they
+    give the same rows, summary, config and files as Python numbers.
+    Each eps_list entry, repeated or not, has its own samples and
+    summary entry.
     """
     counts = ("n", "m", "k", "samples", "seed")
     for name in counts:
@@ -296,6 +298,10 @@ def run_geometric_noise(cfg: ExperimentConfig) -> dict:
     _require_method(cfg.method)
     if np.ndim(cfg.eps_list) != 1:
         raise ValueError(f"eps_list must be a sequence of noise amplitudes, got {cfg.eps_list!r}")
+    for eps in cfg.eps_list:
+        require_noise_amplitude(eps)
+    if cfg.t is not None:
+        require_accuracy(cfg.t)
     cfg = replace(cfg, eps_list=tuple(_python(eps) for eps in cfg.eps_list), t=_python(cfg.t),
                   **{name: _python(getattr(cfg, name)) for name in counts})
     conf = Conformation(m=cfg.m, k=cfg.k)
@@ -359,7 +365,7 @@ def pruned_square_refit(s: PowerSeries, conf: Conformation) -> PoleResidueForm:
     kept = np.array([p for p in all_poles if on_ray(p)])
     if kept.size == 0:
         raise Collapse(f"no pole of the unfiltered pencil lies on the ray ({all_poles.size} off it)")
-    return _square_fit(s, kept, conf)
+    return _with_head(s, conf.k, kept, pm1_residues(s, kept, conf))
 
 
 def run_log_branch(cfg: ExperimentConfig) -> dict:

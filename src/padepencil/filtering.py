@@ -30,10 +30,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .baseline import Conformation, RationalApproximant, _require_length, combined_window
-from .errors import Collapse, ConvergenceFailure, NonFinite, RankDeficient
+from .baseline import Conformation, _require_length, combined_window
+from .errors import ConvergenceFailure, NonFinite, RankDeficient
 from .numerics import SvdResult, all_finite, complex_pairs, qr_solve, singular_values, svd
-from .pencil import PoleResidueForm, Solution, _with_head, pm1_poles, residue_system, to_rational
+from .pencil import Solution, _with_head, pm1_poles, residue_system, to_rational
 from .series import PowerSeries
 
 
@@ -129,10 +129,10 @@ def pm2(s: PowerSeries, conf: Conformation) -> Solution:
     residues, the equivalent rational approximant, and the filtering
     report.
 
-    If every pole is removed, a non-negative k degrades to the bare head
-    polynomial (report.head_only is set); a negative k raises Collapse.
-    An identically-zero coefficient window short-circuits to the zero
-    approximant.
+    If every pole is removed (report.head_only), ``to_rational`` gives
+    the zero approximant when the first conf.n coefficients are all zero
+    (no pass runs then), else the head polynomial over 1 for k >= 0; a
+    negative k raises Collapse.
     """
     m = conf.m
     if m < 1:
@@ -194,22 +194,5 @@ def pm2(s: PowerSeries, conf: Conformation) -> Solution:
         final_l=l,
         defect_estimate=2 * (m - l),
     )
-    if l == 0:
-        return _headonly_result(s, conf, report)
-    prf = _with_head(s, conf.k, lam, qr_solve(D, rhs, rtol=0.0))
+    prf = _with_head(s, conf.k, lam, qr_solve(D, rhs, rtol=0.0)) if l else _with_head(s, conf.k, (), ())
     return Solution(prf, to_rational(prf, s, conf), report)
-
-
-def _headonly_result(s, conf, report) -> Solution:
-    """No poles left: the head polynomial over 1, with the finished
-    report (final_l = 0).  A zero series gives the zero approximant for
-    any k; otherwise k < 0 leaves no polynomial part and raises Collapse."""
-    k = conf.k
-    zero = not s.coeffs[: conf.n].any()
-    if k < 0 and not zero:
-        raise Collapse(f"filtering removed every pole and k={k} < 0 leaves no polynomial part")
-    shift = max(k + 1, 0)
-    head = np.zeros(shift, dtype=complex) if zero else s.coeffs[:shift]
-    prf = PoleResidueForm(head, (), ())
-    numer = head if shift else np.zeros(1, dtype=complex)
-    return Solution(prf, RationalApproximant(numer=numer, denom=np.array([1.0 + 0j])), report)

@@ -193,14 +193,16 @@ def to_rational(prf: PoleResidueForm, s: PowerSeries, conf: Conformation) -> Rat
     b_0 = 1 when possible (largest-magnitude entry = 1 otherwise, which
     happens exactly when some pole sits at the origin); the numerator of
     degree l + k then follows from the series convolution identity.
-    With no terms at all a non-negative k yields the bare head over 1
-    and a negative k raises Collapse.  Poles whose denominator overflows
-    raise NonFinite.
+    Poles whose denominator overflows raise NonFinite.  A form without
+    poles gives the zero approximant, max(k+1, 1) zeros over 1, when the
+    first conf.n coefficients are all zero; else the head over 1 for
+    k >= 0 and Collapse for k < 0.
     """
     if prf.poles.size == 0:
-        if conf.k < 0:
-            raise Collapse("no poles and k < 0 leaves nothing to represent")
-        return RationalApproximant(numer=prf.head, denom=np.array([1.0 + 0j]))
+        zero = not s.coeffs[: conf.n].any()
+        if conf.k < 0 and not zero:
+            raise Collapse(f"no poles left and k={conf.k} < 0 leaves no polynomial part")
+        return RationalApproximant(numer=np.zeros(max(conf.k + 1, 1)) if zero else prf.head, denom=[1.0])
     denom = poly_from_roots(prf.poles)
     # Huge or tiny poles may overflow the product or the scaling; the
     # inf or NaN left makes numerator_from_denominator raise NonFinite.
@@ -210,12 +212,6 @@ def to_rational(prf: PoleResidueForm, s: PowerSeries, conf: Conformation) -> Rat
     return RationalApproximant(numer=numer, denom=denom)
 
 
-def _square_fit(s: PowerSeries, poles, conf: Conformation) -> PoleResidueForm:
-    """Pole-residue form of the given poles, with weights from the square
-    residue system (see pm1_residues)."""
-    return _with_head(s, conf.k, poles, pm1_residues(s, poles, conf))
-
-
 def pm1(s: PowerSeries, conf: Conformation) -> Solution:
     """Full pencil solve at l = m: poles, square residue system, both forms.
 
@@ -223,5 +219,6 @@ def pm1(s: PowerSeries, conf: Conformation) -> Solution:
     approximant, without a report.  No filtering here; that is the job
     of the iterated variant.
     """
-    prf = _square_fit(s, pm1_poles(build_blocks(s, conf)), conf)
+    poles = pm1_poles(build_blocks(s, conf))
+    prf = _with_head(s, conf.k, poles, pm1_residues(s, poles, conf))
     return Solution(prf, to_rational(prf, s, conf))

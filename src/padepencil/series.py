@@ -10,7 +10,6 @@ honours that.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +18,28 @@ from .errors import NonFinite
 from .numerics import all_finite
 
 
+#: The types the checks take for a real number: Python's and numpy's
+#: integers and floats.  Strings, complex numbers and None fail.
+REAL_TYPES = (int, float, np.integer, np.floating)
+
+
 def require_integer(name: str, value) -> None:
-    """Raise ValueError unless value is an integer (numpy integers pass)."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """Raise ValueError unless value is an integer (numpy integers pass,
+    a bool is no count)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_accuracy(t) -> None:
+    """Raise ValueError unless the accuracy estimate t is a positive real number."""
+    if not (isinstance(t, REAL_TYPES) and t > 0):
+        raise ValueError(f"accuracy estimate t must be positive, got {t!r}")
+
+
+def require_noise_amplitude(eps) -> None:
+    """Raise ValueError unless the noise amplitude eps is a real number in [0, 1)."""
+    if not (isinstance(eps, REAL_TYPES) and 0 <= eps < 1):  # NaN fails too
+        raise ValueError(f"noise amplitude eps must be finite and in [0, 1), got {eps}")
 
 
 @dataclass(frozen=True)
@@ -51,12 +66,7 @@ class PowerSeries:
             raise ValueError("coefficient array must be 1-D and non-empty")
         if not all_finite(arr):
             raise NonFinite("series coefficients must be finite")
-        try:
-            positive = self.t > 0
-        except TypeError:  # a string, a complex number, None
-            positive = False
-        if not positive:
-            raise ValueError(f"accuracy estimate t must be positive, got {self.t!r}")
+        require_accuracy(self.t)
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
@@ -100,8 +110,7 @@ def gen_geometric_noisy(n: int, eps: float, rng: np.random.Generator | None = No
     require_integer("n", n)
     if n < 1:
         raise ValueError(f"need at least one coefficient, got n={n}")
-    if not 0 <= eps < 1:  # also rejects NaN
-        raise ValueError(f"noise amplitude eps must be finite and in [0, 1), got {eps}")
+    require_noise_amplitude(eps)
     ones = np.ones(n, dtype=complex)
     if eps == 0:
         return PowerSeries(ones, t=15.0)

@@ -13,14 +13,20 @@ extracts no zeros, so it fails only where ``approximate`` does.
 ``Conformation`` rejects non-integer
 degrees with ValueError, as do ``PowerSeries`` a t that is not a
 positive number, and ``truncate``, the ``gen_*`` generators
-and ``combined_window`` a count that is not an integer and
-``classify_roots`` an eps that is NaN, infinite or negative, and
+and ``combined_window`` a count that is not an integer (a bool is
+none) and ``classify_roots`` an eps that is NaN, infinite, negative or
+no real number, and
 ``classify_roots`` rejects non-finite roots with NonFinite, all quietly.  So do ``gen_geometric_noisy`` a
-noise amplitude outside [0, 1) and ``unit_disk_mesh`` a spacing that is
-not a real number, both with ValueError.  The evaluators return NaN
+noise amplitude outside [0, 1) or no number and ``unit_disk_mesh`` a
+spacing that is not a real number, both with ValueError, and
+``run_geometric_noise`` every bad config value before its first draw.
+The evaluators return NaN
 quietly at non-finite points, which ``error_sweep`` flags.
 ``gen_from_poles``, ``to_rational`` and ``numerator_from_denominator``
-raise NonFinite, quietly, where a coefficient overflows or is not finite.
+raise NonFinite, quietly, where a coefficient overflows or is not finite;
+``to_rational`` gives a form without poles the zero approximant over an
+all-zero series and raises Collapse, naming k, for a negative k over
+any other (``tests/test_pencil.py`` has those cases).
 The solvers called directly, ``svd``, ``horner``, ``poles_and_zeros``,
 ``pruned_square_refit`` and the two experiment runners have cases of
 their own, and a gate fails for any function in ``padepencil.__all__``
@@ -315,7 +321,8 @@ class TestConformationDegrees:
     """Degrees must be integers: a float or a string degree used to reach
     the solvers and fail there with a raw TypeError from slicing."""
 
-    @pytest.mark.parametrize("m, k", [(1.5, 0), (2, 0.5), (np.float64(3.0), 0), ("2", 0), (None, 0), (2, 1j)])
+    @pytest.mark.parametrize("m, k", [(1.5, 0), (2, 0.5), (np.float64(3.0), 0), ("2", 0), (None, 0), (2, 1j),
+                                      (True, 0), (3, False)])
     def test_non_integer_degree_raises_valueerror(self, m, k):
         with pytest.raises(ValueError, match="must be an integer"):
             Conformation(m, k)
@@ -342,7 +349,7 @@ class TestIntegerCounts:
     """Coefficient counts and the pole count l must be integers, as the
     degrees of ``Conformation`` must."""
 
-    @pytest.mark.parametrize("count", [2.5, np.float64(2.0), "2", None])
+    @pytest.mark.parametrize("count", [2.5, np.float64(2.0), "2", None, True])
     @pytest.mark.parametrize("call", COUNT_CALLS, ids=str)
     def test_non_integer_count_raises_valueerror(self, call, count):
         with pytest.raises(ValueError, match="must be an integer"):
@@ -360,7 +367,7 @@ class TestClassifyEps:
     NaN used to leave an exact pole unclassified, and inf took any pole
     as the system pole."""
 
-    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -1e-3])
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -1e-3, "a", None, 1j])
     def test_bad_eps_raises_valueerror(self, eps):
         with pytest.raises(ValueError, match="eps"):
             classify_roots([1.0], [], [1.0], eps=eps)
@@ -400,7 +407,7 @@ class TestNoiseAmplitude:
     a RuntimeWarning and the CLI exited 2 with NonFinite), and eps = 1e300
     failed on the derived t = -300 instead of on eps itself."""
 
-    BAD_EPS = [np.inf, -np.inf, np.nan, 1e300, 1.0, -1e-3]
+    BAD_EPS = [np.inf, -np.inf, np.nan, 1e300, 1.0, -1e-3, "a", None, 1j]
 
     @pytest.mark.parametrize("eps", BAD_EPS)
     def test_rejected_before_any_arithmetic(self, eps, capfd):
@@ -565,6 +572,24 @@ class TestGeometricNoiseConfig:
         monkeypatch.setattr(experiments, "gen_geometric_noisy", _not_reached)
         with pytest.raises(ValueError, match="unknown method 'xx'"):
             run_geometric_noise(ExperimentConfig(method="xx", **fields))
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"eps_list": (1e-3, 2.0), "samples": 3}, "noise amplitude eps"),
+        ({"eps_list": (1e-3, float("nan")), "samples": 3}, "noise amplitude eps"),
+        ({"eps_list": (None,)}, "noise amplitude eps"),
+        ({"t": -1.0}, "accuracy estimate t must be positive"),
+        ({"samples": 0, "eps_list": (-1e-3,)}, "noise amplitude eps"),
+        ({"samples": 0, "t": "3"}, "accuracy estimate t must be positive"),
+        ({"samples": True}, "samples must be an integer"),
+        ({"n": True}, "n must be an integer"),
+    ], ids=["eps_2", "eps_nan", "eps_none", "negative_t", "no_samples_eps", "no_samples_t", "bool_samples", "bool_n"])
+    def test_bad_value_rejected_before_any_draw(self, fields, match, monkeypatch):
+        # A bad eps or t used to raise at its first draw, after the samples
+        # before it were solved, or never with no samples; a bool count
+        # passed as 1.
+        monkeypatch.setattr(experiments, "gen_geometric_noisy", _not_reached)
+        with pytest.raises(ValueError, match=match):
+            run_geometric_noise(ExperimentConfig(**fields))
 
     def test_cli_negative_samples_exits_3(self, capfd):
         rc, out, err = _run_cli(["experiment", "geometric-noise", "--samples", "-1"], capfd)

@@ -170,6 +170,20 @@ class TestPm2:
         with pytest.raises(Collapse):
             pm2(PowerSeries([1.0, 0.0]), Conformation(m=1, k=-1))
 
+    def test_head_only_collapse_names_k(self):
+        with pytest.raises(Collapse, match=r"no poles left and k=-1 < 0 leaves no polynomial part"):
+            pm2(PowerSeries([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]), Conformation(m=3, k=-1))
+
+    def test_negative_zero_series_gives_positive_zero_numerator(self):
+        # The head is the series' own c_0, c_1, signed zeros included; the
+        # zero approximant's numerator is +0.0 all the same.
+        s = PowerSeries(np.full(10, -0.0))
+        prf, ra, report = pm2(s, Conformation(m=4, k=1))
+        assert report.head_only and prf.poles.size == 0
+        assert np.signbit(prf.head.real).all() and prf.head.size == 2
+        assert ra.numer.tolist() == [0j, 0j]
+        assert not np.signbit(ra.numer.view(float)).any()
+
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_every_pass_lowers_l(self, data):

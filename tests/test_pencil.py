@@ -312,6 +312,29 @@ class TestToRational:
         with pytest.raises(Collapse):
             to_rational(prf, s, conf)
 
+    @pytest.mark.parametrize("m, k", [(1, -1), (2, -2), (3, -1)])
+    def test_empty_form_over_zero_series_gives_zero_approximant(self, m, k):
+        # Filtering that removes every pole of a zero series ends here for
+        # any k; at k < 0 this used to raise Collapse.
+        conf = Conformation(m, k)
+        s = PowerSeries(np.zeros(conf.n))
+        ra = to_rational(PoleResidueForm(head=[], poles=(), weights=()), s, conf)
+        assert ra.numer.tolist() == [0j] and ra.denom.tolist() == [1 + 0j]
+
+    def test_empty_form_collapse_names_k(self):
+        prf = PoleResidueForm(head=[], poles=(), weights=())
+        with pytest.raises(Collapse, match=r"no poles left and k=-2 < 0 leaves no polynomial part"):
+            to_rational(prf, PowerSeries([1.0, 0.0, 0.0]), Conformation(m=2, k=-2))
+
+    def test_negative_zero_series_gives_positive_zero_numerator(self):
+        # The head holds the series' own -0.0 entries; the zero approximant
+        # does not copy them, so its numerator bits are +0.0.
+        conf = Conformation(m=2, k=1)
+        s = PowerSeries(np.full(conf.n, -0.0))
+        prf = PoleResidueForm(head=s.coeffs[:2], poles=(), weights=())
+        assert np.signbit(prf.head.real).all()
+        assert not np.signbit(to_rational(prf, s, conf).numer.view(float)).any()
+
 
 class TestPm1Composed:
     def test_round_trip_recovers_poles_and_values(self):

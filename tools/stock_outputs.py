@@ -43,6 +43,11 @@ Writes into OUTDIR:
   whose filtering reports list every pass's singular values, so the
   large first windows (q = 101 and 121, where the LAPACK workspace sets
   the last bits of Vh) are compared too;
+* ``cli/zeros.json``, ``cli/unit.json`` and
+  ``cli/approximate-pm2-<input>-<p>-<q>.json``: pm2 ``approximate`` on
+  seven zeros at [2/3] and [3/2], and on 1, 0, 0, 0, 0, 0, 0 at [3/2],
+  where filtering removes every pole, so the head-only exits are
+  compared too;
 * ``cli/experiment-*``: the printed views and files of the two
   ``experiment`` subcommands, and ``cli/help-*``: every ``--help`` text.
 
@@ -115,8 +120,8 @@ def write_experiments() -> None:
 def write_inputs() -> None:
     """The three INPUTS: a complex noisy 3-pole series as JSON pairs and
     as text, and a real noisy geometric series as JSON numbers; the
-    overflowing ``tiny.json``; ``nonfinite.json``; and the two large-m
-    series."""
+    overflowing ``tiny.json``; ``nonfinite.json``; the two large-m
+    series; and the head-only ``zeros.json`` and ``unit.json``."""
     rng = np.random.default_rng(2022)
     poles = [1.5, -2.0 + 0.5j, 0.8 + 1.1j]
     exact = gen_from_poles(poles, [1.0, 0.5 - 0.25j, 2.0], 12).coeffs
@@ -128,6 +133,8 @@ def write_inputs() -> None:
     Path("cli/lines.txt").write_text("\n".join(lines) + "\n")
     Path("cli/tiny.json").write_text(json.dumps([1e-300] * 3))
     Path("cli/nonfinite.json").write_text("[[1, 0], [1e400, 0], [1, 0]]")
+    Path("cli/zeros.json").write_text(json.dumps([0.0] * 7))
+    Path("cli/unit.json").write_text(json.dumps([1.0] + [0.0] * 6))
     Path("cli/log-201.json").write_text(json.dumps([[c.real, c.imag] for c in gen_log_series(201).coeffs.tolist()]))
     poles4 = gen_from_poles([1.3, -1.5 + 0.4j, 0.2 + 1.6j, -0.9 - 1.2j], [1.0, 0.5j, -0.7, 0.3 + 0.3j], 240).coeffs
     poles4 = poles4 * (1 + 1e-8 * rng.uniform(-1, 1, poles4.size))
@@ -177,6 +184,9 @@ def cli_calls():
                f"cli/approximate-{method}-log-201.json", ())
         yield (["approximate", "--coeffs", "cli/poles4-240.json", "--method", method, "--m", "120", "--k", "-1",
                 "--t", "8"], f"cli/approximate-{method}-poles4-240.json", ())
+    for label, p, q in (("zeros", 2, 3), ("zeros", 3, 2), ("unit", 3, 2)):
+        yield (["approximate", "--coeffs", f"cli/{label}.json", "--method", "pm2", "--m", str(q), "--k", str(p - q)],
+               f"cli/approximate-pm2-{label}-{p}-{q}.json", ())
     yield (["experiment", "geometric-noise", "--eps", "1e-4", "--eps", "1e-9", "--samples", "2",
             "--out", "cli/experiment-geo"], "cli/experiment-geo.printed.json",
            ("cli/experiment-geo.samples.csv", "cli/experiment-geo.summary.json"))
