@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +10,7 @@ from .baseline import RationalApproximant
 from .errors import PoleHit, ZeroPole
 from .numerics import complex_from_parts, horner, polynomial_roots, root_order
 from .pencil import PoleResidueForm
+from .series import is_real
 
 
 def _mark_pole_hits(value, hit, z):
@@ -122,7 +122,7 @@ def unit_disk_mesh(spacing: float) -> np.ndarray:
     Spacing 1 gives the 5 points 0, +-1, +-i; spacing 0.5 gives 13.
     A spacing that is not a real number raises ValueError.
     """
-    if not isinstance(spacing, numbers.Real) or not 0 < spacing <= 1:
+    if not is_real(spacing) or not 0 < spacing <= 1:
         raise ValueError(f"spacing must be a real number in (0, 1], got {spacing!r}")
     N = int(np.ceil(1.0 / spacing)) + 1
     i, j = np.mgrid[-N : N + 1, -N : N + 1]
@@ -136,16 +136,18 @@ class ErrorSweep:
     """Pointwise absolute errors over a set of evaluation points.
 
     ``flagged`` marks points where either function is non-finite, such
-    as a pole hit; such points carry an infinite error and are excluded
-    from honest maxima by downstream consumers.  ``max_error`` is max(errors) including
-    flagged points, with ``argmax_point`` the location where it occurs.
+    as a pole hit; such points carry an infinite error and are left out
+    of ``max_unflagged``.
     """
 
-    points: np.ndarray
     errors: np.ndarray
     flagged: np.ndarray
-    max_error: float
-    argmax_point: complex
+
+    def max_unflagged(self, part: slice = slice(None)) -> float:
+        """The largest error over the part's unflagged points, or inf
+        when every point of the part is flagged."""
+        good = self.errors[part][~self.flagged[part]]
+        return float(good.max()) if good.size else float("inf")
 
 
 def error_sweep(approx, reference, points) -> ErrorSweep:
@@ -167,11 +169,4 @@ def error_sweep(approx, reference, points) -> ErrorSweep:
         errors = np.hypot(d.real, d.imag)
     flagged = ~(np.isfinite(a) & np.isfinite(r))
     errors[flagged] = np.inf
-    imax = int(np.argmax(errors))
-    return ErrorSweep(
-        points=points,
-        errors=errors,
-        flagged=flagged,
-        max_error=float(errors[imax]),
-        argmax_point=complex(points[imax]),
-    )
+    return ErrorSweep(errors, flagged)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite
-from .series import REAL_TYPES
+from .series import is_real
 
 #: Stage tolerances: a system pole lies within max(SYSTEM_TOL_PER_EPS *
 #: eps, SYSTEM_TOL_FLOOR) of its expected location, a doublet's pole and
@@ -70,7 +70,7 @@ def classify_roots(poles, zeros, expected_system, eps: float = 0.0) -> RootTaxon
     Raises NonFinite if a pole, zero or expected location is NaN or
     infinite.
     """
-    if not (isinstance(eps, REAL_TYPES) and 0 <= eps < np.inf):  # NaN fails too
+    if not (is_real(eps) and 0 <= eps < np.inf):  # NaN fails too
         raise ValueError(f"noise amplitude eps must be finite and >= 0, got {eps}")
     arrays = [np.atleast_1d(np.asarray(v, dtype=complex)) for v in (poles, zeros, expected_system)]
     if not all(np.isfinite(a).all() for a in arrays):

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .approximant import ErrorSweep, error_sweep, eval_pole_residue, eval_rational, poles_and_zeros, unit_disk_mesh
+from .approximant import error_sweep, eval_pole_residue, eval_rational, poles_and_zeros, unit_disk_mesh
 from .baseline import Conformation, RationalApproximant, dm_denominator, numerator_from_denominator, svd_denominator
 from .classify import classify_roots
 from .errors import ApproximationError, Collapse
@@ -183,11 +183,6 @@ def sample_rng(seed: int, eps_index: int, sample_index: int) -> np.random.Genera
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(eps_index, sample_index)))
 
 
-def _unflagged_max(sweep: ErrorSweep, part: slice = slice(None)) -> float:
-    good = sweep.errors[part][~sweep.flagged[part]]
-    return float(good.max()) if good.size else float("inf")
-
-
 GEOMETRIC_CSV_COLUMNS = [
     "eps",
     "sample",
@@ -253,7 +248,7 @@ def _geometric_row(eps: float, sample: int, cfg: ExperimentConfig, sol: Solution
         defect_estimate=sol.report.defect_estimate if sol.report is not None else "",
     )
     for name, part in _GRID_PARTS.items():
-        row[f"max_err_{name}"] = _unflagged_max(sweep, part)
+        row[f"max_err_{name}"] = sweep.max_unflagged(part)
         row[f"n_flagged_{name}"] = int(np.count_nonzero(sweep.flagged[part]))
     return row
 
@@ -412,7 +407,7 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
         entry = {
             "failed": False,
             "final_l": sol.final_l,
-            "max_mesh_error": _unflagged_max(sweep),
+            "max_mesh_error": sweep.max_unflagged(),
             "n_flagged": int(np.count_nonzero(sweep.flagged)),
             "poles": complex_pairs(poles),
             "zeros": complex_pairs(zeros),
@@ -439,9 +434,9 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
             "failed": False,
             "conformation": {"m": m, "k": -1},
             "n_kept_poles": naive.poles.size,
-            "naive_max_error_01": _unflagged_max(naive_sweep),
+            "naive_max_error_01": naive_sweep.max_unflagged(),
             "pm2_final_l": res2.final_l,
-            "pm2_max_error_01": _unflagged_max(pm2_sweep),
+            "pm2_max_error_01": pm2_sweep.max_unflagged(),
         }
     except ApproximationError as exc:
         assim = {"failed": True, "error_type": type(exc).__name__, "error": str(exc)}

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baseline import Conformation, RationalApproximant, _hankel_index, combined_window, numerator_from_denominator
-from .errors import Collapse, DuplicatePole, InsufficientCoefficients, NonFinite, RankDeficient, SingularVandermonde
+from .errors import Collapse, DuplicatePole, NonFinite, RankDeficient, SingularVandermonde
 from .numerics import DEFAULT_RANK_RTOL, all_finite, eigenvalues, poly_from_roots, qr_solve, root_order
 from .series import PowerSeries
 
@@ -144,17 +144,14 @@ def residue_system(s: PowerSeries, poles, conf: Conformation, use_all_rows: bool
 
     Row r holds d_j^r with d_j = 1/p_j; the right-hand side starts at
     c_{k+1} for k >= 0 and c_0 otherwise.  Square systems take the first
-    len(poles) rows, overdetermined ones every available row.
+    len(poles) rows, overdetermined ones every available row.  Callers
+    pass at most m poles and conf.n coefficients, so rows never run out.
     """
     poles = np.atleast_1d(np.asarray(poles, dtype=complex))
     l = poles.size
     start = conf.k + 1 if conf.k >= 0 else 0
     rhs_all = s.coeffs[start : conf.n]
     rows = rhs_all.size if use_all_rows else l
-    if rows > rhs_all.size:
-        raise InsufficientCoefficients(
-            f"residue system needs {rows} equations, series provides {rhs_all.size}"
-        )
     # A tiny spurious pole overflows d**r to inf; callers reject a
     # non-finite matrix, so the overflow is expected and not warned about.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -18,9 +18,11 @@ from .errors import NonFinite
 from .numerics import all_finite
 
 
-#: The types the checks take for a real number: Python's and numpy's
-#: integers and floats.  Strings, complex numbers and None fail.
-REAL_TYPES = (int, float, np.integer, np.floating)
+def is_real(value) -> bool:
+    """Whether value is a real number to the checks: a Python or numpy
+    integer or float.  A bool, a Fraction, a string, a complex number
+    and None are not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def require_integer(name: str, value) -> None:
@@ -32,13 +34,13 @@ def require_integer(name: str, value) -> None:
 
 def require_accuracy(t) -> None:
     """Raise ValueError unless the accuracy estimate t is a positive real number."""
-    if not (isinstance(t, REAL_TYPES) and t > 0):
+    if not (is_real(t) and t > 0):
         raise ValueError(f"accuracy estimate t must be positive, got {t!r}")
 
 
 def require_noise_amplitude(eps) -> None:
     """Raise ValueError unless the noise amplitude eps is a real number in [0, 1)."""
-    if not (isinstance(eps, REAL_TYPES) and 0 <= eps < 1):  # NaN fails too
+    if not (is_real(eps) and 0 <= eps < 1):  # NaN fails too
         raise ValueError(f"noise amplitude eps must be finite and in [0, 1), got {eps}")
 
 

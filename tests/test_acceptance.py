@@ -75,14 +75,10 @@ def _dm_approximant(s, conf):
     return RationalApproximant(numerator_from_denominator(s, denom, conf), denom)
 
 
-def _unflagged(sweep):
-    return sweep.errors[~sweep.flagged]
-
-
 def _away_spikes(sweep, points):
     """Flagged or >100x-median points outside the pole neighbourhood [1, 1.2]."""
     away = (points.real < 1.0) | (points.real > 1.2)
-    median = float(np.median(_unflagged(sweep)))
+    median = float(np.median(sweep.errors[~sweep.flagged]))
     n_flagged = int(np.count_nonzero(sweep.flagged & away))
     n_spike = int(np.count_nonzero((sweep.errors > 100.0 * median) & away & ~sweep.flagged))
     return n_flagged + n_spike
@@ -285,7 +281,7 @@ def test_error_sweeps_free_of_spurious_spikes():
 
             inner_f = error_sweep(lambda z: eval_rational(res.rational, z), system, INNER_GRID)
             inner_d = error_sweep(lambda z: eval_rational(dra, z), system, INNER_GRID)
-            ratio = float(np.max(_unflagged(inner_f)) / np.max(_unflagged(inner_d)))
+            ratio = inner_f.max_unflagged() / inner_d.max_unflagged()
             worst_ratio = max(worst_ratio, ratio)
 
             # Spike scan: reliable for noise well above roundoff; at

@@ -9,6 +9,7 @@ from padepencil import (
     Collapse,
     Conformation,
     DegenerateError,
+    InsufficientCoefficients,
     PowerSeries,
     RationalApproximant,
     dm_denominator,
@@ -143,6 +144,14 @@ class TestSvdDenominator:
         b = svd_denominator(s, conf)
         assert np.abs(b).max() == pytest.approx(1.0, abs=1e-15)
 
+    def test_degree_zero_denominator_is_one(self):
+        b = svd_denominator(PowerSeries([1.0, 2.0]), Conformation(m=0, k=1))
+        np.testing.assert_array_equal(b, [1.0])
+
+    def test_short_series_raises(self):
+        with pytest.raises(InsufficientCoefficients, match="needs 5 coefficients"):
+            svd_denominator(PowerSeries([1.0, 2.0]), Conformation(m=2, k=0))
+
 
 class TestNumeratorFromDenominator:
     def test_geometric_numerator(self):
@@ -169,6 +178,10 @@ class TestNumeratorFromDenominator:
         s = PowerSeries([1.0, 1.0, 1.0])
         with pytest.raises(Collapse):
             numerator_from_denominator(s, [1.0], Conformation(m=2, k=-2))
+
+    def test_short_series_raises(self):
+        with pytest.raises(InsufficientCoefficients, match="needs 3 coefficients"):
+            numerator_from_denominator(PowerSeries([1.0, 2.0]), [1, 1, 1], Conformation(m=2, k=0))
 
     def test_round_trip_matches_series(self):
         # numer/denom from the solver must reproduce the input series

