@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,17 +115,28 @@ def poles_and_zeros(ra: RationalApproximant) -> tuple[np.ndarray, np.ndarray]:
     return poles, sorted_roots(ra.numer) if np.any(ra.numer) else np.array([], dtype=complex)
 
 
+#: The most lattice points ``unit_disk_mesh`` lays out: 10^7, reached
+#: at a spacing of about 6.3e-4, where its index grids alone take 160 MB.
+MESH_MAX_LATTICE = 10**7
+
+
 def unit_disk_mesh(spacing: float) -> np.ndarray:
     """Square lattice of the given spacing covering the closed unit disk.
 
     Points are i*spacing + 1j*j*spacing for all integers i, j with
     hypot <= 1, ordered by increasing real then imaginary part.
     Spacing 1 gives the 5 points 0, +-1, +-i; spacing 0.5 gives 13.
-    A spacing that is not a real number raises ValueError.
+    The candidates are the (2N+1)^2 lattice points with |i|, |j| <= N =
+    ceil(1/spacing) + 1.  A spacing that is not a real number in (0, 1],
+    or whose lattice exceeds MESH_MAX_LATTICE points, raises ValueError
+    before any allocation.
     """
     if not is_real(spacing) or not 0 < spacing <= 1:
         raise ValueError(f"spacing must be a real number in (0, 1], got {spacing!r}")
-    N = int(np.ceil(1.0 / spacing)) + 1
+    # Python floats: a subnormal spacing gives inf here, without a warning.
+    N = math.ceil(min(1.0 / float(spacing), MESH_MAX_LATTICE)) + 1
+    if (2 * N + 1) ** 2 > MESH_MAX_LATTICE:
+        raise ValueError(f"spacing {spacing!r} needs more than {MESH_MAX_LATTICE} lattice points")
     i, j = np.mgrid[-N : N + 1, -N : N + 1]
     x, y = i * spacing, j * spacing
     inside = np.hypot(x, y) <= 1.0
@@ -150,6 +162,12 @@ class ErrorSweep:
         return float(good.max()) if good.size else float("inf")
 
 
+def _values(f, points: np.ndarray) -> np.ndarray:
+    """f(points) as a complex array of the points' shape."""
+    values = np.asarray(f(points), dtype=complex)
+    return values if values.shape == points.shape else np.broadcast_to(values, points.shape)
+
+
 def error_sweep(approx, reference, points) -> ErrorSweep:
     """Absolute error |approx(z) - reference(z)| over the given points.
 
@@ -163,8 +181,7 @@ def error_sweep(approx, reference, points) -> ErrorSweep:
     if points.size == 0:
         raise ValueError("need at least one evaluation point")
     with np.errstate(all="ignore"):
-        a = np.broadcast_to(np.asarray(approx(points), dtype=complex), points.shape)
-        r = np.broadcast_to(np.asarray(reference(points), dtype=complex), points.shape)
+        a, r = _values(approx, points), _values(reference, points)
         d = a - r
         errors = np.hypot(d.real, d.imag)
     flagged = ~(np.isfinite(a) & np.isfinite(r))

@@ -49,6 +49,10 @@ OUTER_GRID = np.logspace(np.log10(1.1), 2.0, 500)
 #: grid's part of the sweep is that grid's own sweep.
 STUDY_GRID = np.concatenate((INNER_GRID, RING_GRID, OUTER_GRID)).astype(complex)
 STUDY_GRID.flags.writeable = False
+#: The geometric study's reference 1/(1-z) on STUDY_GRID, the same for
+#: every sample.
+STUDY_REFERENCE = 1.0 / (1.0 - STUDY_GRID)
+STUDY_REFERENCE.flags.writeable = False
 _GRID_PARTS = {"inner": slice(0, 500), "ring": slice(500, 1000), "outer": slice(1000, 1500)}
 
 #: Disk mesh used by the branch-cut study: spacing 0.01, radius 1/2.
@@ -233,7 +237,7 @@ def _geometric_row(eps: float, sample: int, cfg: ExperimentConfig, sol: Solution
         row["error_type"] = type(exc).__name__
         return row
     poles, zeros = roots
-    sweep = error_sweep(lambda z: eval_rational(sol.rational, z), lambda z: 1.0 / (1.0 - z), STUDY_GRID)
+    sweep = error_sweep(lambda z: eval_rational(sol.rational, z), lambda z: STUDY_REFERENCE, STUDY_GRID)
     tax = classify_roots(poles, zeros, [1.0 + 0j], eps=eps)
     if poles.size:
         row["system_pole_error"] = float(np.min(np.abs(poles - 1.0)))
@@ -385,7 +389,7 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
     log = replace(gen_log_series(n), t=t)
     s = log.truncate(conf.n)
     mesh = MESH_RADIUS * unit_disk_mesh(MESH_SPACING / MESH_RADIUS)
-    ref = lambda z: np.log(1.2 - z)
+    mesh_ref = np.log(1.2 - mesh)  # shared by the two solves' sweeps
 
     result = {
         "experiment": "log_branch",
@@ -402,7 +406,7 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
         except ApproximationError as exc:
             result[method] = {"failed": True, "error_type": type(exc).__name__, "error": str(exc)}
             continue
-        sweep = error_sweep(lambda z: eval_rational(sol.rational, z), ref, mesh)
+        sweep = error_sweep(lambda z: eval_rational(sol.rational, z), lambda z: mesh_ref, mesh)
         off_ray = [p for p in poles if not on_ray(p)]
         entry = {
             "failed": False,
@@ -423,13 +427,14 @@ def run_log_branch(cfg: ExperimentConfig) -> dict:
     # spurious poles of the unfiltered pencil demonstrably loses
     # information that the filtered solver reassimilates.
     grid01 = np.linspace(0.0, 1.0, 500).astype(complex)
+    ref01 = np.log(1.2 - grid01)
     conf_nd = Conformation(m=m, k=-1)
     s_nd = log.truncate(conf_nd.n)
     try:
         naive = pruned_square_refit(s_nd, conf_nd)
-        naive_sweep = error_sweep(lambda z: eval_pole_residue(naive, z), ref, grid01)
+        naive_sweep = error_sweep(lambda z: eval_pole_residue(naive, z), lambda z: ref01, grid01)
         res2 = approximate_series(s_nd, conf_nd, "pm2")
-        pm2_sweep = error_sweep(lambda z: eval_rational(res2.rational, z), ref, grid01)
+        pm2_sweep = error_sweep(lambda z: eval_rational(res2.rational, z), lambda z: ref01, grid01)
         assim = {
             "failed": False,
             "conformation": {"m": m, "k": -1},

@@ -10,17 +10,22 @@ for the package's array code and its direct LAPACK calls.
 
 import numpy as np
 import scipy.linalg as sla
+from hypothesis import strategies as st
 
 from padepencil import (
     DegenerateError,
+    RootTaxonomy,
     DuplicatePole,
     InsufficientCoefficients,
     NonFinite,
+    Conformation,
     PoleHit,
     PowerSeries,
     RankDeficient,
     ZeroPole,
+    gen_geometric_noisy,
 )
+from padepencil.classify import DOUBLET_TOL, FAR_TOL, SYSTEM_TOL_FLOOR, SYSTEM_TOL_PER_EPS
 from padepencil.numerics import DEFAULT_RANK_RTOL, svd
 
 
@@ -63,6 +68,31 @@ def greedy_match_error(estimated, expected):
         i = int(np.argmin([abs(e - target) for e in est]))
         worst = max(worst, abs(est.pop(i) - target) / abs(target))
     return worst
+
+
+@st.composite
+def pm2_cases(draw):
+    """A conformation with m in 1..30 and k in -1..3, a series of exactly
+    its length and its kind: a noisy geometric series, wide magnitudes
+    (up to 10^6.5), all zeros, or a polynomial of degree max(k, 0) or
+    less, which pm2 reduces to its head."""
+    m = draw(st.integers(1, 30))
+    conf = Conformation(m, draw(st.integers(-1, 3)))
+    n = conf.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["geometric", "wide", "zero", "polynomial"]))
+    if kind == "geometric":
+        s = gen_geometric_noisy(n, 10.0 ** -rng.uniform(1, 12), rng)
+    elif kind == "wide":
+        amp, period = rng.uniform(1, 6), int(rng.integers(3, 12))
+        expo = amp * np.cos(2 * np.pi * np.arange(n) / period) + rng.uniform(-0.5, 0.5, n)
+        s = PowerSeries(10.0**expo * np.exp(2j * np.pi * rng.uniform(size=n)))
+    elif kind == "zero":
+        s = PowerSeries(np.zeros(n))
+    else:
+        degree = int(rng.integers(0, max(conf.k, 0) + 1))
+        s = PowerSeries(np.where(np.arange(n) <= degree, rng.uniform(-1, 1, n), 0.0))
+    return s, conf, kind
 
 
 def random_oracle(rng, m_true, radial_center=None):
@@ -266,3 +296,71 @@ def numpy_svd(A):
     """sigma and Vh of ``np.linalg.svd(A, full_matrices=True)``."""
     _, sigma, Vh = np.linalg.svd(np.asarray(A, dtype=complex), full_matrices=True)
     return sigma, Vh
+
+
+# The root taxonomy as the package computed it on numpy scalars, every
+# distance a numpy complex abs, kept verbatim as the reference for
+# ``classify_roots``; the argument checks are left out.
+
+
+def numpy_scalar_classify_roots(poles, zeros, expected_system, eps=0.0):
+    arrays = [np.atleast_1d(np.asarray(v, dtype=complex)) for v in (poles, zeros, expected_system)]
+    poles, zeros, expected = (list(a) if a.size else [] for a in arrays)
+    system_tol = max(SYSTEM_TOL_PER_EPS * eps, SYSTEM_TOL_FLOOR)
+
+    pole_used = [False] * len(poles)
+    zero_used = [False] * len(zeros)
+
+    system = []
+    # Distances between finite roots may overflow: inf matches nothing.
+    with np.errstate(over="ignore"):
+        for loc in expected:
+            best, best_d = None, np.inf
+            for i, p in enumerate(poles):
+                if pole_used[i]:
+                    continue
+                d = abs(p - loc)
+                if d < best_d:
+                    best, best_d = i, d
+            if best is not None and best_d <= system_tol:
+                pole_used[best] = True
+                system.append(poles[best])
+
+        pairs = sorted(
+            (abs(poles[i] - zeros[j]), i, j)
+            for i in range(len(poles))
+            for j in range(len(zeros))
+            if not pole_used[i]
+        )
+    doublets = []
+    for d, i, j in pairs:
+        if d > DOUBLET_TOL:
+            break
+        if pole_used[i] or zero_used[j]:
+            continue
+        pole_used[i] = zero_used[j] = True
+        doublets.append((poles[i], zeros[j]))
+
+    far_poles, far_zeros, leftovers = [], [], []
+    for i, p in enumerate(poles):
+        if pole_used[i]:
+            continue
+        if abs(p) >= FAR_TOL:
+            far_poles.append(p)
+        else:
+            leftovers.append(("pole", p))
+    for j, z in enumerate(zeros):
+        if zero_used[j]:
+            continue
+        if abs(z) >= FAR_TOL:
+            far_zeros.append(z)
+        else:
+            leftovers.append(("zero", z))
+
+    return RootTaxonomy(
+        system_poles=tuple(system),
+        doublets=tuple(doublets),
+        far_poles=tuple(far_poles),
+        far_zeros=tuple(far_zeros),
+        unclassified=tuple(leftovers),
+    )

@@ -5,7 +5,9 @@
 traced function breaks traced benchmark runs.  Entering a tracer here
 makes such a refactor fail in the unit tests instead.  The benchmark
 also reads pm2's passes from the spans of the calls pm2 makes, so the
-second test checks that reading against pm2's own report.
+second test checks that reading against pm2's own report, and the
+third that each log-branch run still builds the mesh whose span the
+studies workload times.
 """
 
 from pathlib import Path
@@ -47,3 +49,18 @@ def test_traced_pm2_passes_match_its_report(monkeypatch):
         assert causes["passes"] == len(report.iterations)
         assert causes["vandermonde"] == report.d_matrix_reductions
         assert causes["accepted"] == 1
+
+
+def test_log_branch_builds_its_mesh_on_every_run(monkeypatch):
+    # studies reads approximant.unit_disk_mesh.self_ms_per_call from the
+    # mesh that each log-branch op builds; a mesh kept between runs would
+    # leave that metric without spans.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    import padepencil as pp
+
+    with tracing.Tracer() as tracer:
+        for _ in range(2):
+            pp.run_log_branch(pp.ExperimentConfig(n=11))  # looked up after wrapping
+    assert [span.name for span in tracer.spans()].count("approximant.unit_disk_mesh") == 2

@@ -1,8 +1,13 @@
 """Tests for the pole/zero taxonomy."""
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padepencil import classify_roots
+from padepencil.classify import DOUBLET_TOL
+
+from helpers import numpy_scalar_classify_roots
 
 
 def test_system_pole_claimed_within_tolerance():
@@ -87,3 +92,25 @@ def test_noisy_overfitted_approximant_anatomy():
     total = (len(tax.system_poles) + 2 * len(tax.doublets)
              + len(tax.far_poles) + len(tax.far_zeros) + len(tax.unclassified))
     assert total == len(poles) + len(zeros)
+
+
+#: Root coordinates: multiples of 0.1, whose distances tie, and other
+#: floats near the unit disk.
+COORDINATES = st.one_of(st.integers(-30, 30).map(lambda k: k / 10), st.floats(-4.0, 4.0))
+#: Roots: near the unit disk, or so large that a distance overflows.
+ROOTS = st.one_of(st.builds(complex, COORDINATES, COORDINATES),
+                  st.sampled_from([1.5e308 + 1.5e308j, -1.5e308 + 0j, 1e308j]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(poles=st.lists(ROOTS, max_size=8), zeros=st.lists(ROOTS, max_size=8),
+       expected=st.lists(ROOTS, max_size=2), eps=st.sampled_from([0.0, 1e-6, 1e-3]))
+@example(poles=[0j], zeros=[complex(DOUBLET_TOL)], expected=[], eps=0.0)
+@example(poles=[1.5e308 + 1.5e308j], zeros=[0j], expected=[1.0 + 0j], eps=0.0)
+@example(poles=[1.0 + 0j, 0.5 + 0j], zeros=[], expected=[-1.5e308 + 0j, 0.9 + 0j], eps=1e-3)
+def test_matches_the_numpy_scalar_loop(poles, zeros, expected, eps):
+    # The same taxonomy as the loop on numpy scalars: the same values, of
+    # the same type, in the same order.  A pair at exactly DOUBLET_TOL is
+    # a doublet, and a distance that overflows is inf.
+    new = classify_roots(poles, zeros, expected, eps)
+    assert repr(new) == repr(numpy_scalar_classify_roots(poles, zeros, expected, eps))

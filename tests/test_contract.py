@@ -20,7 +20,8 @@ none) and ``classify_roots`` an eps that is NaN, infinite, negative or
 no real number, and
 ``classify_roots`` rejects non-finite roots with NonFinite, all quietly.  So do ``gen_geometric_noisy`` a
 noise amplitude outside [0, 1) or no number and ``unit_disk_mesh`` a
-spacing that is not a real number, both with ValueError, and
+spacing that is not a real number, or one whose lattice would exceed
+10^7 points, all with ValueError, and
 ``run_geometric_noise`` every bad config value before its first draw.
 The evaluators return NaN
 quietly at non-finite points, which ``error_sweep`` flags.
@@ -33,17 +34,21 @@ The solvers called directly, ``svd``, ``horner``, ``poles_and_zeros``,
 ``pruned_square_refit`` and the two experiment runners have cases of
 their own, and a gate fails for any function in ``padepencil.__all__``
 that this file never calls by name.
+Multiplying every coefficient by 2^e, within a band where nothing
+overflows or becomes subnormal, scales each solver's numerator exactly
+and keeps its denominator and ``final_l`` bits, or its exception type.
 """
 
 import ast
 import inspect
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import padepencil
@@ -79,10 +84,13 @@ from padepencil import (
     unit_disk_mesh,
 )
 from padepencil import experiments
+from padepencil.approximant import MESH_MAX_LATTICE
 from padepencil.baseline import combined_window, numerator_from_denominator
 from padepencil.cli import main
 from padepencil.experiments import METHODS, on_ray
 from padepencil.pencil import to_rational
+
+from helpers import pm2_cases
 
 CONTRACT = settings(
     deadline=None,
@@ -126,6 +134,61 @@ def series_cases(draw):
         eps = 10.0 ** -rng.uniform(1, 14)
         s = PowerSeries(gen_log_series(n).coeffs * (1 + eps * rng.uniform(-1, 1, n)), t=float(-np.log10(eps)))
     return s, conf
+
+
+#: Exact scaling keeps every coefficient part, before and after, within
+#: [2^-SCALE_BAND, 2^SCALE_BAND]: far inside zgesdd's unscaled range
+#: (about 10^+-138), and squares, products with a denominator and sums
+#: of them neither overflow nor become subnormal.
+SCALE_BAND = 200
+
+
+@st.composite
+def scaled_cases(draw):
+    """A case of series_cases or of pm2_cases (the TestPm2 strategy)
+    whose coefficient parts lie in the band, and an exponent e that keeps
+    them there; the band's ends are drawn often."""
+    s, conf = draw(st.one_of(series_cases(), pm2_cases().map(lambda case: case[:2])))
+    parts = np.abs(s.coeffs.view(float))
+    parts = parts[parts > 0]
+    lo, hi = -SCALE_BAND, SCALE_BAND
+    if parts.size:
+        low, high = math.frexp(parts.min())[1] - 1, math.frexp(parts.max())[1]  # 2^low <= parts < 2^high
+        assume(-SCALE_BAND <= low and high <= SCALE_BAND)
+        lo, hi = -SCALE_BAND - low, SCALE_BAND - high
+    return s, conf, draw(st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi)))
+
+
+def _ldexp(a, e):
+    """Complex array a times 2^e, part by part: exact, signed zeros kept."""
+    return np.ldexp(a.view(float), e).view(complex)
+
+
+def _solve_or_exception_type(s, conf, method):
+    try:
+        return approximate_series(s, conf, method)
+    except (ValueError, ApproximationError) as exc:
+        return type(exc)
+
+
+@settings(CONTRACT, max_examples=300, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(case=scaled_cases())
+def test_scaling_by_a_power_of_two_commutes_with_every_solver(case):
+    # 2^e c commutes with every rounding while nothing overflows or becomes
+    # subnormal, so a solver that compares no magnitude with an absolute
+    # threshold gives the same denominator and final_l bits and a
+    # numerator scaled exactly by 2^e, or fails the same way.
+    s, conf, e = case
+    scaled = PowerSeries(_ldexp(s.coeffs, e), t=s.t)
+    for method in METHODS:
+        got, want = (_solve_or_exception_type(series, conf, method) for series in (scaled, s))
+        if isinstance(want, type):
+            assert got is want, (method, e)
+            continue
+        assert not isinstance(got, type), (method, e, got)
+        assert got.final_l == want.final_l, (method, e)
+        assert got.rational.denom.tobytes() == want.rational.denom.tobytes(), (method, e)
+        assert got.rational.numer.tobytes() == _ldexp(want.rational.numer, e).tobytes(), (method, e)
 
 
 def _reject_constant(name):
@@ -407,6 +470,40 @@ class TestNoiseAmplitude:
 def test_mesh_spacing_must_be_a_real_number(spacing):
     with pytest.raises(ValueError, match="spacing must be a real number"):
         unit_disk_mesh(spacing)
+
+
+class _Allocates(Exception):
+    pass
+
+
+class _NoGrid:
+    """Stands in for np.mgrid: indexing it raises instead of allocating."""
+
+    def __getitem__(self, key):
+        raise _Allocates(key)
+
+
+class TestMeshCeiling:
+    """A spacing whose lattice exceeds MESH_MAX_LATTICE points raises
+    ValueError before np.mgrid runs: 1e-7 raised numpy's own memory error
+    ("Unable to allocate 5.68 PiB"), and 1e-4 asked for about 6.4 GB."""
+
+    @pytest.fixture(autouse=True)
+    def _no_grid(self, monkeypatch):
+        monkeypatch.setattr(np, "mgrid", _NoGrid())
+
+    @pytest.mark.parametrize("spacing", [1e-7, 1e-5, 1 / 1580, 5e-324, np.float64(5e-324)])
+    def test_raises_valueerror(self, spacing):
+        with pytest.raises(ValueError, match="needs more than 10000000 lattice points"):
+            unit_disk_mesh(spacing)
+
+    def test_the_largest_lattice_passes(self):
+        # At 1/1579, N = ceil(1/spacing) + 1 = 1580 and the lattice has
+        # 3161^2 points; at 1/1580 it would have 3163^2.
+        assert math.ceil(1 / (1 / 1579)) + 1 == 1580 and math.ceil(1 / (1 / 1580)) + 1 == 1581
+        assert (2 * 1580 + 1) ** 2 <= MESH_MAX_LATTICE < (2 * 1581 + 1) ** 2
+        with pytest.raises(_Allocates, match="-1580"):
+            unit_disk_mesh(1 / 1579)
 
 
 class TestNonFinitePoints:

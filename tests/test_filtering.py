@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from padepencil import (
     Collapse,
@@ -24,7 +23,7 @@ from padepencil.filtering import count_filtered, reduced_poles
 from padepencil.numerics import svd
 from padepencil.pencil import combined_window, pm1_poles, residue_system
 
-from helpers import gen_quadratic_eps, greedy_match_error, random_oracle
+from helpers import gen_quadratic_eps, greedy_match_error, pm2_cases, random_oracle
 
 
 class TestCountFiltered:
@@ -188,26 +187,12 @@ class TestPm2:
         assert not np.signbit(ra.numer.view(float)).any()
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(st.data())
-    def test_every_pass_lowers_l(self, data):
+    @given(case=pm2_cases())
+    def test_every_pass_lowers_l(self, case):
         # Each pass returns or lowers l by at least one, so pm2 needs no
         # pass budget: the trajectory starts at m and strictly falls.
-        m = data.draw(st.integers(1, 30))
-        conf = Conformation(m, data.draw(st.integers(-1, 3)))
-        n = conf.n
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        kind = data.draw(st.sampled_from(["geometric", "wide", "zero", "polynomial"]))
-        if kind == "geometric":
-            s = gen_geometric_noisy(n, 10.0 ** -rng.uniform(1, 12), rng)
-        elif kind == "wide":
-            amp, period = rng.uniform(1, 6), int(rng.integers(3, 12))
-            expo = amp * np.cos(2 * np.pi * np.arange(n) / period) + rng.uniform(-0.5, 0.5, n)
-            s = PowerSeries(10.0**expo * np.exp(2j * np.pi * rng.uniform(size=n)))
-        elif kind == "zero":
-            s = PowerSeries(np.zeros(n))
-        else:
-            degree = int(rng.integers(0, max(conf.k, 0) + 1))
-            s = PowerSeries(np.where(np.arange(n) <= degree, rng.uniform(-1, 1, n), 0.0))
+        s, conf, kind = case
+        m = conf.m
         try:
             report = pm2(s, conf).report
         except Collapse:

@@ -1,22 +1,27 @@
-"""In-process A/B timing of two checkouts on one benchmark workload.
+"""In-process A/B timing of two checkouts on benchmark workloads.
 
 Usage (from the repository root)::
 
     python3 tools/ab_cycles.py PARENT_ROOT CHANGE_ROOT stream_small 600 [--seed 1]
+    python3 tools/ab_cycles.py PARENT_ROOT CHANGE_ROOT studies,cli_requests 40
+    python3 tools/ab_cycles.py PARENT_ROOT CHANGE_ROOT all 40
 
 Loads ``src/padepencil`` of each checkout root under a package name of
 its own (``padepencil_a`` for the first root, ``padepencil_b`` for the
 second) into one interpreter, with BLAS pinned to one thread before
-numpy loads.  The workload is built from the first root's
+numpy loads.  Each named workload (a comma-separated list, or ``all``
+for every workload) is built from the first root's
 ``benchmarks/workloads.py``, unchanged, once per side, with that
 module's ``pp`` and ``cli`` bound to the side's package; its slots look
 those names up at call time, so each side's cycle runs its own package.
 
-Every slot first runs once on each side, and the outputs' fingerprints
-must agree bit for bit.  Then each round times one whole cycle per
-side, the side that goes first swapped every round.  It prints each
-side's median cycle and the median over rounds of the first side's
-cycle time divided by the second's (above 1: the second is faster).
+For each workload in turn, every slot first runs once on each side, and
+the outputs' fingerprints must agree bit for bit.  Then each round times
+one whole cycle per side, the side that goes first swapped every round.
+It prints one line per workload: each side's median cycle and the
+median over rounds of the first side's cycle time divided by the
+second's (above 1: the second is faster).  The exit status is 1 when
+the outputs of any workload differ.
 
 Separate processes on a shared host can differ in speed by up to 2x,
 so two ``timeit`` runs cannot show a 5 % difference; alternating cycles
@@ -52,16 +57,19 @@ def load_package(root: Path, name: str):
 
 
 class Side:
-    def __init__(self, workloads, root: Path, name: str, workload: str, seed: int, out_dir: str):
+    def __init__(self, workloads, root: Path, name: str):
         self.workloads = workloads
         self.pp, self.cli = load_package(root, name)
         self.label = f"{name} ({root})"
-        self.bind()
-        self.slots = workloads.build(workload, seed, out_dir).slots
         self.failures = (self.pp.ApproximationError, ValueError, workloads.OpFailed)
+        self.slots = []
 
     def bind(self) -> None:
         self.workloads.pp, self.workloads.cli = self.pp, self.cli
+
+    def build(self, workload: str, seed: int, out_dir: str) -> None:
+        self.bind()
+        self.slots = self.workloads.build(workload, seed, out_dir).slots
 
     def fingerprints(self) -> list:
         self.bind()
@@ -86,12 +94,33 @@ class Side:
         return clock() - t0
 
 
+def compare(sides: list, workload: str, rounds: int, seed: int, out_dir: str) -> tuple[bool, str]:
+    """Whether the two sides' outputs agree on the workload, and its result line."""
+    for side in sides:
+        side.build(workload, seed, out_dir)
+    fp_a, fp_b = (side.fingerprints() for side in sides)
+    differ = [slot.label for slot, a, b in zip(sides[0].slots, fp_a, fp_b) if a != b]
+    if differ:
+        return False, f"{workload}: outputs differ in {len(differ)} of {len(fp_a)} slots: {', '.join(differ)}"
+    times = ([], [])
+    for r in range(rounds):
+        for i in (0, 1) if r % 2 == 0 else (1, 0):
+            times[i].append(sides[i].cycle())
+    cycles = []
+    for name, t in zip("ab", times):
+        q1, med, q3 = statistics.quantiles(t, n=4) if len(t) > 1 else (t[0],) * 3
+        cycles.append(f"{name} {1e3 * med:.3f} ms ({1e3 * q1:.3f}-{1e3 * q3:.3f})")
+    ratio = statistics.median(a / b for a, b in zip(*times))
+    return True, (f"{workload}, seed {seed}, {rounds} rounds, {len(fp_a)} slots, outputs identical: "
+                  f"median cycle {', '.join(cycles)}; median per-round ratio a/b {ratio:.4f}")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("first", type=Path, help="checkout root of side a, such as the parent commit")
     p.add_argument("second", type=Path, help="checkout root of side b, such as the change")
-    p.add_argument("workload", help="a workload name from benchmarks/workloads.py")
-    p.add_argument("rounds", type=int, help="number of rounds, one cycle per side each")
+    p.add_argument("workloads", help="comma-separated workload names from benchmarks/workloads.py, or all")
+    p.add_argument("rounds", type=int, help="number of rounds per workload, one cycle per side each")
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
     if args.rounds < 1:
@@ -101,26 +130,21 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(first / "benchmarks"), str(first / "src")]
     import workloads
 
-    # One output directory for both sides: some outputs hold their path.
-    with tempfile.TemporaryDirectory() as out_dir:
-        sides = [Side(workloads, first, "padepencil_a", args.workload, args.seed, out_dir),
-                 Side(workloads, second, "padepencil_b", args.workload, args.seed, out_dir)]
-        fp_a, fp_b = (side.fingerprints() for side in sides)
-        differ = [slot.label for slot, a, b in zip(sides[0].slots, fp_a, fp_b) if a != b]
-        if differ:
-            print(f"outputs differ in {len(differ)} of {len(fp_a)} slots: {', '.join(differ)}")
-            return 1
-        times = ([], [])
-        for r in range(args.rounds):
-            for i in (0, 1) if r % 2 == 0 else (1, 0):
-                times[i].append(sides[i].cycle())
-    print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds, {len(fp_a)} slots, outputs identical")
-    for side, t in zip(sides, times):
-        q1, med, q3 = statistics.quantiles(t, n=4) if len(t) > 1 else (t[0],) * 3
-        print(f"{side.label}: median cycle {1e3 * med:.3f} ms (quartiles {1e3 * q1:.3f}-{1e3 * q3:.3f})")
-    ratio = statistics.median(a / b for a, b in zip(*times))
-    print(f"median per-round ratio a/b: {ratio:.4f}")
-    return 0
+    names = list(workloads.WORKLOADS) if args.workloads == "all" else args.workloads.split(",")
+    unknown = [name for name in names if name not in workloads.WORKLOADS]
+    if unknown:
+        p.error(f"unknown workload {', '.join(unknown)}; expected some of {', '.join(workloads.WORKLOADS)} or all")
+    sides = [Side(workloads, first, "padepencil_a"), Side(workloads, second, "padepencil_b")]
+    for name, side in zip("ab", sides):
+        print(f"{name}: {side.label}")
+    all_identical = True
+    for name in names:
+        # One output directory for both sides: some outputs hold their path.
+        with tempfile.TemporaryDirectory() as out_dir:
+            identical, line = compare(sides, name, args.rounds, args.seed, out_dir)
+        all_identical &= identical
+        print(line, flush=True)
+    return 0 if all_identical else 1
 
 
 if __name__ == "__main__":
