@@ -11,6 +11,7 @@ into genuine system poles, doublets, far poles/zeros, and leftovers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,14 +108,19 @@ def classify_roots(poles, zeros, expected_system, eps: float = 0.0) -> RootTaxon
             pole_used[best] = True
             system.append(poles[best])
 
-    # Closest pairs first; the greedy pairing never reads a pair beyond
-    # DOUBLET_TOL, so only the pairs within it are sorted.
+    # Closest pairs first, only those within DOUBLET_TOL.  |p - z| (hypot) is
+    # never below the rounded |p.real - z.real|, which is within DOUBLET_TOL
+    # only if the exact difference is below band; rounding is monotone, so
+    # bisection at p.real -+ band finds every zero of such a pair.
+    by_real = sorted((z.real, j) for j, z in enumerate(zero_values))
+    reals = [x for x, _ in by_real]
+    band = DOUBLET_TOL * (1 + 2**-40)
     pairs = sorted(
         (d, i, j)
         for i, p in enumerate(pole_values)
         if not pole_used[i]
-        for j, z in enumerate(zero_values)
-        if (d := _modulus(p - z)) <= DOUBLET_TOL
+        for _, j in by_real[bisect_left(reals, p.real - band) : bisect_right(reals, p.real + band)]
+        if (d := _modulus(p - zero_values[j])) <= DOUBLET_TOL
     )
     doublets = []
     for _, i, j in pairs:

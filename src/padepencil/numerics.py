@@ -460,20 +460,51 @@ def horner(coeffs, z):
     every step writes into four arrays allocated once: eight ufunc calls
     per coefficient and no temporaries.  ``z`` and ``coeffs`` are only
     read.  Overflow gives inf or NaN without a warning.
+
+    On an array of real points (imaginary parts +-0.0) a step takes two
+    ufunc calls per part, ``ar*zr + c.real`` and ``ai*zr + c.imag``, with
+    the same bits: while the sum is finite the dropped ``ai*zi`` and
+    ``ar*zi`` are signed zeros, whose sign outlives the next addition only
+    where the part added is -0.0, and adding -0.0 changes nothing, so such
+    a step computes the dropped term instead.  The imaginary chain stays
+    +0.0, and is skipped, while every imaginary part so far is +0.0.
+    Points whose result is not finite are evaluated by the full loop.
     """
     z = np.asarray(z, dtype=complex)
+    cs = np.asarray(coeffs, dtype=complex)[::-1].tolist()
     zr, zi = z.real.copy(), z.imag.copy()
-    ar, ai, t, u = (np.zeros(z.shape) for _ in range(4))
+    real = z.ndim > 0 and not zi.any()
     with np.errstate(all="ignore"):
-        for c in np.asarray(coeffs, dtype=complex)[::-1].tolist():
-            # ar, ai = ar*zr - ai*zi + c.real, ar*zi + ai*zr + c.imag
-            np.multiply(ar, zr, out=t)
+        out = complex_from_parts(*_horner_parts(cs, zr, zi, real))
+        if real and not all_finite(out):
+            bad = ~np.isfinite(out)
+            out[bad] = complex_from_parts(*_horner_parts(cs, zr[bad], zi[bad], False))
+    return out[()]
+
+
+def _horner_parts(cs, zr, zi, real: bool):
+    """horner's parts at zr + i zi, the coefficients cs highest order first;
+    ``real`` leaves out the products with zi = +-0.0 (see horner)."""
+    ar, ai, t, u = (np.zeros(zr.shape) for _ in range(4))
+    live = not real  # whether ai may have left +0.0
+    for c in cs:
+        # ar, ai = ar*zr - ai*zi + c.real, ar*zi + ai*zr + c.imag; adding -0.0 changes nothing
+        neg_r = c.real == 0 and math.copysign(1.0, c.real) < 0
+        neg_i = c.imag == 0 and math.copysign(1.0, c.imag) < 0
+        np.multiply(ar, zr, out=t)
+        if neg_r or not real:
             np.multiply(ai, zi, out=u)
             np.subtract(t, u, out=t)
+        if not neg_r:
             np.add(t, c.real, out=t)
+        live = live or neg_i or c.imag != 0
+        if neg_i or not real:
             np.multiply(ar, zi, out=u)
             np.multiply(ai, zr, out=ai)
             np.add(u, ai, out=ai)
+        elif live:
+            np.multiply(ai, zr, out=ai)
+        if live and not neg_i:
             np.add(ai, c.imag, out=ai)
-            ar, t = t, ar
-    return complex_from_parts(ar, ai)[()]
+        ar, t = t, ar
+    return ar, ai

@@ -8,6 +8,8 @@ scipy and polyfromroots paths at the end are the bitwise references
 for the package's array code and its direct LAPACK calls.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from padepencil import (
     ZeroPole,
     gen_geometric_noisy,
 )
-from padepencil.classify import DOUBLET_TOL, FAR_TOL, SYSTEM_TOL_FLOOR, SYSTEM_TOL_PER_EPS
+from padepencil.classify import DOUBLET_TOL, FAR_TOL, SYSTEM_TOL_FLOOR, SYSTEM_TOL_PER_EPS, _modulus
 from padepencil.numerics import DEFAULT_RANK_RTOL, svd
 
 
@@ -71,12 +73,20 @@ def greedy_match_error(estimated, expected):
 
 
 @st.composite
+def banded_m(draw, top):
+    """A denominator degree from one of three bands, each drawn as often:
+    1..3, 4..12 or 13..top, so that large m is not left to chance."""
+    low, high = draw(st.sampled_from([(1, 3), (4, 12), (13, top)]))
+    return draw(st.integers(low, high))
+
+
+@st.composite
 def pm2_cases(draw):
-    """A conformation with m in 1..30 and k in -1..3, a series of exactly
-    its length and its kind: a noisy geometric series, wide magnitudes
-    (up to 10^6.5), all zeros, or a polynomial of degree max(k, 0) or
-    less, which pm2 reduces to its head."""
-    m = draw(st.integers(1, 30))
+    """A conformation with m in 1..30 (``banded_m``) and k in -1..3, a
+    series of exactly its length and its kind: a noisy geometric series,
+    wide magnitudes (up to 10^6.5), all zeros, or a polynomial of degree
+    max(k, 0) or less, which pm2 reduces to its head."""
+    m = draw(banded_m(30))
     conf = Conformation(m, draw(st.integers(-1, 3)))
     n = conf.n
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -356,6 +366,77 @@ def numpy_scalar_classify_roots(poles, zeros, expected_system, eps=0.0):
             far_zeros.append(z)
         else:
             leftovers.append(("zero", z))
+
+    return RootTaxonomy(
+        system_poles=tuple(system),
+        doublets=tuple(doublets),
+        far_poles=tuple(far_poles),
+        far_zeros=tuple(far_zeros),
+        unclassified=tuple(leftovers),
+    )
+
+
+# The root taxonomy as the package computed it before the pole-zero pair
+# scan was pruned by real part: every unused pair's distance formed on
+# Python numbers, kept verbatim as the reference for ``classify_roots``;
+# the argument checks are left out.
+
+
+def unpruned_classify_roots(poles, zeros, expected_system, eps=0.0):
+    arrays = [np.ravel(np.asarray(v, dtype=complex)) for v in (poles, zeros, expected_system)]
+    # The taxonomy holds numpy scalars of the arrays, but every distance
+    # is taken on Python numbers: the same bits, with less overhead.
+    poles, zeros, _ = arrays
+    pole_values, zero_values, expected = (a.tolist() for a in arrays)
+    system_tol = max(SYSTEM_TOL_PER_EPS * eps, SYSTEM_TOL_FLOOR)
+
+    pole_used = [False] * poles.size
+    zero_used = [False] * zeros.size
+
+    system = []
+    for loc in expected:
+        best, best_d = None, math.inf
+        for i, p in enumerate(pole_values):
+            if pole_used[i]:
+                continue
+            d = _modulus(p - loc)
+            if d < best_d:
+                best, best_d = i, d
+        if best is not None and best_d <= system_tol:
+            pole_used[best] = True
+            system.append(poles[best])
+
+    # Closest pairs first; the greedy pairing never reads a pair beyond
+    # DOUBLET_TOL, so only the pairs within it are sorted.
+    pairs = sorted(
+        (d, i, j)
+        for i, p in enumerate(pole_values)
+        if not pole_used[i]
+        for j, z in enumerate(zero_values)
+        if (d := _modulus(p - z)) <= DOUBLET_TOL
+    )
+    doublets = []
+    for _, i, j in pairs:
+        if pole_used[i] or zero_used[j]:
+            continue
+        pole_used[i] = zero_used[j] = True
+        doublets.append((poles[i], zeros[j]))
+
+    far_poles, far_zeros, leftovers = [], [], []
+    for i, p in enumerate(pole_values):
+        if pole_used[i]:
+            continue
+        if _modulus(p) >= FAR_TOL:
+            far_poles.append(poles[i])
+        else:
+            leftovers.append(("pole", poles[i]))
+    for j, z in enumerate(zero_values):
+        if zero_used[j]:
+            continue
+        if _modulus(z) >= FAR_TOL:
+            far_zeros.append(zeros[j])
+        else:
+            leftovers.append(("zero", zeros[j]))
 
     return RootTaxonomy(
         system_poles=tuple(system),

@@ -21,6 +21,7 @@ from padepencil import (
     unit_disk_mesh,
 )
 from padepencil.experiments import STUDY_GRID
+from padepencil.numerics import _horner_parts, complex_from_parts
 
 from helpers import (
     loop_unit_disk_mesh,
@@ -353,6 +354,101 @@ class TestHornerAtStudySizes:
         horner(coeffs, z[::7])  # a strided view of the caller's array
         np.testing.assert_array_equal(_bits(coeffs), _bits(before[0]))
         np.testing.assert_array_equal(_bits(z), _bits(before[1]))
+
+    def test_study_grid_real_coefficients(self):
+        # Real coefficients with imaginary parts +0.0, -0.0 or mixed, the
+        # pattern of the dm and svd denominators on the real grid.
+        rng = np.random.default_rng(13)
+        for degree in (0, 1, 5, 10, 20):
+            re = rng.standard_normal(degree + 1)
+            for im in (np.zeros(degree + 1), np.full(degree + 1, -0.0), rng.choice([0.0, -0.0], degree + 1)):
+                self._assert_pointwise(complex_from_parts(re, im), STUDY_GRID)
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300]
+#: Coefficient parts: finite, or signed zeros, infinities, NaN and 1e+-300.
+_real_part = st.one_of(st.sampled_from(_SPECIAL), st.floats(-1e3, 1e3))
+#: Imaginary parts: as the real ones, -0.0 only, or +0.0 and -0.0 mixed.
+_imag_parts = st.sampled_from(["any", "negative zero", "signed zeros"])
+#: Points on the real axis: real part an exact zero, +-inf, NaN or a float
+#: of modulus up to 1e200; imaginary part +0.0 or -0.0.
+_real_point = st.builds(
+    complex,
+    st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]), st.floats(-1e200, 1e200)),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+def _bits_but_nan_sign(values):
+    """The bits of each part, every NaN read as the same NaN."""
+    parts = np.atleast_1d(np.asarray(values, dtype=complex)).view(float)
+    return np.where(np.isnan(parts), np.nan, parts).view(np.int64)
+
+
+class TestHornerOnRealPoints:
+    """horner on real points, where it runs in real arithmetic: bit for bit
+    the full loop, and the scalar loop.
+
+    Which of two NaN operands a numpy kernel keeps differs from the scalar
+    loop's choice, and with the array's length (numpy 2.4 on x86-64 keeps
+    the added NaN scalar at lengths 1 and 9 or more, the array's at 2 to 8),
+    so only against the scalar loop are NaNs compared up to their sign and
+    payload.  The full loop at the same length runs the same kernels, and
+    its NaNs match bit for bit.
+    """
+
+    @staticmethod
+    def _assert_pointwise(coeffs, points):
+        coeffs, points = np.asarray(coeffs, dtype=complex), np.asarray(points, dtype=complex)
+        got = horner(coeffs, points)
+        with np.errstate(all="ignore"):
+            want = [scalar_horner(coeffs, z) for z in points.tolist()]
+            full = complex_from_parts(*_horner_parts(coeffs[::-1].tolist(), points.real, points.imag, False))
+        np.testing.assert_array_equal(_bits(got), _bits(full))
+        np.testing.assert_array_equal(_bits_but_nan_sign(got), _bits_but_nan_sign(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(re=st.lists(_real_part, min_size=1, max_size=12), kind=_imag_parts, data=st.data(),
+           points=st.lists(_real_point, min_size=1, max_size=12))
+    def test_matches_the_scalar_loop(self, re, kind, data, points):
+        if kind == "any":
+            im = data.draw(st.lists(_real_part, min_size=len(re), max_size=len(re)))
+        elif kind == "negative zero":
+            im = [-0.0] * len(re)
+        else:
+            im = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=len(re), max_size=len(re)))
+        self._assert_pointwise(complex_from_parts(np.array(re), np.array(im)), [complex(z) for z in points])
+
+    def test_imaginary_chain_skipped(self):
+        # Every imaginary part +0.0: the imaginary part stays +0.0.
+        got = horner([1.0, -2.0, 3.0], STUDY_GRID)
+        assert not np.signbit(got.imag).any() and not got.imag.any()
+        self._assert_pointwise([1.0, -2.0, 3.0], STUDY_GRID)
+
+    def test_negative_zero_steps(self):
+        # At z = -0.0 - 0.0j the real step of 1*z + (-0.0 - 0.0j) is
+        # (1*(-0.0) - 0.0*(-0.0)) + -0.0 = +0.0, where 1*(-0.0) + -0.0 is
+        # -0.0; at z = -1 + 0.0j its imaginary step is
+        # (1*0.0 + 0.0*(-1)) + -0.0 = +0.0, where 0.0*(-1) + -0.0 is -0.0.
+        coeffs = [complex(-0.0, -0.0), 1.0]
+        points = [complex(-0.0, -0.0), complex(-1.0, 0.0)]
+        got = horner(coeffs, np.array(points))
+        assert not np.signbit(got.real[0]) and not np.signbit(got.imag[1])
+        self._assert_pointwise(coeffs, points)
+
+    def test_non_finite_points_recomputed(self):
+        # 1e300 z^2 overflows at z = 1e200: the full loop's ar*zi is then
+        # inf*0 = NaN, which real arithmetic would leave out.  The finite
+        # point beside it keeps the real-arithmetic result.
+        coeffs = [1.0, 0.0, 1e300]
+        points = [complex(1e200, 0.0), complex(0.5, -0.0), complex(np.inf, 0.0), complex(np.nan, 0.0)]
+        got = horner(coeffs, np.array(points))
+        assert np.isnan(got.imag[0]) and np.isfinite(got[1])
+        self._assert_pointwise(coeffs, points)
+
+    @pytest.mark.parametrize("c", [2.5 - 1j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), np.nan])
+    def test_degree_zero(self, c):
+        self._assert_pointwise([c], [0.0, -0.0, complex(-0.0, -0.0), -3.0, complex(2.0, -0.0), np.inf, np.nan])
 
 
 class TestErrorSweepWarnings:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from padepencil import classify_roots
 from padepencil.classify import DOUBLET_TOL
 
-from helpers import numpy_scalar_classify_roots
+from helpers import numpy_scalar_classify_roots, unpruned_classify_roots
 
 
 def test_system_pole_claimed_within_tolerance():
@@ -114,3 +114,31 @@ def test_matches_the_numpy_scalar_loop(poles, zeros, expected, eps):
     # a doublet, and a distance that overflows is inf.
     new = classify_roots(poles, zeros, expected, eps)
     assert repr(new) == repr(numpy_scalar_classify_roots(poles, zeros, expected, eps))
+
+
+#: Coordinates for the pruned pair scan: multiples of 0.01 (exact ties, and
+#: pairs whose real parts differ by exactly DOUBLET_TOL after rounding but
+#: not before), floats, and magnitudes where one ulp exceeds the band.
+PRUNE_COORDINATES = st.one_of(
+    st.integers(-300, 300).map(lambda k: k / 100),
+    st.floats(-4.0, 4.0),
+    st.sampled_from([1e16, 1e16 + 2, -1e17, 1.5e308, -1.5e308]),
+)
+PRUNE_ROOTS = st.builds(complex, PRUNE_COORDINATES, PRUNE_COORDINATES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poles=st.lists(PRUNE_ROOTS, max_size=10), zeros=st.lists(PRUNE_ROOTS, max_size=10),
+       expected=st.lists(PRUNE_ROOTS, max_size=2), eps=st.sampled_from([0.0, 1e-3]))
+@example(poles=[0.08 + 0j], zeros=[-0.22 + 0j], expected=[], eps=0.0)
+@example(poles=[0.3 + 0.1j, 0.3 - 0.1j], zeros=[0j, 0.6 + 0j, 0.3 + 0.4j], expected=[], eps=0.0)
+@example(poles=[1e16 + 0j], zeros=[1e16 + 2 + 0.1j, 1e16 + 0.2j], expected=[], eps=0.0)
+def test_matches_the_unpruned_pair_scan(poles, zeros, expected, eps):
+    # Measuring only the zeros within a band of the pole's real part keeps
+    # every pair within DOUBLET_TOL, ties and pairs exactly DOUBLET_TOL
+    # apart included: the same taxonomy as the scan over every pair.  The
+    # first example is a pair whose real parts lie exactly DOUBLET_TOL
+    # apart as rounded, though -0.22 is below 0.08 - DOUBLET_TOL.
+    new = classify_roots(poles, zeros, expected, eps)
+    assert repr(new) == repr(unpruned_classify_roots(poles, zeros, expected, eps))
+

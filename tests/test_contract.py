@@ -90,7 +90,7 @@ from padepencil.cli import main
 from padepencil.experiments import METHODS, on_ray
 from padepencil.pencil import to_rational
 
-from helpers import pm2_cases
+from helpers import banded_m, pm2_cases
 
 CONTRACT = settings(
     deadline=None,
@@ -107,10 +107,10 @@ def _prints_nothing(capfd):
 
 @st.composite
 def series_cases(draw):
-    """A conformation with m in 1..40 and k in -m..3, and a series of
-    exactly its length: wide magnitudes, extreme entries, a single
-    spike, all zeros, or a noisy geometric or log series."""
-    m = draw(st.integers(1, 40))
+    """A conformation with m in 1..40 (``banded_m``) and k in -m..3, and a
+    series of exactly its length: wide magnitudes, extreme entries, a
+    single spike, all zeros, or a noisy geometric or log series."""
+    m = draw(banded_m(40))
     conf = Conformation(m, draw(st.integers(-m, 3)))
     n = conf.n
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
