@@ -12,8 +12,9 @@ remaining poles are trustworthy:
    accuracy estimate ``PowerSeries.t``;
 2. eigenvalues of the reduced pencil of magnitude at most
    ``ORIGIN_RADIUS`` are deleted outright;
-3. a badly conditioned residue Vandermonde (singular-value ratio below
-   10^-t) indicates a still-redundant pole set.
+3. a residue Vandermonde D that is not finite, or whose singular-value
+   ratio is below 10^-t both as it stands and with its columns
+   equilibrated by powers of two, indicates a still-redundant pole set.
 
 Every reduction re-enters the loop from the rebuilt window, so the
 report carries the full trajectory.  Every pass either is accepted or
@@ -120,14 +121,37 @@ def reduced_poles(svd_result: SvdResult) -> np.ndarray:
     return pm1_poles(weights[:, None] * svd_result.Vh)
 
 
+def vandermonde_accepts(D, t: float) -> bool:
+    """Rule 3: whether the residue Vandermonde D certifies its QR solve.
+
+    A non-finite D (an overflowing power of a tiny spurious pole) fails
+    without reaching LAPACK.  A finite D passes when sigma_min/sigma_max
+    >= 10^-t for D or, only where that fails, for D with each column
+    scaled by 2^-e, e the binary exponent of its largest modulus.
+    Householder QR is as accurate as D's best column scaling allows, and
+    equilibration comes within a small factor of that, so the second look
+    discounts the monomial scale of d^r but not a coincident pole pair.
+    """
+    if not all_finite(D):
+        return False
+    tol = 10.0 ** (-t)
+    try:
+        dsig = singular_values(D)
+        if dsig[-1] < tol * dsig[0]:
+            dsig = singular_values(D * np.ldexp(1.0, -np.frexp(np.abs(D).max(axis=0))[1]))
+    except ConvergenceFailure as exc:
+        raise ConvergenceFailure(f"residue Vandermonde SVD did not converge: {exc}") from exc
+    return not dsig[-1] < tol * dsig[0]
+
+
 def pm2(s: PowerSeries, conf: Conformation) -> Solution:
     """Pencil solve with iterated spurious-pole filtering.
 
     Runs the detection loop described in the module docstring starting
     from l = m, with the filtering accuracy t = s.t, and returns a
     Solution: the surviving poles with overdetermined least-squares
-    residues, the equivalent rational approximant, and the filtering
-    report.
+    residues (QR on the unscaled D, once ``vandermonde_accepts`` passes
+    it), the equivalent rational approximant, and the filtering report.
 
     If every pole is removed (report.head_only), ``to_rational`` gives
     the zero approximant when the first conf.n coefficients are all zero
@@ -173,16 +197,7 @@ def pm2(s: PowerSeries, conf: Conformation) -> Solution:
             continue
 
         D, rhs = residue_system(s, lam, conf, use_all_rows=True)
-        # An overflowing power of a tiny spurious pole leaves D
-        # non-finite: the worst conditioning there is, kept from LAPACK.
-        ok = all_finite(D)
-        if ok:
-            try:
-                dsig = singular_values(D)
-            except ConvergenceFailure as exc:
-                raise ConvergenceFailure(f"residue Vandermonde SVD did not converge: {exc}") from exc
-            ok = not dsig[-1] < 10.0 ** (-s.t) * dsig[0]
-        if ok:
+        if vandermonde_accepts(D, s.t):
             break
         d_reductions += 1
         l -= 1

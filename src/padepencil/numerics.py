@@ -455,11 +455,12 @@ def horner(coeffs, z):
     complex scalar for a scalar).  Each complex product is written out in
     real and imaginary parts, in the order of numpy's scalar complex
     multiply, so every point gets the same bits as a point-by-point
-    evaluation; numpy's array multiply may fuse the products and does
-    not.  The parts of ``z`` are copied once into contiguous arrays, and
-    every step writes into four arrays allocated once: eight ufunc calls
-    per coefficient and no temporaries.  ``z`` and ``coeffs`` are only
-    read.  Overflow gives inf or NaN without a warning.
+    evaluation, up to the sign of a NaN; numpy's array multiply may fuse
+    the products and does not.  The parts of ``z`` are copied once into
+    contiguous arrays, and every step writes into four arrays allocated
+    once: eight ufunc calls per coefficient and no temporaries.  ``z``
+    and ``coeffs`` are only read.  Overflow gives inf or NaN without a
+    warning.
 
     On an array of real points (imaginary parts +-0.0) a step takes two
     ufunc calls per part, ``ar*zr + c.real`` and ``ai*zr + c.imag``, with

@@ -10,6 +10,7 @@ for the package's array code and its direct LAPACK calls.
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg as sla
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from padepencil import (
 )
 from padepencil.classify import DOUBLET_TOL, FAR_TOL, SYSTEM_TOL_FLOOR, SYSTEM_TOL_PER_EPS, _modulus
 from padepencil.numerics import DEFAULT_RANK_RTOL, svd
+from padepencil.pencil import residue_system
 
 
 def maclaurin_of_rational(numer, denom, n):
@@ -70,6 +72,45 @@ def greedy_match_error(estimated, expected):
         i = int(np.argmin([abs(e - target) for e in est]))
         worst = max(worst, abs(est.pop(i) - target) / abs(target))
     return worst
+
+
+def wide_series(m, seed, amplitude=6.0, period=7):
+    """2m coefficients of magnitude 10^(amplitude cos(2 pi j/period) +- 0.5)
+    and random phases, drawn as ``oracles.wide_magnitude_series`` draws
+    them."""
+    rng = np.random.default_rng(seed)
+    expo = amplitude * np.cos(2 * np.pi * np.arange(2 * m) / period) + rng.uniform(-0.5, 0.5, 2 * m)
+    return PowerSeries(10.0**expo * np.exp(2j * np.pi * rng.uniform(size=2 * m)))
+
+
+def coefficient_residual(s, conf, prf):
+    """Relative misfit of a pole-residue form to every usable coefficient."""
+    D, rhs = residue_system(s, prf.poles, conf, use_all_rows=True)
+    return np.linalg.norm(D @ prf.weights - rhs) / np.linalg.norm(rhs)
+
+
+def mp_pencil(coeffs, m, dps=50):
+    """Poles and weights of the l = m pencil at k = -1, in ``dps`` digits.
+
+    The pencil's blocks are the m x m Hankel matrices of c_0..c_{2m-1}
+    (the double coefficients, taken exactly): the poles are the
+    eigenvalues of C2^-1 C1, and the weights solve c_r = sum_j w_j p_j^-r
+    over all 2m rows by QR, with each column divided by its largest
+    modulus.  Both are rounded once and sorted as ``sort_roots`` sorts.
+    """
+    with mpmath.workdps(dps):
+        c = [mpmath.mpc(complex(x).real, complex(x).imag) for x in coeffs[: 2 * m]]
+        C1 = mpmath.matrix([[c[i + j] for j in range(m)] for i in range(m)])
+        C2 = mpmath.matrix([[c[i + j + 1] for j in range(m)] for i in range(m)])
+        ev = mpmath.eig(mpmath.inverse(C2) * C1, left=False, right=False)
+        d = [1 / p for p in ev]
+        top = [max(mpmath.mpf(1), abs(x) ** (2 * m - 1)) for x in d]
+        D = mpmath.matrix([[d[j] ** r / top[j] for j in range(m)] for r in range(2 * m)])
+        v, _ = mpmath.qr_solve(D, mpmath.matrix(c))
+        poles = np.array([complex(x) for x in ev])
+        weights = np.array([complex(v[j] / top[j]) for j in range(m)])
+    order = np.lexsort((np.angle(poles), np.abs(poles)))
+    return poles[order], weights[order]
 
 
 @st.composite

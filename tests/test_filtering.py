@@ -18,12 +18,30 @@ from padepencil import (
     gen_log_series,
     pm2,
 )
-from padepencil import numerics
-from padepencil.filtering import count_filtered, reduced_poles
-from padepencil.numerics import svd
-from padepencil.pencil import combined_window, pm1_poles, residue_system
+from padepencil import filtering, numerics
+from padepencil.filtering import count_filtered, reduced_poles, vandermonde_accepts
+from padepencil.numerics import singular_values, svd
+from padepencil.pencil import combined_window, pm1_poles
 
-from helpers import gen_quadratic_eps, greedy_match_error, pm2_cases, random_oracle
+from helpers import (
+    coefficient_residual,
+    gen_quadratic_eps,
+    greedy_match_error,
+    mp_pencil,
+    pm2_cases,
+    random_oracle,
+    wide_series,
+)
+
+
+def vandermonde(poles, rows):
+    """Rows x len(poles) matrix with entry p_j^-r at (r, j)."""
+    return (1.0 / np.asarray(poles, dtype=complex)) ** np.arange(rows)[:, None]
+
+
+def sigma_ratio(D):
+    sigma = singular_values(D)
+    return sigma[-1] / sigma[0]
 
 
 class TestCountFiltered:
@@ -73,6 +91,52 @@ class TestReducedPoles:
     def test_single_column_window_rejected(self):
         with pytest.raises(ValueError):
             reduced_poles(svd(np.ones((3, 1))))
+
+
+class TestVandermondeAccepts:
+    def test_distinct_wide_poles_pass_only_once_equilibrated(self):
+        # Moduli 0.05 to 60: the columns' scales d^23 span 30 decades, so
+        # the raw ratio fails, while the poles themselves are far apart.
+        poles = np.array([0.05, 0.3, 1.5, 8.0, 60.0]) * np.exp(1j * np.array([0.3, 2.0, -1.0, 2.8, -2.4]))
+        D = vandermonde(poles, 24)
+        assert sigma_ratio(D) < 1e-15
+        assert sigma_ratio(D / np.abs(D).max(axis=0)) > 1e-10
+        assert vandermonde_accepts(D, 15.0)
+
+    def test_near_coincident_pair_fails_both_ratios(self):
+        poles = np.array([0.5, 0.5 * (1 + 1e-10), 2.0j, 40.0])
+        D = vandermonde(poles, 12)
+        assert sigma_ratio(D) < 1e-8
+        assert sigma_ratio(D / np.abs(D).max(axis=0)) < 1e-8
+        assert not vandermonde_accepts(D, 8.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(np.inf, np.nan)])
+    def test_non_finite_d_fails_without_lapack(self, bad, monkeypatch, capfd):
+        def no_lapack(D):
+            raise AssertionError("a non-finite D reached LAPACK")
+
+        monkeypatch.setattr(filtering, "singular_values", no_lapack)
+        D = vandermonde([0.5, 2.0], 6)
+        D[5, 0] = bad
+        assert not vandermonde_accepts(D, 15.0)
+        out, err = capfd.readouterr()
+        assert out + err == ""
+
+    def test_a_raw_pass_takes_one_look(self, monkeypatch):
+        # What the raw ratio accepts costs one SVD, as it did before the
+        # equilibrated look; a raw failure costs exactly one more.
+        calls = []
+
+        def counted(D):
+            calls.append(D.shape)
+            return singular_values(D)
+
+        monkeypatch.setattr(filtering, "singular_values", counted)
+        assert vandermonde_accepts(vandermonde([0.8, 1.2j, -1.5], 10), 15.0)
+        assert calls == [(10, 3)]
+        calls.clear()
+        assert not vandermonde_accepts(vandermonde([0.5, 0.5 * (1 + 1e-10), 2.0j], 10), 8.0)
+        assert calls == [(10, 3), (10, 3)]
 
 
 class TestPm2:
@@ -125,9 +189,7 @@ class TestPm2:
         conf = Conformation(m=6, k=-1)
         s = gen_from_poles(true_p, true_w, conf.n)
         prf, _, _ = pm2(s, conf)
-        D, rhs = residue_system(s, prf.poles, conf, use_all_rows=True)
-        resid = np.linalg.norm(D @ prf.weights - rhs) / np.linalg.norm(rhs)
-        assert resid <= 10.0 ** (-s.t + 2)
+        assert coefficient_residual(s, conf, prf) <= 10.0 ** (-s.t + 2)
 
     def test_noisy_geometric_single_pole(self):
         s = gen_geometric_noisy(20, 1e-6, rng=np.random.default_rng(7))
@@ -227,22 +289,57 @@ class TestPm2:
             assert set(it) == {"l_before", "singular_values", "n_s_removed"}
             assert all(isinstance(v, float) for v in it["singular_values"])
 
-    @pytest.mark.parametrize("m, seed", [(60, 9), (90, 26)])
-    def test_wide_magnitude_input_shrinks_l_quietly(self, m, seed, capfd):
-        # Magnitudes 10^(6 cos(2 pi j/7) +- 0.5), random phases: a tiny
-        # spurious pole overflows the residue Vandermonde.  That pass
-        # must count as a conditioning reduction: no NonFinite, no
-        # numpy warning, and no LAPACK complaint about the inf matrix
-        # (the second case used to print one from DLASCL).
-        rng = np.random.default_rng(seed)
-        expo = 6.0 * np.cos(2 * np.pi * np.arange(2 * m) / 7) + rng.uniform(-0.5, 0.5, 2 * m)
-        s = PowerSeries(10.0**expo * np.exp(2j * np.pi * rng.uniform(size=2 * m)))
-        prf, ra, report = pm2(s, Conformation(m=m, k=-1))
+    @pytest.mark.parametrize("m, seed, period", [
+        pytest.param(60, 9, 7, id="60-9"),
+        pytest.param(140, 0, 9, id="140-0"),
+    ])
+    def test_wide_magnitude_input_shrinks_l_quietly(self, m, seed, period, capfd):
+        # Magnitudes 10^(6 cos(2 pi j/period) +- 0.5), random phases: a
+        # tiny spurious pole overflows the residue Vandermonde (on the
+        # first pass, and on the first three at m = 140).  That pass must
+        # count as a conditioning reduction: no NonFinite, no numpy
+        # warning, and no LAPACK complaint about the inf matrix.
+        prf, ra, report = pm2(wide_series(m, seed, period=period), Conformation(m=m, k=-1))
         out, err = capfd.readouterr()
         assert "DLASCL" not in out + err
         assert report.d_matrix_reductions >= 1
         assert 1 <= report.final_l == prf.poles.size < m
         assert np.all(np.isfinite(prf.poles)) and np.all(np.isfinite(ra.denom))
+
+    def test_finite_wide_vandermonde_is_accepted_quietly(self, capfd):
+        # m = 90, seed 26: the first D is finite and its raw ratio fails,
+        # but its equilibrated one passes, so l = 90 stands after one pass
+        # and the overflowing D of later passes (which used to print a
+        # DLASCL complaint) is never formed.
+        prf, ra, report = pm2(wide_series(90, 26), Conformation(m=90, k=-1))
+        out, err = capfd.readouterr()
+        assert "DLASCL" not in out + err
+        assert len(report.iterations) == 1 and report.d_matrix_reductions == 0
+        assert report.final_l == prf.poles.size == 90
+        assert np.all(np.isfinite(prf.poles)) and np.all(np.isfinite(prf.weights))
+        assert np.all(np.isfinite(ra.numer)) and np.all(np.isfinite(ra.denom))
+
+    def test_wide_input_keeps_every_pole_of_the_50_digit_pencil(self):
+        # Pole moduli 0.005 to 190: the raw Vandermonde ratio alone
+        # rejected five passes in a row and left 7 of the 12 poles, whose
+        # form misfit the coefficients by 82 %.
+        conf = Conformation(m=12, k=-1)
+        s = wide_series(12, 0, amplitude=5.0)
+        prf, _, report = pm2(s, conf)
+        assert len(report.iterations) == 1 and report.final_l == 12
+        ref, _ = mp_pencil(s.coeffs, 12)
+        assert greedy_match_error(prf.poles, ref) <= 1e-9
+        assert coefficient_residual(s, conf, prf) <= 1e-11
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_wide_inputs_fit_in_one_pass(self, seed):
+        # Amplitude 6 at m = 12: every seed keeps all 12 poles, and the
+        # worst misfit measured is 2.7e-11 (seed 8).
+        conf = Conformation(m=12, k=-1)
+        s = wide_series(12, seed)
+        prf, _, report = pm2(s, conf)
+        assert len(report.iterations) == 1 and report.final_l == 12
+        assert coefficient_residual(s, conf, prf) <= 1e-10
 
     def test_residue_conditioning_svd_failure_is_mapped(self, monkeypatch):
         # A LAPACK failure in the residue Vandermonde's singular values

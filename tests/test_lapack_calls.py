@@ -60,14 +60,14 @@ CEILINGS = {
         "zunmbr": (1, (13, 13, 13)),
     },
     "pm2 wide m=40": {
-        "dbdsdc": (6, (40,)),
-        "eigvals": (6, (40, 40)),
-        "svd": (6, (80, 40)),
-        "zgebrd": (6, (45, 41)),
-        "zgeqrf": (7, (80, 40)),
-        "ztrtrs": (7, (40, 40)),
-        "zungqr": (7, (80, 40, 40)),
-        "zunmbr": (6, (41, 41, 40)),
+        "dbdsdc": (1, (40,)),
+        "eigvals": (1, (40, 40)),
+        "svd": (2, (80, 40)),
+        "zgebrd": (1, (40, 41)),
+        "zgeqrf": (2, (80, 40)),
+        "ztrtrs": (2, (40, 40)),
+        "zungqr": (2, (80, 40, 40)),
+        "zunmbr": (1, (41, 41, 40)),
     },
     "pm1 log m=10": {
         "eigvals": (1, (10, 10)),
