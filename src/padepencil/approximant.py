@@ -112,7 +112,7 @@ def poles_and_zeros(ra: RationalApproximant) -> tuple[np.ndarray, np.ndarray]:
     """The sorted roots of the denominator, then of the numerator.  An
     identically-zero numerator gives no zeros."""
     poles = sorted_roots(ra.denom)
-    return poles, sorted_roots(ra.numer) if np.any(ra.numer) else np.array([], dtype=complex)
+    return poles, sorted_roots(ra.numer) if np.count_nonzero(ra.numer) else np.array([], dtype=complex)
 
 
 #: The most lattice points ``unit_disk_mesh`` lays out: 10^7, reached

@@ -77,8 +77,21 @@ class RationalApproximant:
                 raise NonFinite(f"{name} coefficients must be finite")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if not self.denom.any():
+        if not np.count_nonzero(self.denom):  # faster than .any()
             raise ValueError("denominator must not be identically zero")
+
+    @classmethod
+    def _of(cls, numer: np.ndarray, denom: np.ndarray) -> RationalApproximant:
+        """The approximant of a numerator and a denominator that a solver
+        has just made: non-empty 1-D complex arrays that no one else
+        holds, the denominator finite and not all zero.  Only the
+        numerator is checked; both are frozen in place, not copied."""
+        if not all_finite(numer):
+            raise NonFinite("numer coefficients must be finite")
+        ra = object.__new__(cls)
+        numer.flags.writeable = denom.flags.writeable = False
+        ra.__dict__.update(numer=numer, denom=denom)  # frozen: no setattr
+        return ra
 
 
 def _require_length(s: PowerSeries, conf: Conformation) -> None:

@@ -178,7 +178,7 @@ def approximate_series(s: PowerSeries, conf: Conformation, method: str) -> Solut
     if method == "pm2":
         return pm2(s, conf)
     denom = (dm_denominator if method == "dm" else svd_denominator)(s, conf)
-    return Solution(None, RationalApproximant(numerator_from_denominator(s, denom, conf), denom))
+    return Solution(None, RationalApproximant._of(numerator_from_denominator(s, denom, conf), denom))
 
 
 def sample_rng(seed: int, eps_index: int, sample_index: int) -> np.random.Generator:

@@ -89,12 +89,13 @@ def count_filtered(sigma, t: float) -> int:
 
     An all-zero spectrum keeps a single direction and filters the rest.
     """
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if sigma.size == 0:
+    values = np.asarray(sigma, dtype=float).reshape(-1).tolist()  # Python floats are faster at small sizes
+    if not values:
         raise ValueError("empty singular-value array")
-    if sigma[0] == 0:
-        return sigma.size - 1
-    return int(np.count_nonzero(sigma < 10.0 ** (-t) * sigma[0]))
+    if values[0] == 0:
+        return len(values) - 1
+    tol = 10.0 ** (-t) * values[0]
+    return sum(v < tol for v in values)
 
 
 def reduced_poles(svd_result: SvdResult) -> np.ndarray:
@@ -116,8 +117,10 @@ def reduced_poles(svd_result: SvdResult) -> np.ndarray:
         raise ValueError(f"window must have at least 2 columns, got {l + 1}")
     if not math.isfinite(svd_result.sigma[0]):
         raise NonFinite("largest singular value of the window overflows")
-    weights = np.zeros(l + 1)
-    weights[: svd_result.sigma.size] = svd_result.sigma
+    weights = svd_result.sigma
+    if weights.size < l + 1:  # a wide window: pad with zeros
+        weights = np.zeros(l + 1)
+        weights[: svd_result.sigma.size] = svd_result.sigma
     return pm1_poles(weights[:, None] * svd_result.Vh)
 
 
@@ -131,10 +134,18 @@ def vandermonde_accepts(D, t: float) -> bool:
     Householder QR is as accurate as D's best column scaling allows, and
     equilibration comes within a small factor of that, so the second look
     discounts the monomial scale of d^r but not a coincident pole pair.
+
+    A finite D of one column and at least one row passes without an SVD
+    for every t >= 0 (and a NaN t), as the ratio rule would pass it: its
+    one singular value is both sigma_min and sigma_max, also where it
+    overflows to inf, and 10^-t <= 1.
     """
+    D = np.asarray(D)
     if not all_finite(D):
         return False
     tol = 10.0 ** (-t)
+    if D.shape[1:] == (1,) and D.shape[0] and not tol > 1:
+        return True  # sigma_min = sigma_max, and tol * sigma <= sigma
     try:
         dsig = singular_values(D)
         if dsig[-1] < tol * dsig[0]:
@@ -166,7 +177,7 @@ def pm2(s: PowerSeries, conf: Conformation) -> Solution:
     origin_removed: list[complex] = []
     d_reductions = 0
     # An identically-zero window has no poles to find: no pass runs.
-    l = m if s.coeffs[: conf.n].any() else 0
+    l = m if np.count_nonzero(s.coeffs[: conf.n]) else 0
 
     while l > 0:
         sr = svd(combined_window(s, conf, l))
@@ -191,7 +202,7 @@ def pm2(s: PowerSeries, conf: Conformation) -> Solution:
             continue
 
         inside = np.abs(lam) <= ORIGIN_RADIUS
-        if inside.any():
+        if np.count_nonzero(inside):
             origin_removed.extend(complex(p) for p in lam[inside])
             l -= int(np.count_nonzero(inside))
             continue

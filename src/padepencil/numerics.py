@@ -31,8 +31,9 @@ from .errors import AllZero, ConvergenceFailure, NonFinite, RankDeficient
 #: Relative threshold below which a triangular pivot counts as a rank drop.
 DEFAULT_RANK_RTOL = 1e-14
 
-#: zgesdd's SMLNUM = sqrt(safe minimum) / precision, and BIGNUM = 1/SMLNUM.
-_SMLNUM = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+#: SMLNUM = sqrt(safe minimum) / precision and BIGNUM = 1/SMLNUM, as
+#: zgesdd and zgeev set them.
+_SMLNUM = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 _BIGNUM = 1 / _SMLNUM
 
 _openblas = ctypes.CDLL(_umath_linalg.__file__)
@@ -141,6 +142,36 @@ def _below_diagonal(p: int, q: int) -> np.ndarray:
     return index
 
 
+# np.linalg's handling of the floating-point flags around a LAPACK gufunc,
+# which reports a failure as the invalid flag; the call= handlers below
+# raise where np.linalg raises LinAlgError.  Each gufunc call sits in a
+# function decorated with np.errstate, which costs a third of a with
+# statement's 1.5 us.
+_GUFUNC_FLAGS = {"invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
+
+
+def _svd_did_not_converge(err, flag):
+    raise ConvergenceFailure("SVD did not converge")
+
+
+def _singular_matrix(err, flag):
+    raise RankDeficient("Singular matrix")
+
+
+def _eigenvalues_did_not_converge(err, flag):
+    raise ConvergenceFailure("eigenvalue iteration failed: Eigenvalues did not converge")
+
+
+@np.errstate(call=_svd_did_not_converge, **_GUFUNC_FLAGS)
+def _full_svd(A):
+    return _umath_linalg.svd_f(A, signature="D->DdD")
+
+
+@np.errstate(call=_eigenvalues_did_not_converge, **_GUFUNC_FLAGS)
+def _eigvals(A):
+    return _umath_linalg.eigvals(A, signature="D->D")
+
+
 class SvdResult:
     """Singular values and right singular vectors of A = U @ diag(sigma) @ Vh.
 
@@ -191,29 +222,45 @@ def svd(A) -> SvdResult:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.size == 0:
         raise ValueError(f"need a non-empty 2-D matrix, got shape {A.shape}")
+    low, high = _svd_band(*A.shape)
+    # The sum ss of the squared moduli is finite only when every entry
+    # is, and then sqrt(ss/size) <= max|A| <= sqrt(ss).  max|A| itself is
+    # taken only where these bounds, widened for rounding, leave the
+    # band test open.
+    ss = float(np.vdot(A, A).real)
+    if math.isfinite(ss) and low <= math.sqrt(ss / A.size) * 0.999 and math.sqrt(ss) * 1.001 <= high:
+        return _bidiagonal_svd(A)
     amax = np.abs(A).max()  # NaN or inf for a NaN or inf entry
     if not math.isfinite(amax) and not np.isfinite(A).all():
         raise NonFinite("matrix contains non-finite entries")
-    p, q = A.shape
-    # zgesdd first scales a matrix whose largest modulus lies outside
-    # [SMLNUM, BIGNUM].  R's largest modulus lies between max|A|/sqrt(q)
-    # and sqrt(p) max|A|, so in the tall band (a factor 2 to spare)
-    # neither A nor R is scaled.
-    if (max(p, q) < 5 * min(p, q) // 3 and _SMLNUM <= amax <= _BIGNUM
-            or p >= 17 * q // 9 and 2 * q**0.5 * _SMLNUM <= amax <= _BIGNUM / (2 * p**0.5)):
+    if low <= amax <= high:
         return _bidiagonal_svd(A)
-    with np.errstate(call=_svd_did_not_converge, **_GUFUNC_FLAGS):
-        _, sigma, Vh = _umath_linalg.svd_f(A, signature="D->DdD")
+    _, sigma, Vh = _full_svd(A)
     return SvdResult(sigma, Vh)
+
+
+@lru_cache(maxsize=1024)
+def _svd_band(p: int, q: int) -> tuple[float, float]:
+    """The range of max|A| in which ``svd`` bidiagonalizes a p x q A
+    itself; empty for shapes that go to the gufunc.  zgesdd first scales
+    a matrix whose largest modulus lies outside [SMLNUM, BIGNUM].  R's
+    largest modulus lies between max|A|/sqrt(q) and sqrt(p) max|A|, so
+    in the tall band (a factor 2 to spare) neither A nor R is scaled."""
+    if max(p, q) < 5 * min(p, q) // 3:
+        return _SMLNUM, _BIGNUM
+    if p >= 17 * q // 9:
+        return 2 * q**0.5 * _SMLNUM, _BIGNUM / (2 * p**0.5)
+    return math.inf, -math.inf
 
 
 def _buffer(A: np.ndarray, size: int) -> tuple:
     """A new buffer of size complex elements, its address, and a copy of
-    A at its start in Fortran order (leading dimension p), as a view."""
+    the p x q matrix A at its start in Fortran order (leading dimension
+    p), returned as the C-ordered q x p view of A^T that it is."""
     buf = np.empty(size, dtype=complex)
-    a = buf[: A.size].reshape(A.shape[::-1]).T
-    a[...] = A
-    return buf, _address(buf), a
+    at = buf[: A.size].reshape(A.shape[::-1])
+    at[...] = A.T
+    return buf, _address(buf), at
 
 
 def _bidiagonal_svd(A: np.ndarray) -> SvdResult:
@@ -233,7 +280,7 @@ def _bidiagonal_svd(A: np.ndarray) -> SvdResult:
             base + rwork, base + iwork, base + rwork, base + iwork, base + info, 1, 1)
     if _info(base + info) > 0:
         raise ConvergenceFailure(f"SVD did not converge: dbdsdc info={_info(base + info)}")
-    sigma = buf.view(float)[s // 8 : s // 8 + n].copy()
+    sigma = np.frombuffer(buf, float, n, s).copy()
     return SvdResult(sigma, partial(_right_vectors, buf, base, layout))
 
 
@@ -244,7 +291,7 @@ def _right_vectors(buf: np.ndarray, base: int, layout: tuple) -> np.ndarray:
     _, (_, taup, work, _, _, _, rvt, _, _, v, info), _, ints, (_, _, q, n, _, _) = layout
     P, _, Q, N, _, LWORK = ints
     vt = buf[v // 16 : v // 16 + q * q]
-    rv = buf.view(float)[rvt // 8 : rvt // 8 + n * n]
+    rv = np.frombuffer(buf, float, n * n, rvt)
     if n < q:
         vt[:] = 0
         vt[n * (q + 1) :: q + 1] = 1  # the identity block
@@ -256,36 +303,18 @@ def _right_vectors(buf: np.ndarray, base: int, layout: tuple) -> np.ndarray:
     return vt.reshape(q, q).T.copy()
 
 
-# np.linalg's handling of the floating-point flags around a LAPACK gufunc,
-# which reports a failure as the invalid flag; the call= handlers below
-# raise where np.linalg raises LinAlgError.
-_GUFUNC_FLAGS = {"invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
-
-
-def _svd_did_not_converge(err, flag):
-    raise ConvergenceFailure("SVD did not converge")
-
-
-def _singular_matrix(err, flag):
-    raise RankDeficient("Singular matrix")
-
-
-def _eigenvalues_did_not_converge(err, flag):
-    raise ConvergenceFailure("eigenvalue iteration failed: Eigenvalues did not converge")
-
-
+@np.errstate(call=_svd_did_not_converge, **_GUFUNC_FLAGS)
 def singular_values(A) -> np.ndarray:
     """``np.linalg.svd(A, compute_uv=False)`` of a complex matrix, by its
     zgesdd gufunc; ConvergenceFailure if it fails."""
-    with np.errstate(call=_svd_did_not_converge, **_GUFUNC_FLAGS):
-        return _umath_linalg.svd(A, signature="D->d")
+    return _umath_linalg.svd(A, signature="D->d")
 
 
+@np.errstate(call=_singular_matrix, **_GUFUNC_FLAGS)
 def solve(A, b) -> np.ndarray:
     """``np.linalg.solve(A, b)`` of a complex square A and vector b, by its
     zgesv gufunc; RankDeficient at an exactly zero LU pivot."""
-    with np.errstate(call=_singular_matrix, **_GUFUNC_FLAGS):
-        return _umath_linalg.solve1(A, b, signature="DD->D")
+    return _umath_linalg.solve1(A, b, signature="DD->D")
 
 
 def eigenvalues(A) -> np.ndarray:
@@ -293,14 +322,23 @@ def eigenvalues(A) -> np.ndarray:
 
     Calls numpy's zgeev gufunc as ``np.linalg.eigvals`` does for a complex
     matrix, in the same ``errstate``, without its second finiteness check
-    and dtype dispatch: the same bits."""
+    and dtype dispatch: the same bits.  A 1 x 1 matrix [a] with
+    4 SMLNUM <= |Re a| + |Im a| <= BIGNUM/2 returns a itself, bit for
+    bit: zgeev leaves a matrix whose modulus lies in [SMLNUM, BIGNUM]
+    unscaled, and then its eigenvalue is the entry.  Every other 1 x 1
+    matrix, zeros and non-finite entries among them, goes to the gufunc.
+    """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ValueError(f"need a non-empty square matrix, got shape {A.shape}")
+    if A.size == 1:
+        a = A.item()
+        # |a| <= |Re a| + |Im a| <= sqrt(2) |a|; NaN fails both tests.
+        if 4 * _SMLNUM <= abs(a.real) + abs(a.imag) <= _BIGNUM / 2:
+            return A.reshape(1).copy()
     if not all_finite(A):
         raise NonFinite("matrix contains non-finite entries")
-    with np.errstate(call=_eigenvalues_did_not_converge, **_GUFUNC_FLAGS):
-        return _umath_linalg.eigvals(A, signature="D->D")
+    return _eigvals(A)
 
 
 def qr_solve(A, B, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
@@ -322,35 +360,40 @@ def qr_solve(A, B, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     B = np.asarray(B, dtype=complex)
     if A.ndim != 2 or A.shape[0] < A.shape[1] or A.shape[1] == 0:
         raise ValueError(f"need p >= q >= 1, got shape {A.shape}")
-    if B.shape[0] != A.shape[0]:
-        raise ValueError(f"rhs has {B.shape[0]} rows, expected {A.shape[0]}")
+    p, q = A.shape
+    if B.shape[0] != p:
+        raise ValueError(f"rhs has {B.shape[0]} rows, expected {p}")
+    size, (tau, work, rt, info), _, (P, Q, QR_WORK, Q_WORK, NRHS) = _qr_layout(p, q, 1 if B.ndim == 1 else B.shape[1])
+    buf, base, at = _buffer(A, size)
     # The sum of the squared moduli is finite only when every entry is,
-    # and then no entry of Q^H B can overflow (see all_finite).
-    huge = not math.isfinite(np.vdot(A, A).real + np.vdot(B, B).real)
+    # and then no entry of Q^H B can overflow (see all_finite).  A is
+    # summed in its contiguous copy.
+    huge = not math.isfinite(np.vdot(at, at).real + np.vdot(B, B).real)
     if huge and not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise NonFinite("least-squares system contains non-finite entries")
-    p, q = A.shape
-    layout = _qr_layout(p, q, 1 if B.ndim == 1 else B.shape[1])
-    size, (tau, work, rt, info), _, (P, Q, QR_WORK, Q_WORK, NRHS) = layout
-    buf, base, factor = _buffer(A, size)
     _zgeqrf(P, Q, base, P, base + tau, base + work, QR_WORK, base + info)
-    R_t = buf[rt // 16 : rt // 16 + q * q].reshape(q, q)  # R in C order: R^T in Fortran order
-    R_t[...] = factor[:q]
-    if rtol > 0:
-        diag = np.abs(R_t.diagonal()).tolist()  # builtin min and max are faster at small q
-        if min(diag) < rtol * max(diag):
-            ratio = min(diag) / max(max(diag), 1e-300)
-            raise RankDeficient(f"triangular factor has pivot ratio {ratio:.3e} below rtol={rtol:.1e}")
+    # R in C order, which is R^T in Fortran order, is kept from zungqr.
+    if q == 1 and rtol <= 1:  # a single pivot: its ratio is 1
+        buf[rt // 16] = buf[0]
+    else:
+        if rtol > 0:
+            diag = np.abs(buf[: p * q : p + 1]).tolist()  # builtin min and max are faster at small q
+            if min(diag) < rtol * max(diag):
+                ratio = min(diag) / max(max(diag), 1e-300)
+                raise RankDeficient(f"triangular factor has pivot ratio {ratio:.3e} below rtol={rtol:.1e}")
+        buf[rt // 16 : rt // 16 + q * q].reshape(q, q).T[...] = at[:, :q]
     _zungqr(P, Q, Q, base, P, base + tau, base + work, Q_WORK, base + info)
-    # ztrtrs overwrites its Fortran B with X, so for a matrix B, x holds
-    # X^T in C order.  It reads only the lower triangle of R^T.
+    # Q^H is at conjugated: a C-ordered q x p array, as the conjugate
+    # transpose of a Fortran-ordered Q is.  ztrtrs overwrites its Fortran
+    # B with X, so for a matrix B, x holds X^T in C order.  It reads only
+    # the lower triangle of R^T.
     if huge:
         with np.errstate(all="ignore"):
-            x = factor.conj().T @ B
+            x = at.conj() @ B
         if not np.isfinite(x).all():
             raise NonFinite("least-squares system overflows: Q^H B is not finite")
     else:
-        x = factor.conj().T @ B
+        x = at.conj() @ B
     if x.ndim == 2:
         x = x.T.copy()
     # With no right-hand side ztrtrs still checks the pivots; B is not read.
@@ -405,15 +448,25 @@ def poly_from_roots(roots) -> np.ndarray:
     first, with the bits of numpy's ``polyfromroots``: linear factors of
     the sorted roots multiplied pairwise in its order, without its
     per-product validation."""
-    r = np.sort(np.asarray(roots, dtype=complex))
-    factors = np.ones((r.size, 2), dtype=complex)
-    np.negative(r, out=factors[:, 0])
-    factors = list(factors)  # row i is the factor [-r_i, 1]
+    r = np.asarray(roots, dtype=complex)
+    if r.size == 1:
+        return np.array([-r[0], 1])
+    linear = np.ones((r.size, 2), dtype=complex)
+    np.negative(np.sort(r), out=linear[:, 0])  # row i is the factor [-r_i, 1]
+    flipped = linear[:, ::-1].copy()
+    # Each product is np.convolve's correlation of the first factor with
+    # the second reversed: no later factor is longer than an earlier one,
+    # so none is swapped.  The first round reads the reversed linear
+    # factors from one contiguous copy, which spares a copy per product.
+    half, odd = divmod(r.size, 2)
+    factors = [_correlate(linear[i], flipped[i + half], "full") for i in range(half)]
+    if odd:
+        factors[0] = _correlate(factors[0], flipped[-1], "full")
     while len(factors) > 1:
         half, odd = divmod(len(factors), 2)
-        products = [convolve(factors[i], factors[i + half]) for i in range(half)]
+        products = [_correlate(factors[i], factors[i + half][::-1], "full") for i in range(half)]
         if odd:
-            products[0] = convolve(products[0], factors[-1])
+            products[0] = _correlate(products[0], factors[-1][::-1], "full")
         factors = products
     return factors[0]
 
@@ -428,7 +481,8 @@ def convolve(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def root_order(z) -> np.ndarray:
     """Indices that sort the complex values z by magnitude, then phase."""
-    return np.lexsort((np.angle(z), np.abs(z)))
+    z = np.asarray(z)
+    return np.lexsort((np.arctan2(z.imag, z.real), np.abs(z)))  # np.angle without its wrapper
 
 
 def complex_pairs(values) -> list:
@@ -474,7 +528,7 @@ def horner(coeffs, z):
     z = np.asarray(z, dtype=complex)
     cs = np.asarray(coeffs, dtype=complex)[::-1].tolist()
     zr, zi = z.real.copy(), z.imag.copy()
-    real = z.ndim > 0 and not zi.any()
+    real = z.ndim > 0 and not np.count_nonzero(zi)
     with np.errstate(all="ignore"):
         out = complex_from_parts(*_horner_parts(cs, zr, zi, real))
         if real and not all_finite(out):

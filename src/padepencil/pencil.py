@@ -10,12 +10,14 @@ stage, which is what makes targeted pole filtering possible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .baseline import Conformation, RationalApproximant, _hankel_index, combined_window, numerator_from_denominator
+from .baseline import Conformation, RationalApproximant, combined_window, numerator_from_denominator
 from .errors import Collapse, DuplicatePole, NonFinite, RankDeficient, SingularVandermonde
 from .numerics import DEFAULT_RANK_RTOL, all_finite, eigenvalues, poly_from_roots, qr_solve, root_order
 from .series import PowerSeries
@@ -43,25 +45,28 @@ class PoleResidueForm:
         head = np.array(self.head, dtype=complex).reshape(-1)
         if not all_finite(head):
             raise NonFinite("head coefficients must be finite")
-        p = np.array(self.poles, dtype=complex).reshape(-1)
-        e = np.array(self.weights, dtype=complex).reshape(-1)
+        self._settle(head, np.array(self.poles, dtype=complex).reshape(-1),
+                     np.array(self.weights, dtype=complex).reshape(-1))
+
+    def _settle(self, head: np.ndarray, p: np.ndarray, e: np.ndarray) -> None:
+        """Check and sort the terms p, e and set the fields, from a finite
+        head and 1-D complex arrays that no one else holds: they are
+        frozen in place."""
         if p.size != e.size:
             raise ValueError(f"{p.size} poles but {e.size} weights")
-        if not (all_finite(p) and all_finite(e)):
-            raise NonFinite("pole-residue terms must be finite")
-        # Moduli by hypot, as Python's abs takes them (np.abs may differ
-        # in the last bit); ties in (modulus, angle) keep input order.
-        with np.errstate(over="ignore"):
-            a = np.hypot(p.real, p.imag)
-        if not all_finite(a):
-            raise NonFinite("pole moduli must be finite: one overflows")
+        # The sum of the squared moduli is finite only when every entry
+        # is, and then no modulus overflows (see all_finite).
+        if not math.isfinite(np.vdot(p, p).real + np.vdot(e, e).real):
+            if not (np.isfinite(p).all() and np.isfinite(e).all()):
+                raise NonFinite("pole-residue terms must be finite")
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.hypot(p.real, p.imag)).all():
+                    raise NonFinite("pole moduli must be finite: one overflows")
         if p.size > 1:
-            order = np.lexsort((np.angle(p), a))
-            _reject_duplicates(p, a, order)
+            order = _term_order(p)
             p, e = p[order], e[order]
-        for name, value in (("head", head), ("poles", p), ("weights", e)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        head.flags.writeable = p.flags.writeable = e.flags.writeable = False
+        self.__dict__.update(head=head, poles=p, weights=e)  # frozen: no setattr
 
     @property
     def shift(self) -> int:
@@ -69,33 +74,38 @@ class PoleResidueForm:
         return self.head.size
 
 
-def _reject_duplicates(p, a, order) -> None:
-    """Raise DuplicatePole for the first pair i < j with |p_i - p_j| <=
-    1e-12 max(|p_i|, |p_j|).
+def _term_order(p) -> np.ndarray:
+    """Indices that sort the poles p, finite and of finite modulus, by
+    modulus, then phase (ties keep input order), after raising
+    DuplicatePole for the first pair i < j with |p_i - p_j| <= 1e-12
+    max(|p_i|, |p_j|).
 
-    Such a pair has moduli within a relative 1e-12, so each pole is
-    compared only with the poles after it in modulus ``order`` whose
-    modulus lies in that band, widened for rounding and, where 1e-12 of
-    a modulus underflows, by 1e-300."""
-    n = p.size
-    s = a[order]
-    with np.errstate(over="ignore"):
-        top = s * (1 + 4e-12) + 1e-300
-        # s is sorted and top grows with s: a pole has a later one in its
-        # band only if it has the next one.
-        if not (s[1:] <= top[:-1]).any():
-            return
-        count = np.searchsorted(s, top, side="right") - np.arange(1, n + 1)
-        first = np.repeat(np.arange(n), count)
-        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(count) - count, count)
-        i, j = order[first], order[second]
-        i, j = np.minimum(i, j), np.maximum(i, j)
-        d = p[i] - p[j]
-        close = np.hypot(d.real, d.imag) <= 1e-12 * np.maximum(a[i], a[j])
-    if close.any():
-        k = np.lexsort((j[close], i[close]))[0]
-        pi, pj = complex(p[i[close][k]]), complex(p[j[close][k]])
-        raise DuplicatePole(f"poles {pi} and {pj} coincide to relative 1e-12")
+    Moduli are taken by hypot, as Python's abs takes them (np.abs may
+    differ in the last bit).  A close pair has moduli within a relative
+    1e-12, so each pole is compared only with the poles after it in
+    modulus order whose modulus lies in that band, widened for rounding
+    and, where 1e-12 of a modulus underflows, by 1e-300.  The scan runs
+    in Python floats, which round as numpy's do and overflow quietly."""
+    a = np.hypot(p.real, p.imag)
+    order = np.lexsort((np.arctan2(p.imag, p.real), a))  # np.angle without its wrapper
+    index, pole, modulus = order.tolist(), p.tolist(), a.tolist()
+    s = [modulus[i] for i in index]
+    close = []
+    for k in range(len(s) - 1):
+        top, g = s[k] * (1 + 4e-12) + 1e-300, k + 1
+        while g < len(s) and s[g] <= top:
+            i, j = sorted((index[k], index[g]))
+            try:
+                distance = abs(pole[i] - pole[j])
+            except OverflowError:
+                distance = math.inf
+            if distance <= 1e-12 * max(modulus[i], modulus[j]):
+                close.append((i, j))
+            g += 1
+    if close:
+        i, j = min(close)
+        raise DuplicatePole(f"poles {pole[i]} and {pole[j]} coincide to relative 1e-12")
+    return order
 
 
 class Solution(NamedTuple):
@@ -116,8 +126,14 @@ class Solution(NamedTuple):
 
 def _with_head(s: PowerSeries, k: int, poles, weights) -> PoleResidueForm:
     """Pole-residue form with the given terms and the series head for
-    numerator offset k: c_0..c_k (shift k+1) when k >= 0, else none."""
-    return PoleResidueForm(s.coeffs[: max(k + 1, 0)], poles, weights)
+    numerator offset k: c_0..c_k (shift k+1) when k >= 0, else none.
+
+    The poles and weights are 1-D arrays that a solver has just made (or
+    empty sequences); they are frozen in place, not copied, and the head
+    is a view of the finite coefficients."""
+    prf = object.__new__(PoleResidueForm)
+    prf._settle(s.coeffs[: max(k + 1, 0)], np.asarray(poles, dtype=complex), np.asarray(weights, dtype=complex))
+    return prf
 
 
 def build_blocks(s: PowerSeries, conf: Conformation) -> np.ndarray:
@@ -136,9 +152,12 @@ def pm1_poles(H: np.ndarray, rank_rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray
     unguarded solve.
     """
     lam = eigenvalues(qr_solve(H[:, 1:], H[:, :-1], rtol=rank_rtol))
-    return lam[root_order(lam)]
+    return lam[root_order(lam)] if lam.size > 1 else lam
 
 
+# A tiny spurious pole overflows d**r to inf; callers reject a non-finite
+# matrix, so the overflow is expected and not warned about.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def residue_system(s: PowerSeries, poles, conf: Conformation, use_all_rows: bool):
     """Vandermonde matrix in inverse poles and its right-hand side.
 
@@ -148,16 +167,21 @@ def residue_system(s: PowerSeries, poles, conf: Conformation, use_all_rows: bool
     pass at most m poles and conf.n coefficients, so rows never run out.
     """
     poles = np.atleast_1d(np.asarray(poles, dtype=complex))
-    l = poles.size
-    start = conf.k + 1 if conf.k >= 0 else 0
-    rhs_all = s.coeffs[start : conf.n]
-    rows = rhs_all.size if use_all_rows else l
-    # A tiny spurious pole overflows d**r to inf; callers reject a
-    # non-finite matrix, so the overflow is expected and not warned about.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d = np.where(poles != 0, 1.0 / poles, np.inf)
-        D = d ** _hankel_index(rows, 1)  # the exponent column 0..rows-1
-    return D, rhs_all[:rows]
+    rhs_all = s.coeffs[conf.k + 1 if conf.k >= 0 else 0 : conf.n]
+    rows = rhs_all.size if use_all_rows else poles.size
+    d = 1.0 / poles
+    if np.count_nonzero(poles) < poles.size:  # faster than .all()
+        d[poles == 0] = np.inf
+    return d ** _exponents(rows), rhs_all[:rows]
+
+
+@lru_cache(maxsize=1024)
+def _exponents(rows: int) -> np.ndarray:
+    """Read-only column 0..rows-1 as complex numbers: the exponents of
+    d**r, cast once, as the power of a complex by an integer casts them."""
+    column = np.arange(rows, dtype=complex)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 def pm1_residues(s: PowerSeries, poles, conf: Conformation) -> np.ndarray:
@@ -196,17 +220,20 @@ def to_rational(prf: PoleResidueForm, s: PowerSeries, conf: Conformation) -> Rat
     k >= 0 and Collapse for k < 0.
     """
     if prf.poles.size == 0:
-        zero = not s.coeffs[: conf.n].any()
+        zero = not np.count_nonzero(s.coeffs[: conf.n])
         if conf.k < 0 and not zero:
             raise Collapse(f"no poles left and k={conf.k} < 0 leaves no polynomial part")
         return RationalApproximant(numer=np.zeros(max(conf.k + 1, 1)) if zero else prf.head, denom=[1.0])
-    denom = poly_from_roots(prf.poles)
-    # Huge or tiny poles may overflow the product or the scaling; the
-    # inf or NaN left makes numerator_from_denominator raise NonFinite.
-    with np.errstate(all="ignore"):
-        denom = denom / (denom[0] if denom[0] != 0 else denom[np.argmax(np.abs(denom))])
-    numer = numerator_from_denominator(s, denom, conf)
-    return RationalApproximant(numer=numer, denom=denom)
+    denom = _unit_scaled(poly_from_roots(prf.poles))
+    return RationalApproximant._of(numerator_from_denominator(s, denom, conf), denom)
+
+
+# Huge or tiny poles may overflow the product or the scaling; the inf or
+# NaN left makes numerator_from_denominator raise NonFinite.
+@np.errstate(all="ignore")
+def _unit_scaled(denom: np.ndarray) -> np.ndarray:
+    """denom divided by b_0, or by its largest-magnitude entry where b_0 = 0."""
+    return denom / (denom[0] if denom[0] != 0 else denom[np.argmax(np.abs(denom))])
 
 
 def pm1(s: PowerSeries, conf: Conformation) -> Solution:

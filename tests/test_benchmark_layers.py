@@ -12,6 +12,8 @@ studies workload times.
 
 from pathlib import Path
 
+import numpy as np
+
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
@@ -38,17 +40,23 @@ def test_traced_pm2_passes_match_its_report(monkeypatch):
 
     import padepencil as pp
 
-    cases = [(oracles.log_series(41), pp.Conformation(20, 0))]
+    # Noisy 1/(1-z) is accepted at l = 1, where pm2 takes no eigenvalue
+    # or residue SVD call: its stages must still show in the spans.
+    noisy = 1.0 + 1e-6 * np.random.default_rng(0).uniform(-0.5, 0.5, 20)
+    cases = [(oracles.log_series(41), 15.0, pp.Conformation(20, 0)), (noisy, 6.0, pp.Conformation(10, -1))]
     for i, (m, amp, period) in enumerate(workloads.WIDE_SLOTS):
         rng = workloads._rng(1, "deep_filter", 100 + i)
-        cases.append((oracles.wide_magnitude_series(rng, 2 * m, amp, period), pp.Conformation(m, -1)))
-    for coeffs, conf in cases:
+        cases.append((oracles.wide_magnitude_series(rng, 2 * m, amp, period), 15.0, pp.Conformation(m, -1)))
+    final_l = []
+    for coeffs, t, conf in cases:
         with tracing.Tracer() as tracer:
-            report = pp.pm2(pp.PowerSeries(coeffs, t=15.0), conf).report  # looked up after wrapping
+            report = pp.pm2(pp.PowerSeries(coeffs, t=t), conf).report  # looked up after wrapping
         (causes,) = tracing.pm2_pass_causes(tracer.spans())
         assert causes["passes"] == len(report.iterations)
         assert causes["vandermonde"] == report.d_matrix_reductions
         assert causes["accepted"] == 1
+        final_l.append(report.final_l)
+    assert final_l[1] == 1
 
 
 def test_log_branch_builds_its_mesh_on_every_run(monkeypatch):

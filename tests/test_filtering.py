@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padepencil import (
     Collapse,
@@ -137,6 +138,24 @@ class TestVandermondeAccepts:
         calls.clear()
         assert not vandermonde_accepts(vandermonde([0.5, 0.5 * (1 + 1e-10), 2.0j], 10), 8.0)
         assert calls == [(10, 3), (10, 3)]
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_finite_column_agrees_with_the_ratio_rule(self, data):
+        # Moduli from 1e-300 to 1e308, zeros among them, so that some
+        # columns' 2-norms overflow; t from 0 to 400, and NaN.
+        rows = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        moduli = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-300, 308).map(lambda e: 10.0**e)),
+                                    min_size=rows, max_size=rows))
+        D = (np.array(moduli) * np.exp(2j * np.pi * rng.uniform(size=rows)))[:, None]
+        t = data.draw(st.one_of(st.floats(0, 400), st.just(np.nan)))
+        tol = 10.0 ** (-t)
+        dsig = singular_values(D)
+        if dsig[-1] < tol * dsig[0]:
+            dsig = singular_values(D * np.ldexp(1.0, -np.frexp(np.abs(D).max(axis=0))[1]))
+        assert vandermonde_accepts(D, t) == (not dsig[-1] < tol * dsig[0])
 
 
 class TestPm2:
@@ -350,7 +369,9 @@ class TestPm2:
 
         gufuncs = SimpleNamespace(eigvals=numerics._umath_linalg.eigvals, svd=failing_values_only)
         monkeypatch.setattr(numerics, "_umath_linalg", gufuncs)
-        s = gen_geometric_noisy(20, 1e-6, rng=np.random.default_rng(7))
+        # Two poles, 1 and -2: a one-column D would pass without an SVD.
+        j = np.arange(20)
+        s = PowerSeries(1 + (-0.5) ** j + 1e-6 * np.random.default_rng(7).uniform(-0.5, 0.5, 20), t=6.0)
         with pytest.raises(ConvergenceFailure, match="residue Vandermonde"):
             pm2(s, Conformation(m=10, k=-1))
 

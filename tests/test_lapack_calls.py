@@ -2,40 +2,25 @@
 
 Every LAPACK call of the package goes through ``numerics``, which looks
 its ctypes routines (``_zgeqrf`` and the like) and numpy's
-``_umath_linalg`` gufuncs up at call time.  Wrapping them records each
-call's routine and dimensions, so a change that adds a filtering pass,
-a factorization or a larger matrix to a fixed solve fails here, without
-timing anything.  The ceilings are the counts measured when the guard
-was written; a change that lowers them should lower the table too.
+``_umath_linalg`` gufuncs up at call time.  Wrapping them, with the
+``instrument`` of ``tools/lapack_share.py``, records each call's routine
+and dimensions, so a change that adds a filtering pass, a factorization
+or a larger matrix to a fixed solve fails here, without timing anything.
+The ceilings are the counts measured when the guard was written; a
+change that lowers them should lower the table too.
 """
 
-import ctypes
 from collections import defaultdict
+from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
-from numpy.linalg import _umath_linalg
 
 import padepencil as pp
 from padepencil import numerics
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
-
-#: The ctypes routines of ``numerics`` and the positions of their
-#: dimension arguments (M, N, K, NRHS), each the address of an int64.
-ROUTINES = {
-    "zgeqrf": (0, 1),
-    "zungqr": (0, 1, 2),
-    "ztrtrs": (3, 4),
-    "zgesdd": (1, 2),
-    "zgebrd": (0, 1),
-    "dbdsdc": (2,),
-    "zunmbr": (3, 4, 5),
-}
-#: The gufuncs of ``_umath_linalg`` that ``numerics`` calls; a call's
-#: dimensions are its matrix's shape.
-GUFUNCS = ("svd_f", "svd", "solve1", "eigvals")
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
 
 #: Per solve: routine -> (calls, the largest of each dimension over them).
 CEILINGS = {
@@ -80,6 +65,23 @@ CEILINGS = {
         "zgebrd": (1, (10, 11)),
         "zunmbr": (1, (11, 11, 10)),
     },
+    # Accepted at l = 1: the 1 x 1 pencil's eigenvalue is its entry and
+    # the one-column residue Vandermonde passes rule 3, so neither the
+    # eigvals nor the svd gufunc may run.
+    "pm2 geo m=10": {
+        "dbdsdc": (2, (10,)),
+        "zgebrd": (2, (10, 11)),
+        "zgeqrf": (3, (20, 2)),
+        "ztrtrs": (2, (1, 1)),
+        "zungqr": (2, (20, 1, 1)),
+        "zunmbr": (1, (2, 2, 2)),
+    },
+    "pm1 poles=5 m=5": {
+        "eigvals": (1, (5, 5)),
+        "zgeqrf": (2, (5, 5)),
+        "ztrtrs": (2, (5, 5)),
+        "zungqr": (2, (5, 5, 5)),
+    },
 }
 
 
@@ -99,44 +101,44 @@ def _wide(monkeypatch):
     return pp.PowerSeries(coeffs, t=15.0), pp.Conformation(m, -1)
 
 
+def _stream_slot(monkeypatch, label):
+    """The op of the seed-1 stream_small slot with this label."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+
+    (slot,) = [slot for slot in workloads.stream_small(1).slots if slot.label == label]
+    return slot.run
+
+
+#: Each case gives the solve to count, a call without arguments.
 CASES = {
-    "pm2 log m=20": lambda mp: (pp.pm2, *_log(20)),
-    "pm2 log m=100": lambda mp: (pp.pm2, *_log(100)),
-    "pm2 wide m=40": lambda mp: (pp.pm2, *_wide(mp)),
-    "pm1 log m=10": lambda mp: (pp.pm1, *_log(10)),
-    "svd log m=10": lambda mp: (pp.svd_denominator, *_log(10)),
+    "pm2 log m=20": lambda mp: partial(pp.pm2, *_log(20)),
+    "pm2 log m=100": lambda mp: partial(pp.pm2, *_log(100)),
+    "pm2 wide m=40": lambda mp: partial(pp.pm2, *_wide(mp)),
+    "pm1 log m=10": lambda mp: partial(pp.pm1, *_log(10)),
+    "svd log m=10": lambda mp: partial(pp.svd_denominator, *_log(10)),
+    "pm2 geo m=10": lambda mp: _stream_slot(mp, "pm2/geo eps=1e-06 m=10"),
+    "pm1 poles=5 m=5": lambda mp: _stream_slot(mp, "pm1/poles=5 eps=0 m=5"),
 }
 
 
 def _count_calls(monkeypatch, solve) -> dict:
     """routine -> dimensions of each call that ``solve()`` makes."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import lapack_share
+
     calls = defaultdict(list)
-
-    def routine_wrapper(name, routine):
-        def call(*args):
-            calls[name].append(tuple(ctypes.c_int64.from_address(args[i]).value for i in ROUTINES[name]))
-            return routine(*args)
-        return call
-
-    def gufunc_wrapper(name, gufunc):
-        def call(a, *args, **kwargs):
-            calls[name].append(a.shape)
-            return gufunc(a, *args, **kwargs)
-        return call
-
-    for name in ROUTINES:
-        monkeypatch.setattr(numerics, f"_{name}", routine_wrapper(name, getattr(numerics, f"_{name}")))
-    gufuncs = {name: gufunc_wrapper(name, getattr(_umath_linalg, name)) for name in GUFUNCS}
-    monkeypatch.setattr(numerics, "_umath_linalg", SimpleNamespace(**gufuncs))
+    lapack_share.instrument(numerics, monkeypatch.setattr,
+                            lambda name, args, seconds: calls[name].append(lapack_share.dimensions(name, args)))
     solve()
     return dict(calls)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_lapack_calls_per_solve_stay_under_their_ceilings(case, monkeypatch):
-    solver, s, conf = CASES[case](monkeypatch)
-    solver(s, conf)  # the workspace queries (LWORK = -1) are cached by shape after this
-    got = _count_calls(monkeypatch, lambda: solver(s, conf))
+    solve = CASES[case](monkeypatch)
+    solve()  # the workspace queries (LWORK = -1) are cached by shape after this
+    got = _count_calls(monkeypatch, solve)
     ceilings = CEILINGS[case]
     assert set(got) <= set(ceilings), f"new routines: {sorted(set(got) - set(ceilings))}"
     for name, dims in got.items():

@@ -333,6 +333,32 @@ class TestEigenvalues:
         A = A * scale
         np.testing.assert_array_equal(eigenvalues(A).view(np.int64), np.linalg.eigvals(A).view(np.int64))
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_one_by_one_is_zgeevs_bits(self, data):
+        # A 1 x 1 matrix returns its entry only where zgeev leaves it
+        # unscaled; parts with moduli from 1e-310 to 1e308, signed zeros
+        # and the ulps around SMLNUM and BIGNUM cover both sides.
+        limits = [v for edge in (numerics._SMLNUM, numerics._BIGNUM)
+                  for v in (np.nextafter(edge, 0), edge, np.nextafter(edge, np.inf))]
+        part = st.one_of(st.just(0.0), st.sampled_from(limits), st.floats(-310, 308).map(lambda e: 10.0**e))
+        re, im = [data.draw(part) * data.draw(st.sampled_from([1.0, -1.0])) for _ in range(2)]
+        A = numerics.complex_from_parts(np.array([[re]]), np.array([[im]]))
+        want = numerics._umath_linalg.eigvals(A, signature="D->D")
+        assert eigenvalues(A).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_one_by_one_hands_over_to_the_gufunc_beyond_the_unscaled_range(self, monkeypatch):
+        calls = []
+        gufunc = numerics._umath_linalg.eigvals
+        monkeypatch.setattr(numerics, "_umath_linalg", SimpleNamespace(
+            eigvals=lambda A, signature: calls.append(A.item()) or gufunc(A, signature=signature)))
+        inside = [1.0, -2.5e-100j, 3e100 - 4e100j]
+        beyond = [0.0, -0.0, 1e-310, 1e308 + 1e308j] + [
+            v for edge in (numerics._SMLNUM, numerics._BIGNUM) for v in (np.nextafter(edge, 0), edge, np.nextafter(edge, np.inf))]
+        for a in inside + beyond:
+            eigenvalues(np.array([[a]], dtype=complex))
+        assert calls == [complex(a) for a in beyond]
+
 
 class TestGufuncRoutes:
     """singular_values, solve and convolve call numpy's cores directly and
@@ -554,12 +580,12 @@ class TestOneLapackBuild:
         qr, tau, _, _ = geqrf(A, lwork=qr_work)
         Q, _, _ = ungqr(qr, tau, lwork=q_work)
         size, (tau_at, work_at, _, info_at), _, (P, Q_, QR_WORK, Q_WORK, _) = numerics._qr_layout(p, q, 1)
-        buf, base, factor = numerics._buffer(A, size)
+        buf, base, factor_t = numerics._buffer(A, size)  # the Fortran p x q array, read as its transpose
         numerics._zgeqrf(P, Q_, base, P, base + tau_at, base + work_at, QR_WORK, base + info_at)
-        assert factor.tobytes("F") == qr.tobytes("F")
+        assert factor_t.tobytes() == qr.tobytes("F")
         assert buf[tau_at // 16 : tau_at // 16 + q].tobytes() == tau.tobytes()
         numerics._zungqr(P, Q_, Q_, base, P, base + tau_at, base + work_at, Q_WORK, base + info_at)
-        assert factor.tobytes("F") == Q.tobytes("F")
+        assert factor_t.tobytes() == Q.tobytes("F")
         for shape in ((p,), (p, 3)):
             B = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             assert _qr_outcome(qr_solve, A, B, 0.0) == _qr_outcome(scipy_qr_solve, A, B, 0.0)
