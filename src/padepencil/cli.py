@@ -29,6 +29,7 @@ import cmath
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import fields
 
@@ -46,7 +47,7 @@ from .experiments import (
     run_log_branch,
     write_output,
 )
-from .numerics import complex_pairs
+from .numerics import all_finite, complex_pairs
 from .series import PowerSeries
 
 
@@ -64,9 +65,9 @@ def load_coefficients(path: str) -> np.ndarray:
     """Read series coefficients from a JSON or whitespace text file."""
     with open(path) as fh:
         text = fh.read()
-    # Both formats become (line number, [re, im]) entries, with no line
-    # number for JSON; a JSON entry that is neither a number nor a list
-    # (true and false are no numbers here) is kept as is and rejected below.
+    # A JSON array of finite [float, float] pairs is read in one call.  Else both formats become
+    # (line number, [re, im]) entries, with no line number for JSON; a JSON entry that is neither
+    # a number nor a list (true and false are no numbers here) is kept as is and rejected below.
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
@@ -78,6 +79,10 @@ def load_coefficients(path: str) -> np.ndarray:
     else:
         if not isinstance(data, list):
             raise ValueError(f"{path}: JSON coefficient file must be an array")
+        if data and all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is float for p in data):
+            values = np.array(data, dtype=float).view(complex).reshape(-1)
+            if all_finite(values):
+                return values
         entries = [(None, [item, 0.0] if type(item) in (int, float) else item) for item in data]
     if not entries:
         raise ValueError(f"{path}: no coefficients found")
@@ -156,17 +161,27 @@ def cli_experiment(args) -> int:
     return 0
 
 
+#: The options of approximate and poles, each dest its name without "--":
+#: argparse reads this table, and so does parse_arguments on plain argv.
+APPROXIMATION_OPTIONS = {
+    "--coeffs": dict(type=str, required=True, help="coefficient file (JSON array or 're im' lines)"),
+    "--method": dict(type=str, choices=METHODS, default="pm2"),
+    "--m": dict(type=int, required=True, help="denominator degree"),
+    "--k": dict(type=int, default=0, help="numerator degree offset (degree m+k)"),
+    "--n": dict(type=int, default=None, help="use only the first n coefficients"),
+    "--t": dict(type=float, default=None, help="filtering accuracy digits (pm2)"),
+    "--out": dict(type=str, default=None, help="output file (default stdout)"),
+    "--format": dict(type=str, choices=("json", "csv"), default="json"),
+}
+_DEFAULTS = {name[2:]: spec.get("default") for name, spec in APPROXIMATION_OPTIONS.items()}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
 def _add_approximation_parser(sub, command: str, summary: str) -> argparse.ArgumentParser:
     """A subcommand that solves and writes its view of the approximant."""
     p = sub.add_parser(command, help=summary)
-    p.add_argument("--coeffs", required=True, help="coefficient file (JSON array or 're im' lines)")
-    p.add_argument("--method", choices=METHODS, default="pm2")
-    p.add_argument("--m", type=int, required=True, help="denominator degree")
-    p.add_argument("--k", type=int, default=0, help="numerator degree offset (degree m+k)")
-    p.add_argument("--n", type=int, default=None, help="use only the first n coefficients")
-    p.add_argument("--t", type=float, default=None, help="filtering accuracy digits (pm2)")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    for name, spec in APPROXIMATION_OPTIONS.items():
+        p.add_argument(name, **spec)
     p.set_defaults(func=cli_approximate)
     return p
 
@@ -211,9 +226,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_arguments(argv: list) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``: the same namespace, output and
-    exit.  When argv[0] names a subcommand, that subcommand's parser reads
-    the rest and the top-level parse is skipped; leftover arguments are
-    reported through the top-level parser, as parse_args reports them."""
+    exit.  Plain argv (approximate or poles, then exact ``--option value``
+    pairs that argparse reads alike, with --coeffs and --m) is read from
+    ``APPROXIMATION_OPTIONS`` without the parser.  Otherwise argv[0]'s
+    subcommand parser, if any, reads the rest and the top-level parse is
+    skipped; leftover arguments are reported as parse_args reports them."""
+    if len(argv) % 2 and type(argv[0]) is str and argv[0] in ("approximate", "poles"):
+        given = {}
+        for option, text in zip(argv[1::2], argv[2::2]):
+            spec = APPROXIMATION_OPTIONS.get(option) if type(option) is type(text) is str else None
+            if spec is None or (text[:1] == "-" and not _NEGATIVE_NUMBER.match(text)):  # argparse's test
+                break
+            try:
+                value = given[option[2:]] = spec["type"](text)
+            except ValueError:
+                break
+            if "choices" in spec and value not in spec["choices"]:
+                break
+        else:
+            if {"coeffs", "m"} <= given.keys():
+                return argparse.Namespace(command=argv[0], **(_DEFAULTS | given), func=cli_approximate)
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:

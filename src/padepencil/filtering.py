@@ -84,6 +84,14 @@ class SpuriousPoleReport:
         }
 
 
+def _tolerance(t: float) -> float:
+    """10^-t, the relative threshold of accuracy t; a ValueError names a t that overflows it."""
+    try:
+        return 10.0 ** (-t)
+    except OverflowError:
+        raise ValueError(f"accuracy t = {t!r} is too negative: 10^-t overflows a double") from None
+
+
 def count_filtered(sigma, t: float) -> int:
     """Number of singular values below 10^-t relative to the largest.
 
@@ -94,7 +102,7 @@ def count_filtered(sigma, t: float) -> int:
         raise ValueError("empty singular-value array")
     if values[0] == 0:
         return len(values) - 1
-    tol = 10.0 ** (-t) * values[0]
+    tol = _tolerance(t) * values[0]
     return sum(v < tol for v in values)
 
 
@@ -143,7 +151,7 @@ def vandermonde_accepts(D, t: float) -> bool:
     D = np.asarray(D)
     if not all_finite(D):
         return False
-    tol = 10.0 ** (-t)
+    tol = _tolerance(t)
     if D.shape[1:] == (1,) and D.shape[0] and not tol > 1:
         return True  # sigma_min = sigma_max, and tol * sigma <= sigma
     try:

@@ -8,6 +8,8 @@ scipy and polyfromroots paths at the end are the bitwise references
 for the package's array code and its direct LAPACK calls.
 """
 
+import cmath
+import json
 import math
 
 import mpmath
@@ -304,6 +306,44 @@ def loop_pole_residue_terms(terms):
             if abs(pi - pj) <= 1e-12 * max(abs(pi), abs(pj)):
                 raise DuplicatePole(f"poles {pi} and {pj} coincide to relative 1e-12")
     return tuple(sorted(terms, key=lambda pe: (abs(pe[0]), np.angle(pe[0]))))
+
+
+def loop_load_coefficients(path):
+    """``cli.load_coefficients`` as it read every file, entry by entry,
+    kept verbatim as the reference for its one-call JSON pair path."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        entries = []
+        for lineno, line in enumerate(text.splitlines(), 1):
+            parts = line.split("#", 1)[0].split()
+            if parts:
+                entries.append((lineno, parts + [0.0] if len(parts) == 1 else parts))
+    else:
+        if not isinstance(data, list):
+            raise ValueError(f"{path}: JSON coefficient file must be an array")
+        entries = [(None, [item, 0.0] if type(item) in (int, float) else item) for item in data]
+    if not entries:
+        raise ValueError(f"{path}: no coefficients found")
+    values = []
+    for lineno, pair in entries:
+        expected = "a number, 're im' or [re, im]"
+        if (isinstance(pair, list) and len(pair) == 2
+                and (lineno is not None or not any(isinstance(x, (str, bool)) for x in pair))):
+            try:
+                value = complex(float(pair[0]), float(pair[1]))
+            except (TypeError, ValueError, OverflowError):
+                pass
+            else:
+                if cmath.isfinite(value):
+                    values.append(value)
+                    continue
+                expected = "finite values"
+        where = path if lineno is None else f"{path}:{lineno}"
+        raise ValueError(f"{where}: expected {expected}, got {pair!r}")
+    return np.array(values, dtype=complex)
 
 
 # The least-squares solve, the pole-residue denominator and the SVD as

@@ -1,6 +1,7 @@
 """Tests for the experiment harness and command-line interface."""
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import padepencil
@@ -29,7 +30,7 @@ from padepencil import (
     pm2,
     poles_and_zeros,
 )
-from padepencil.cli import build_parser, load_coefficients, main
+from padepencil.cli import build_parser, load_coefficients, main, parse_arguments
 from padepencil.numerics import complex_pairs
 from padepencil.experiments import (
     INNER_GRID,
@@ -47,6 +48,8 @@ from padepencil.experiments import (
     sample_rng,
     write_output,
 )
+
+from helpers import loop_load_coefficients
 
 
 class TestSampleRng:
@@ -295,7 +298,46 @@ NOT_NUMBERS = [
 ]
 
 
+#: JSON number spellings, finite and not, for the loader's property.
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "0.0", "1e400", "-1e400", "NaN", "Infinity", "-Infinity"]),
+)
+#: JSON values of every kind: floats, ints (one beyond a double), bools,
+#: strings, null, and lists of them, empty and nested.
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        _JSON_FLOATS,
+        st.integers(-(10**20), 10**20).map(str),
+        st.sampled_from(["true", "false", "null", '"1.5"', '""', "[]", "1" + "0" * 400]),
+    ),
+    lambda inner: st.lists(inner, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]"),
+    max_leaves=6,
+)
+#: Coefficient files: arrays of [float, float] pairs, which take the one-call
+#: path while their values are finite, and arrays of any JSON values.
+_JSON_FILES = st.one_of(
+    st.lists(st.tuples(_JSON_FLOATS, _JSON_FLOATS).map(lambda p: f"[{p[0]}, {p[1]}]"), max_size=8),
+    st.lists(_JSON_VALUES, max_size=5),
+).map(lambda entries: "[" + ", ".join(entries) + "]")
+
+
 class TestCoefficientFiles:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_JSON_FILES)
+    def test_same_bits_or_error_as_the_entry_loop(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+
+        def outcome(load):
+            try:
+                values = load(str(path))
+            except ValueError as exc:
+                return str(exc)
+            return values.dtype, values.shape, values.tobytes()
+
+        assert outcome(load_coefficients) == outcome(loop_load_coefficients)
+
     def test_json_real_numbers(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("[1, 0.5, 0.25]")
@@ -795,6 +837,18 @@ ODD_ARGV = [
     ["poles", "--coeffs", "req.json", "--m", "3", "stray"], ["poles", "--co", "req.json", "--m", "3", "--k", "-1"],
     ["experiment", "geometric-noise", "--samples", "1", "--eps", "1e-6", "stray", "--bogus"],
     ["experiment", "log-brunch"], ["approximate", "poles", "--coeffs", "req.json", "--m", "3"],
+    ["poles", "--coeffs", "req.json", "--m", "3", "--k", "-1.5"],
+    ["poles", "--coeffs", "req.json", "--m", "3", "--t", "-1e5"],
+    ["approximate", "--coeffs", "req.json", "--m", "3", "--t", "-.5"],
+    ["approximate", "--coeffs", "-", "--m", "3"], ["approximate", "--coeffs", "", "--m", "3"],
+    ["poles", "--coeffs", "req.json", "--m", " 4 ", "--k", "-1"],
+    ["poles", "--coeffs", "req.json", "--m", "1_0", "--k", "-1"],
+    ["approximate", "--coeffs", "req.json", "--m", "3", "--t", "inf"],
+    ["poles", "--coeffs", "req.json", "--m", "3", "--method", "PM2"],
+    ["poles", "--coeffs", "req.json", "--m", "3", "--format", "JSON"],
+    ["poles", "--coeffs", "req.json", "--m", "\u0663", "--k", "-1"],
+    ["poles", "--coeffs", "req.json", "--m", "3", "--n", "-1"],
+    ["poles", "--coeffs", "nope.json", "--m", "3", "--format", "csv", "--coeffs", "req.json", "--m", "4", "--k", "-1"],
 ]
 
 
@@ -839,3 +893,71 @@ class TestSubcommandDispatch:
             assert got == want, argv
             exits.add(got[0])
         assert exits == {0, 2, 3, ("SystemExit", 0), ("SystemExit", 3)}
+
+
+#: Tokens for the argv property: the eight option names, their
+#: abbreviations and ``--name=value`` forms, help, ``--`` and unknown
+#: options; values that argparse reads as negative numbers or as options,
+#: values that convert only in part, and choices in the wrong case.
+ARGV_OPTIONS = ["--coeffs", "--method", "--m", "--k", "--n", "--t", "--out", "--format",
+                "--co", "--me", "--fo", "--m=3", "--coeffs=c.json", "-h", "--help", "--", "--bogus", "-m", "m"]
+ARGV_VALUES = ["c.json", "3", "10", "0", "-1", "-1.5", "-1e5", "-.5", "-", "", " 4 ", "1_0", "nan", "inf",
+               "-1\n", "pm2", "PM2", "dm", "json", "JSON", "csv", "\u0663", "-\u0663", "\uff11\uff10", "o.csv"]
+#: A value of each option's type (and choices) that argparse reads as a value.
+ARGV_FITTING = {
+    "--coeffs": ["c.json", "-1", ""], "--method": ["pm2", "dm"], "--m": ["3", "-1", " 4 ", "1_0", "\u0663"],
+    "--k": ["-1", "0"], "--n": ["10", "-2"], "--t": ["-.5", "1e-3", "nan", "-1\n"], "--out": ["o.csv", "3"],
+    "--format": ["csv", "json"],
+}
+_FITTING_PAIRS = st.sampled_from(list(ARGV_FITTING)).flatmap(
+    lambda option: st.tuples(st.just(option), st.sampled_from(ARGV_FITTING[option])))
+_ANY_PAIRS = st.tuples(st.sampled_from(ARGV_OPTIONS), st.sampled_from(ARGV_VALUES))
+
+
+@st.composite
+def approximation_argv(draw):
+    """approximate or poles and a token list.  Half the lists are shuffled
+    pairs of full names and fitting values with --coeffs and --m among
+    them; the other half mix in any pair and may lack --coeffs or --m,
+    and may have one token dropped or one stray token put in."""
+    messy = draw(st.booleans())
+    pairs = draw(st.lists(st.one_of(_FITTING_PAIRS, _ANY_PAIRS) if messy else _FITTING_PAIRS, max_size=5))
+    if not messy or draw(st.booleans()):
+        pairs += [("--coeffs", draw(st.sampled_from(ARGV_FITTING["--coeffs"]))),
+                  ("--m", draw(st.sampled_from(ARGV_FITTING["--m"])))]
+    tokens = [token for pair in draw(st.permutations(pairs)) for token in pair]
+    edit = draw(st.sampled_from(["none", "drop", "insert"])) if messy else "none"
+    if edit == "drop" and tokens:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    elif edit == "insert":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(ARGV_OPTIONS + ARGV_VALUES)))
+    return [draw(st.sampled_from(["approximate", "poles"])), *tokens]
+
+
+def _parse_outcome(parse, argv):
+    """The namespace (its repr, so that NaN equals NaN and types show)
+    or exit code of ``parse(argv)``, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = repr(vars(parse(argv)))
+        except SystemExit as exc:
+            result = ("SystemExit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestPlainArgv:
+    """parse_arguments reads plain ``--option value`` argv itself; every
+    argv gives what ``build_parser().parse_args`` gives."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(argv=approximation_argv())
+    def test_same_namespace_or_exit_as_parse_args(self, argv):
+        assert _parse_outcome(parse_arguments, argv) == _parse_outcome(lambda a: build_parser().parse_args(a), argv)
+
+    def test_plain_argv_builds_no_parser(self, monkeypatch):
+        argv = ["poles", "--coeffs", "c.json", "--m", "3", "--k", "-1", "--t", "-.5", "--m", "4", "--format", "csv"]
+        want = build_parser().parse_args(argv)
+        monkeypatch.setattr("padepencil.cli.build_parser", lambda: pytest.fail("the parser was built"))
+        got = parse_arguments(argv)
+        assert list(vars(got).items()) == list(vars(want).items())

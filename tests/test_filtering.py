@@ -60,6 +60,25 @@ class TestCountFiltered:
         with pytest.raises(ValueError):
             count_filtered([], t=14)
 
+    @pytest.mark.parametrize("t", [-309, -400, -308.3, -(10**400)], ids=["-309", "-400", "-308.3", "-10**400"])
+    def test_t_whose_threshold_overflows_is_a_value_error(self, t):
+        with pytest.raises(ValueError, match=r"^accuracy t = -"):
+            count_filtered([1.0, 0.5], t)
+        with pytest.raises(ValueError, match=r"^accuracy t = -"):
+            vandermonde_accepts(np.ones((3, 2)), t)
+
+    def test_results_at_the_edge_of_the_accepted_t(self):
+        # 10^308 is finite; a NaN t filters nothing and -inf everything;
+        # an all-zero spectrum and a non-finite D need no threshold.
+        assert count_filtered([1.0, 0.5], -308) == 2
+        assert count_filtered([1.0, 0.5], 0) == 1
+        assert count_filtered([1.0, 0.5], np.nan) == 0
+        assert count_filtered([1.0, 0.5], -np.inf) == 2
+        assert count_filtered([0.0, 0.0], -400) == 1
+        assert not vandermonde_accepts(np.full((3, 2), np.nan), -400)
+        assert not vandermonde_accepts(np.ones((3, 2)), 0)
+        assert vandermonde_accepts(np.ones((3, 2)), np.nan)
+
     def test_rank_one_window(self):
         # 1-pole series fit with m=5: all but one direction filterable
         s = gen_geometric_noisy(10, 0.0)
