@@ -177,28 +177,21 @@ _DEFAULTS = {name[2:]: spec.get("default") for name, spec in APPROXIMATION_OPTIO
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _add_approximation_parser(sub, command: str, summary: str) -> argparse.ArgumentParser:
-    """A subcommand that solves and writes its view of the approximant."""
-    p = sub.add_parser(command, help=summary)
-    for name, spec in APPROXIMATION_OPTIONS.items():
-        p.add_argument(name, **spec)
-    p.set_defaults(func=cli_approximate)
-    return p
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later one:
-    parsing does not change it, and help text is formatted when printed.
-    Its ``commands`` maps each subcommand name to that subcommand's parser."""
+    parsing does not change it, and help text is formatted when printed."""
     parser = _Parser(prog="padepencil", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    parser.commands = {
-        "approximate": _add_approximation_parser(sub, "approximate", "full approximant from a coefficient file"),
-        "poles": _add_approximation_parser(sub, "poles", "pole estimates only"),
-        "experiment": sub.add_parser("experiment", help="stock reproducibility studies"),
-    }
-    exp_sub = parser.commands["experiment"].add_subparsers(dest="experiment", parser_class=_Parser)
+    # The two subcommands that solve and write their view of the approximant.
+    solvers = (("approximate", "full approximant from a coefficient file"), ("poles", "pole estimates only"))
+    for command, summary in solvers:
+        p = sub.add_parser(command, help=summary)
+        for name, spec in APPROXIMATION_OPTIONS.items():
+            p.add_argument(name, **spec)
+        p.set_defaults(func=cli_approximate)
+    p_exp = sub.add_parser("experiment", help="stock reproducibility studies")
+    exp_sub = p_exp.add_subparsers(dest="experiment", parser_class=_Parser)
 
     # A flag left out stays None, and ExperimentConfig gives its default.
     p_geo = exp_sub.add_parser("geometric-noise", help="noise study on 1/(1-z)")
@@ -228,9 +221,8 @@ def parse_arguments(argv: list) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``: the same namespace, output and
     exit.  Plain argv (approximate or poles, then exact ``--option value``
     pairs that argparse reads alike, with --coeffs and --m) is read from
-    ``APPROXIMATION_OPTIONS`` without the parser.  Otherwise argv[0]'s
-    subcommand parser, if any, reads the rest and the top-level parse is
-    skipped; leftover arguments are reported as parse_args reports them."""
+    ``APPROXIMATION_OPTIONS`` without the parser; any other argv goes to
+    ``parse_args``."""
     if len(argv) % 2 and type(argv[0]) is str and argv[0] in ("approximate", "poles"):
         given = {}
         for option, text in zip(argv[1::2], argv[2::2]):
@@ -246,14 +238,7 @@ def parse_arguments(argv: list) -> argparse.Namespace:
         else:
             if {"coeffs", "m"} <= given.keys():
                 return argparse.Namespace(command=argv[0], **(_DEFAULTS | given), func=cli_approximate)
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -16,11 +16,11 @@ remaining poles are trustworthy:
    ratio is below 10^-t both as it stands and with its columns
    equilibrated by powers of two, indicates a still-redundant pole set.
 
-Every reduction re-enters the loop from the rebuilt window, so the
-report carries the full trajectory.  Every pass either is accepted or
-lowers l by at least one, so the loop ends within m passes.  The defect
-estimate 2(m - final_l) counts how many series coefficients carried no
-usable information.
+Each pass returns a FilterIteration: the cause that lowered l (None when
+accepted) and the l it leaves; the report reads its counts from them.
+Every pass is accepted or lowers l by at least one, so the loop ends
+within m passes.  The defect estimate 2(m - final_l) counts how many
+series coefficients carried no usable information.
 """
 
 from __future__ import annotations
@@ -44,11 +44,21 @@ ORIGIN_RADIUS = 1e-3
 
 
 class FilterIteration(NamedTuple):
-    """One pass: working size, singular values seen, directions removed."""
+    """One pass: working size, singular values seen, and the cause that
+    lowered l to l_after ("rank_filter", "rank_deficient_retry",
+    "origin_drop" or "vandermonde"; None for an accepted pass), with
+    the poles an origin drop deleted."""
 
     l_before: int
     singular_values: np.ndarray
-    n_s_removed: int
+    cause: str | None
+    l_after: int
+    origin_poles: tuple = ()
+
+    @property
+    def n_s_removed(self) -> int:
+        """Directions the rank filter removed."""
+        return self.l_before - self.l_after if self.cause == "rank_filter" else 0
 
 
 @dataclass(frozen=True)
@@ -56,10 +66,18 @@ class SpuriousPoleReport:
     """Trajectory and outcome of the filtering loop."""
 
     iterations: tuple
-    origin_poles_removed: tuple
-    d_matrix_reductions: int
     final_l: int
     defect_estimate: int
+
+    @property
+    def origin_poles_removed(self) -> tuple:
+        """Every origin pole dropped, in pass order."""
+        return tuple(p for it in self.iterations for p in it.origin_poles)
+
+    @property
+    def d_matrix_reductions(self) -> int:
+        """Passes that the residue Vandermonde check rejected."""
+        return sum(it.cause == "vandermonde" for it in self.iterations)
 
     @property
     def head_only(self) -> bool:
@@ -156,11 +174,41 @@ def vandermonde_accepts(D, t: float) -> bool:
         return True  # sigma_min = sigma_max, and tol * sigma <= sigma
     try:
         dsig = singular_values(D)
-        if dsig[-1] < tol * dsig[0]:
+        if dsig[-1] < tol * float(dsig[0]):  # Python floats overflow to inf quietly
             dsig = singular_values(D * np.ldexp(1.0, -np.frexp(np.abs(D).max(axis=0))[1]))
     except ConvergenceFailure as exc:
         raise ConvergenceFailure(f"residue Vandermonde SVD did not converge: {exc}") from exc
-    return not dsig[-1] < tol * dsig[0]
+    return not dsig[-1] < tol * float(dsig[0])
+
+
+def _filter_pass(s: PowerSeries, conf: Conformation, l: int) -> tuple:
+    """One pass of the loop at working size l: its FilterIteration and,
+    only when the pass is accepted, the poles with their residue system
+    (lam, D, rhs); else None."""
+    sr = svd(combined_window(s, conf, l))
+    # The filter targets the numerical rank: the window keeps
+    # rank_hat = (#sigma - n_s) usable directions, and a pencil of
+    # size rank_hat is the largest the data supports.  On the first
+    # pass (l = m, row-limited spectrum) this equals the plain
+    # reduction l - n_s; on later column-limited passes the spectrum
+    # carries one extra entry and the plain reduction would
+    # overshoot by one, losing a genuine pole.  At l = 1 new_l is 1.
+    rank_hat = sr.sigma.size - count_filtered(sr.sigma, s.t)
+    new_l = max(1, min(l, rank_hat))
+    if new_l < l:
+        return FilterIteration(l, sr.sigma, "rank_filter", new_l), None
+    try:
+        lam = reduced_poles(sr)
+    except RankDeficient:
+        return FilterIteration(l, sr.sigma, "rank_deficient_retry", l - 1), None
+    inside = np.abs(lam) <= ORIGIN_RADIUS
+    n_inside = int(np.count_nonzero(inside))
+    if n_inside:
+        return FilterIteration(l, sr.sigma, "origin_drop", l - n_inside, tuple(complex(p) for p in lam[inside])), None
+    D, rhs = residue_system(s, lam, conf, use_all_rows=True)
+    if vandermonde_accepts(D, s.t):
+        return FilterIteration(l, sr.sigma, None, l), (lam, D, rhs)
+    return FilterIteration(l, sr.sigma, "vandermonde", l - 1), None
 
 
 def pm2(s: PowerSeries, conf: Conformation) -> Solution:
@@ -182,51 +230,15 @@ def pm2(s: PowerSeries, conf: Conformation) -> Solution:
         raise ValueError("filtering needs a denominator degree m >= 1")
     _require_length(s, conf)
     iterations: list[FilterIteration] = []
-    origin_removed: list[complex] = []
-    d_reductions = 0
+    accepted = None
     # An identically-zero window has no poles to find: no pass runs.
     l = m if np.count_nonzero(s.coeffs[: conf.n]) else 0
+    while l > 0 and accepted is None:
+        it, accepted = _filter_pass(s, conf, l)
+        iterations.append(it)
+        l = it.l_after
 
-    while l > 0:
-        sr = svd(combined_window(s, conf, l))
-        # The filter targets the numerical rank: the window keeps
-        # rank_hat = (#sigma - n_s) usable directions, and a pencil of
-        # size rank_hat is the largest the data supports.  On the first
-        # pass (l = m, row-limited spectrum) this equals the plain
-        # reduction l - n_s; on later column-limited passes the spectrum
-        # carries one extra entry and the plain reduction would
-        # overshoot by one, losing a genuine pole.  At l = 1 new_l is 1.
-        rank_hat = sr.sigma.size - count_filtered(sr.sigma, s.t)
-        new_l = max(1, min(l, rank_hat))
-        iterations.append(FilterIteration(l, sr.sigma, l - new_l))
-        if new_l < l:
-            l = new_l
-            continue
-
-        try:
-            lam = reduced_poles(sr)
-        except RankDeficient:
-            l -= 1
-            continue
-
-        inside = np.abs(lam) <= ORIGIN_RADIUS
-        if np.count_nonzero(inside):
-            origin_removed.extend(complex(p) for p in lam[inside])
-            l -= int(np.count_nonzero(inside))
-            continue
-
-        D, rhs = residue_system(s, lam, conf, use_all_rows=True)
-        if vandermonde_accepts(D, s.t):
-            break
-        d_reductions += 1
-        l -= 1
-
-    report = SpuriousPoleReport(
-        iterations=tuple(iterations),
-        origin_poles_removed=tuple(origin_removed),
-        d_matrix_reductions=d_reductions,
-        final_l=l,
-        defect_estimate=2 * (m - l),
-    )
-    prf = _with_head(s, conf.k, lam, qr_solve(D, rhs, rtol=0.0)) if l else _with_head(s, conf.k, (), ())
+    report = SpuriousPoleReport(iterations=tuple(iterations), final_l=l, defect_estimate=2 * (m - l))
+    lam, D, rhs = accepted or ((), None, None)
+    prf = _with_head(s, conf.k, lam, qr_solve(D, rhs, rtol=0.0) if accepted else ())
     return Solution(prf, to_rational(prf, s, conf), report)

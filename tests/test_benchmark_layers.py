@@ -10,6 +10,7 @@ third that each log-branch run still builds the mesh whose span the
 studies workload times.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,9 @@ def test_traced_pm2_passes_match_its_report(monkeypatch):
         assert causes["passes"] == len(report.iterations)
         assert causes["vandermonde"] == report.d_matrix_reductions
         assert causes["accepted"] == 1
+        record = Counter(it.cause or "accepted" for it in report.iterations)
+        assert {c: causes[c] for c in (*tracing.PASS_CAUSES, "accepted")} == \
+            {c: record[c] for c in (*tracing.PASS_CAUSES, "accepted")}
         final_l.append(report.final_l)
     assert final_l[1] == 1
 

@@ -1,5 +1,6 @@
 """Tests for the iterated spurious-pole filter."""
 
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from padepencil import (
     pm2,
 )
 from padepencil import filtering, numerics
+from padepencil.errors import RankDeficient
 from padepencil.filtering import count_filtered, reduced_poles, vandermonde_accepts
 from padepencil.numerics import singular_values, svd
 from padepencil.pencil import combined_window, pm1_poles
@@ -158,6 +160,11 @@ class TestVandermondeAccepts:
         assert not vandermonde_accepts(vandermonde([0.5, 0.5 * (1 + 1e-10), 2.0j], 10), 8.0)
         assert calls == [(10, 3), (10, 3)]
 
+    @pytest.mark.parametrize("t", [-308.0, -308.2])
+    def test_threshold_times_sigma_max_overflows_quietly(self, t):
+        # 10^-t is finite, but 10^-t sigma_max is not: the comparison
+        # reads inf and rejects D, with no overflow warning.
+        assert not vandermonde_accepts(np.ones((3, 2)), t)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -304,6 +311,55 @@ class TestPm2:
             assert ls == [] and report.head_only
         else:
             assert ls[0] == m and report.final_l <= ls[-1]
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=pm2_cases())
+    def test_passes_account_for_every_reduction(self, case):
+        # Each pass records its cause and the l it leaves: the drops of l
+        # by cause sum to m - final_l, the report's counts are those of
+        # its passes, and only an accepted last pass has no cause.
+        s, conf, kind = case
+        try:
+            report = pm2(s, conf).report
+        except Collapse:
+            return
+        its = report.iterations
+        if not its:
+            assert kind == "zero" and report.final_l == 0
+            return
+        for it, after in zip(its, its[1:]):
+            assert it.cause is not None and it.l_after == after.l_before
+        drops = Counter()
+        for it in its:
+            drops[it.cause] += it.l_before - it.l_after
+        assert (its[-1].cause is None) == (report.final_l > 0)
+        assert its[-1].l_after == report.final_l
+        assert drops[None] == 0 and sum(drops.values()) == conf.m - report.final_l
+        assert drops["rank_filter"] == sum(it.n_s_removed for it in its)
+        assert drops["origin_drop"] == len(report.origin_poles_removed)
+        assert drops["vandermonde"] == report.d_matrix_reductions
+
+    def test_rank_deficient_retry_lowers_l_by_one(self, monkeypatch):
+        # The first reduced pencil raises RankDeficient: that pass is
+        # recorded as a retry that leaves l - 1, and the solve goes on
+        # from there to an accepted pass.
+        calls = []
+
+        def deficient_once(sr):
+            calls.append(sr)
+            if len(calls) == 1:
+                raise RankDeficient("reduced pencil lost rank")
+            return reduced_poles(sr)
+
+        monkeypatch.setattr(filtering, "reduced_poles", deficient_once)
+        conf = Conformation(m=3, k=-1)
+        s = replace(gen_from_poles([2.0, -3.0, 1.5j], [1.0, 0.5, 2.0], conf.n), t=12)
+        prf, ra, report = pm2(s, conf)
+        first, last = report.iterations[0], report.iterations[-1]
+        assert (first.l_before, first.cause, first.l_after) == (3, "rank_deficient_retry", 2)
+        assert last.cause is None and report.final_l == last.l_after == prf.poles.size >= 1
+        assert len(calls) == len(report.iterations)
+        assert np.all(np.isfinite(ra.denom))
 
     def test_zero_series_short_circuits(self):
         prf, ra, report = pm2(PowerSeries(np.zeros(10)), Conformation(m=4, k=1))
