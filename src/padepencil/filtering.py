@@ -14,7 +14,8 @@ remaining poles are trustworthy:
    ``ORIGIN_RADIUS`` are deleted outright;
 3. a residue Vandermonde D that is not finite, or whose singular-value
    ratio is below 10^-t both as it stands and with its columns
-   equilibrated by powers of two, indicates a still-redundant pole set.
+   equilibrated by powers of two, indicates a still-redundant pole set
+   (``pencil.vandermonde_accepts``, in pm1's residue step too).
 
 Each pass returns a FilterIteration: the cause that lowered l (None when
 accepted) and the l it leaves; the report reads its counts from them.
@@ -32,9 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .baseline import Conformation, _require_length, combined_window
-from .errors import ConvergenceFailure, NonFinite, RankDeficient
-from .numerics import SvdResult, all_finite, complex_pairs, qr_solve, singular_values, svd
-from .pencil import Solution, _with_head, pm1_poles, residue_system, to_rational
+from .errors import NonFinite, RankDeficient
+from .numerics import SvdResult, complex_pairs, svd
+from .pencil import Solution, _tolerance, _with_head, pm1_poles, residues, to_rational, vandermonde_accepts
 from .series import PowerSeries
 
 
@@ -102,14 +103,6 @@ class SpuriousPoleReport:
         }
 
 
-def _tolerance(t: float) -> float:
-    """10^-t, the relative threshold of accuracy t; a ValueError names a t that overflows it."""
-    try:
-        return 10.0 ** (-t)
-    except OverflowError:
-        raise ValueError(f"accuracy t = {t!r} is too negative: 10^-t overflows a double") from None
-
-
 def count_filtered(sigma, t: float) -> int:
     """Number of singular values below 10^-t relative to the largest.
 
@@ -150,41 +143,10 @@ def reduced_poles(svd_result: SvdResult) -> np.ndarray:
     return pm1_poles(weights[:, None] * svd_result.Vh)
 
 
-def vandermonde_accepts(D, t: float) -> bool:
-    """Rule 3: whether the residue Vandermonde D certifies its QR solve.
-
-    A non-finite D (an overflowing power of a tiny spurious pole) fails
-    without reaching LAPACK.  A finite D passes when sigma_min/sigma_max
-    >= 10^-t for D or, only where that fails, for D with each column
-    scaled by 2^-e, e the binary exponent of its largest modulus.
-    Householder QR is as accurate as D's best column scaling allows, and
-    equilibration comes within a small factor of that, so the second look
-    discounts the monomial scale of d^r but not a coincident pole pair.
-
-    A finite D of one column and at least one row passes without an SVD
-    for every t >= 0 (and a NaN t), as the ratio rule would pass it: its
-    one singular value is both sigma_min and sigma_max, also where it
-    overflows to inf, and 10^-t <= 1.
-    """
-    D = np.asarray(D)
-    if not all_finite(D):
-        return False
-    tol = _tolerance(t)
-    if D.shape[1:] == (1,) and D.shape[0] and not tol > 1:
-        return True  # sigma_min = sigma_max, and tol * sigma <= sigma
-    try:
-        dsig = singular_values(D)
-        if dsig[-1] < tol * float(dsig[0]):  # Python floats overflow to inf quietly
-            dsig = singular_values(D * np.ldexp(1.0, -np.frexp(np.abs(D).max(axis=0))[1]))
-    except ConvergenceFailure as exc:
-        raise ConvergenceFailure(f"residue Vandermonde SVD did not converge: {exc}") from exc
-    return not dsig[-1] < tol * float(dsig[0])
-
-
 def _filter_pass(s: PowerSeries, conf: Conformation, l: int) -> tuple:
     """One pass of the loop at working size l: its FilterIteration and,
-    only when the pass is accepted, the poles with their residue system
-    (lam, D, rhs); else None."""
+    only when the pass is accepted, the poles with their weights
+    (lam, e); else None."""
     sr = svd(combined_window(s, conf, l))
     # The filter targets the numerical rank: the window keeps
     # rank_hat = (#sigma - n_s) usable directions, and a pencil of
@@ -205,9 +167,8 @@ def _filter_pass(s: PowerSeries, conf: Conformation, l: int) -> tuple:
     n_inside = int(np.count_nonzero(inside))
     if n_inside:
         return FilterIteration(l, sr.sigma, "origin_drop", l - n_inside, tuple(complex(p) for p in lam[inside])), None
-    D, rhs = residue_system(s, lam, conf, use_all_rows=True)
-    if vandermonde_accepts(D, s.t):
-        return FilterIteration(l, sr.sigma, None, l), (lam, D, rhs)
+    if (e := residues(s, lam, conf)) is not None:
+        return FilterIteration(l, sr.sigma, None, l), (lam, e)
     return FilterIteration(l, sr.sigma, "vandermonde", l - 1), None
 
 
@@ -216,9 +177,9 @@ def pm2(s: PowerSeries, conf: Conformation) -> Solution:
 
     Runs the detection loop described in the module docstring starting
     from l = m, with the filtering accuracy t = s.t, and returns a
-    Solution: the surviving poles with overdetermined least-squares
-    residues (QR on the unscaled D, once ``vandermonde_accepts`` passes
-    it), the equivalent rational approximant, and the filtering report.
+    Solution: the surviving poles with the accepted pass's weights
+    (``pencil.residues``: QR on the all-row D, once rule 3 passes it),
+    the equivalent rational approximant, and the filtering report.
 
     If every pole is removed (report.head_only), ``to_rational`` gives
     the zero approximant when the first conf.n coefficients are all zero
@@ -239,6 +200,5 @@ def pm2(s: PowerSeries, conf: Conformation) -> Solution:
         l = it.l_after
 
     report = SpuriousPoleReport(iterations=tuple(iterations), final_l=l, defect_estimate=2 * (m - l))
-    lam, D, rhs = accepted or ((), None, None)
-    prf = _with_head(s, conf.k, lam, qr_solve(D, rhs, rtol=0.0) if accepted else ())
+    prf = _with_head(s, conf.k, *(accepted or ((), ())))
     return Solution(prf, to_rational(prf, s, conf), report)

@@ -3,9 +3,11 @@
 Two shifted Hankel matrices C1, C2 built from the series coefficients
 form the pencil C1 - z^{-1} C2 whose finite generalized eigenvalues are
 the pole locations directly.  Residues then come from a separate
-(rectangular) Vandermonde least-squares system in the inverse poles.
-This factors the classical Pade problem into a pole stage and a residue
-stage, which is what makes targeted pole filtering possible.
+overdetermined Vandermonde least-squares system in the inverse poles,
+once rule 3 (``vandermonde_accepts``) passes it: ``residues``, the one
+residue step of ``pm1`` and ``filtering.pm2``.  This factors the Pade
+problem into a pole stage and a residue stage, which is what makes
+targeted pole filtering possible.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .baseline import Conformation, RationalApproximant, combined_window, numerator_from_denominator
-from .errors import Collapse, DuplicatePole, NonFinite, RankDeficient, SingularVandermonde
-from .numerics import DEFAULT_RANK_RTOL, all_finite, eigenvalues, poly_from_roots, qr_solve, root_order
+from .errors import Collapse, ConvergenceFailure, DuplicatePole, NonFinite, RankDeficient, SingularVandermonde
+from .numerics import DEFAULT_RANK_RTOL, all_finite, eigenvalues, poly_from_roots, qr_solve, root_order, singular_values
 from .series import PowerSeries
 
 
@@ -158,21 +160,19 @@ def pm1_poles(H: np.ndarray, rank_rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray
 # A tiny spurious pole overflows d**r to inf; callers reject a non-finite
 # matrix, so the overflow is expected and not warned about.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def residue_system(s: PowerSeries, poles, conf: Conformation, use_all_rows: bool):
+def residue_system(s: PowerSeries, poles, conf: Conformation):
     """Vandermonde matrix in inverse poles and its right-hand side.
 
-    Row r holds d_j^r with d_j = 1/p_j; the right-hand side starts at
-    c_{k+1} for k >= 0 and c_0 otherwise.  Square systems take the first
-    len(poles) rows, overdetermined ones every available row.  Callers
-    pass at most m poles and conf.n coefficients, so rows never run out.
+    Row r holds d_j^r with d_j = 1/p_j (inf for p_j = 0); the right-hand
+    side runs from c_{k+1} for k >= 0, c_0 otherwise, to c_{n-1}: every
+    row.  Callers pass at most m poles, so rows never run short.
     """
     poles = np.atleast_1d(np.asarray(poles, dtype=complex))
-    rhs_all = s.coeffs[conf.k + 1 if conf.k >= 0 else 0 : conf.n]
-    rows = rhs_all.size if use_all_rows else poles.size
+    rhs = s.coeffs[conf.k + 1 if conf.k >= 0 else 0 : conf.n]
     d = 1.0 / poles
     if np.count_nonzero(poles) < poles.size:  # faster than .all()
         d[poles == 0] = np.inf
-    return d ** _exponents(rows), rhs_all[:rows]
+    return d ** _exponents(rhs.size), rhs
 
 
 @lru_cache(maxsize=1024)
@@ -184,21 +184,74 @@ def _exponents(rows: int) -> np.ndarray:
     return column
 
 
+def _tolerance(t: float) -> float:
+    """10^-t, the relative threshold of accuracy t; a ValueError names a t that overflows it."""
+    try:
+        return 10.0 ** (-t)
+    except OverflowError:
+        raise ValueError(f"accuracy t = {t!r} is too negative: 10^-t overflows a double") from None
+
+
+def vandermonde_accepts(D, t: float) -> bool:
+    """Rule 3: whether the residue Vandermonde D certifies its QR solve.
+
+    A non-finite D (an overflowing power of a tiny spurious pole) fails
+    without reaching LAPACK.  A finite D passes when sigma_min/sigma_max
+    >= 10^-t for D or, only where that fails, for D with each column
+    scaled by 2^-e, e the binary exponent of its largest modulus.
+    Householder QR is as accurate as D's best column scaling allows, and
+    equilibration comes within a small factor of that, so the second look
+    discounts the monomial scale of d^r but not a coincident pole pair.
+
+    A finite D of one column and at least one row passes without an SVD
+    for every t >= 0 (and a NaN t), as the ratio rule would pass it: its
+    one singular value is both sigma_min and sigma_max, also where it
+    overflows to inf, and 10^-t <= 1.
+    """
+    D = np.asarray(D)
+    if not all_finite(D):
+        return False
+    tol = _tolerance(t)
+    if D.shape[1:] == (1,) and D.shape[0] and not tol > 1:
+        return True  # sigma_min = sigma_max, and tol * sigma <= sigma
+    try:
+        dsig = singular_values(D)
+        if dsig[-1] < tol * float(dsig[0]):  # Python floats overflow to inf quietly
+            dsig = singular_values(D * np.ldexp(1.0, -np.frexp(np.abs(D).max(axis=0))[1]))
+    except ConvergenceFailure as exc:
+        raise ConvergenceFailure(f"residue Vandermonde SVD did not converge: {exc}") from exc
+    return not dsig[-1] < tol * float(dsig[0])
+
+
+def residues(s: PowerSeries, poles: np.ndarray, conf: Conformation) -> np.ndarray | None:
+    """Weights of both pencil solvers: QR on the unscaled ``residue_system``
+    once rule 3 at s.t passes it, else None.  A pole exactly at the origin
+    gets weight 0 and no column of D: no other weight keeps e d^r finite."""
+    if np.count_nonzero(poles) < poles.size:
+        e, kept = np.zeros(poles.size, dtype=complex), poles != 0
+        rest = residues(s, poles[kept], conf) if kept.any() else ()
+        if rest is None:
+            return None
+        e[kept] = rest
+        return e
+    D, rhs = residue_system(s, poles, conf)
+    return qr_solve(D, rhs, rtol=0.0) if vandermonde_accepts(D, s.t) else None
+
+
 def pm1_residues(s: PowerSeries, poles, conf: Conformation) -> np.ndarray:
     """Weights e_j solving the square Vandermonde system D e = c in the
-    inverse poles d_j = 1/p_j.
+    inverse poles d_j = 1/p_j, on the first l = len(poles) rows of
+    ``residue_system``: the naive square refit of ``pruned_square_refit``.
 
-    Row r of D holds d_j^r for the first l = len(poles) rows; the
-    right-hand side is c_{k+1}, c_{k+2}, ... for k >= 0 and c_0, c_1,
-    ... otherwise.  A pole at the origin is tolerated only while no row
-    actually needs its inverse, i.e. in the single-row case; otherwise
-    the matrix is non-finite and SingularVandermonde is raised, as it is
-    for (near-)coincident poles and for powers that overflow.
+    A pole at the origin is tolerated only while no row actually needs
+    its inverse, i.e. in the single-row case; otherwise the matrix is
+    non-finite and SingularVandermonde is raised, as it is for
+    (near-)coincident poles and for powers that overflow.
     """
     poles = np.atleast_1d(np.asarray(poles, dtype=complex))
     if poles.size == 0:
         raise ValueError("need at least one pole to solve for residues")
-    D, rhs = residue_system(s, poles, conf, use_all_rows=False)
+    D, rhs = (a[: poles.size] for a in residue_system(s, poles, conf))
     if not all_finite(D):
         raise SingularVandermonde("inverse-pole powers are non-finite (pole at the origin)")
     try:
@@ -237,12 +290,13 @@ def _unit_scaled(denom: np.ndarray) -> np.ndarray:
 
 
 def pm1(s: PowerSeries, conf: Conformation) -> Solution:
-    """Full pencil solve at l = m: poles, square residue system, both forms.
-
-    Returns the pole-residue form and the equivalent rational
-    approximant, without a report.  No filtering here; that is the job
-    of the iterated variant.
-    """
+    """Full pencil solve at l = m: ``pm1_poles`` of the raw window and the
+    weights of ``residues``, as in pm2's accepted pass but with no rank
+    filter or origin drop; SingularVandermonde where rule 3 rejects D.
+    Returns the pole-residue form and the equivalent rational approximant,
+    without a report."""
     poles = pm1_poles(build_blocks(s, conf))
-    prf = _with_head(s, conf.k, poles, pm1_residues(s, poles, conf))
+    if (e := residues(s, poles, conf)) is None:
+        raise SingularVandermonde("residue Vandermonde fails rule 3: non-finite, or conditioned below 10^-t")
+    prf = _with_head(s, conf.k, poles, e)
     return Solution(prf, to_rational(prf, s, conf))

@@ -87,7 +87,7 @@ def wide_series(m, seed, amplitude=6.0, period=7):
 
 def coefficient_residual(s, conf, prf):
     """Relative misfit of a pole-residue form to every usable coefficient."""
-    D, rhs = residue_system(s, prf.poles, conf, use_all_rows=True)
+    D, rhs = residue_system(s, prf.poles, conf)
     return np.linalg.norm(D @ prf.weights - rhs) / np.linalg.norm(rhs)
 
 

@@ -20,7 +20,7 @@ from padepencil import (
     gen_log_series,
     pm2,
 )
-from padepencil import filtering, numerics
+from padepencil import filtering, numerics, pencil
 from padepencil.errors import RankDeficient
 from padepencil.filtering import count_filtered, reduced_poles, vandermonde_accepts
 from padepencil.numerics import singular_values, svd
@@ -137,7 +137,7 @@ class TestVandermondeAccepts:
         def no_lapack(D):
             raise AssertionError("a non-finite D reached LAPACK")
 
-        monkeypatch.setattr(filtering, "singular_values", no_lapack)
+        monkeypatch.setattr(pencil, "singular_values", no_lapack)
         D = vandermonde([0.5, 2.0], 6)
         D[5, 0] = bad
         assert not vandermonde_accepts(D, 15.0)
@@ -153,7 +153,7 @@ class TestVandermondeAccepts:
             calls.append(D.shape)
             return singular_values(D)
 
-        monkeypatch.setattr(filtering, "singular_values", counted)
+        monkeypatch.setattr(pencil, "singular_values", counted)
         assert vandermonde_accepts(vandermonde([0.8, 1.2j, -1.5], 10), 15.0)
         assert calls == [(10, 3)]
         calls.clear()

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from padepencil import (
+    ApproximationError,
     Collapse,
     Conformation,
     DuplicatePole,
@@ -30,11 +31,14 @@ from padepencil.numerics import qr_solve
 from padepencil.pencil import build_blocks, pm1_poles, pm1_residues, residue_system, to_rational
 
 from helpers import (
+    coefficient_residual,
     gen_quadratic_eps,
     greedy_match_error,
     loop_pole_residue_terms,
+    pm2_cases,
     polyfromroots_denominator,
     random_oracle,
+    wide_series,
 )
 
 
@@ -115,7 +119,7 @@ class TestResidues:
         conf = Conformation(m=2, k=-1)
         s = gen_from_poles([2.0, -1.0], [1.0, 3.0], conf.n)
         e_sq = pm1_residues(s, [2.0, -1.0], conf)
-        e_ls = qr_solve(*residue_system(s, [2.0, -1.0], conf, use_all_rows=True))
+        e_ls = qr_solve(*residue_system(s, [2.0, -1.0], conf))
         np.testing.assert_allclose(e_sq, [1.0, 3.0], atol=1e-12)
         np.testing.assert_allclose(e_ls, [1.0, 3.0], atol=1e-12)
 
@@ -125,7 +129,7 @@ class TestResidues:
         # single square row never inverts the pole
         e = pm1_residues(s, [0.0], conf)
         np.testing.assert_allclose(e, [1.0])
-        D, _ = residue_system(s, [0.0], conf, use_all_rows=True)
+        D, _ = residue_system(s, [0.0], conf)
         assert not np.all(np.isfinite(D))
         with pytest.raises(SingularVandermonde):
             pm1_residues(s, [0.0, 2.0], conf)
@@ -382,3 +386,56 @@ class TestPm1Composed:
         _, ra, _ = pm1(s, conf)
         np.testing.assert_allclose(ra.denom / ra.denom[0], b_dm / b_dm[0],
                                    atol=1e-9 * np.abs(b_dm / b_dm[0]).max())
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=pm2_cases())
+    def test_weights_are_the_shared_all_row_solve(self, case):
+        # Wherever pm1 returns, its poles are the raw pencil's and its
+        # weights the all-row least-squares solve that pm2's accepted pass
+        # takes, bit for bit; a pole exactly at the origin gets weight 0.
+        s, conf, _ = case
+        try:
+            sol = pm1(s, conf)
+        except ApproximationError:
+            return
+        poles = pm1_poles(build_blocks(s, conf))
+        kept = poles != 0
+        want = np.zeros(poles.size, dtype=complex)
+        if kept.any():
+            want[kept] = qr_solve(*residue_system(s, poles[kept], conf), rtol=0.0)
+        # The form sorts its terms by hypot, which may reorder pm1_poles'
+        # order; building the reference form sorts both alike.
+        ref = PoleResidueForm(head=s.coeffs[: max(conf.k + 1, 0)], poles=poles, weights=want)
+        assert sol.prf.poles.tobytes() == ref.poles.tobytes()
+        assert sol.prf.weights.tobytes() == ref.weights.tobytes()
+        ra = to_rational(ref, s, conf)
+        assert (sol.rational.numer.tobytes(), sol.rational.denom.tobytes()) == (ra.numer.tobytes(), ra.denom.tobytes())
+
+    @pytest.mark.parametrize("amplitude", [4.0, 5.0, 6.0])
+    def test_wide_input_returns_with_a_small_residual(self, amplitude):
+        # The square first-l-rows system raised SingularVandermonde on all
+        # of these; the all-row system fits every usable coefficient.
+        conf = Conformation(12, -1)
+        for seed in range(10):
+            s = wide_series(12, seed, amplitude)
+            assert coefficient_residual(s, conf, pm1(s, conf).prf) <= 1e-9
+
+    @pytest.mark.parametrize("m", [20, 40])
+    def test_noisy_geometric_returns_at_every_seed(self, m):
+        # The square system raised SingularVandermonde on a share of these
+        # seeds that grew with m.
+        conf = Conformation(m, -1)
+        z = np.linspace(-0.9, 0.9, 181)
+        for seed in range(40):
+            s = gen_geometric_noisy(conf.n, 1e-6, np.random.default_rng(seed))
+            err = np.abs(eval_rational(pm1(s, conf).rational, z) - 1.0 / (1.0 - z)).max()
+            assert err <= 1e-4, (seed, err)
+
+    def test_exact_origin_pole_gets_weight_zero(self):
+        # Poles 0 and 1: the origin pole keeps out of D, and the pole at 1
+        # takes the least-squares weight of c_0..c_3 = 1, 1, 1, 0.  The
+        # square system raised SingularVandermonde here.
+        prf = pm1(PowerSeries([1.0, 1.0, 1.0, 0.0]), Conformation(2, -1)).prf
+        assert prf.poles[0] == 0 and prf.weights[0] == 0
+        np.testing.assert_allclose(prf.poles, [0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(prf.weights, [0.0, 0.75], atol=1e-15)

@@ -5,7 +5,7 @@ Usage (from the repository root)::
     python3 tools/vandermonde_study.py [--out STUDY_28.json]
 
 Runs ``pm2`` twice on every input: once as it stands, where
-``filtering.vandermonde_accepts`` takes the column-equilibrated look
+``pencil.vandermonde_accepts`` takes the column-equilibrated look
 where the raw singular-value ratio of D fails ("equilibrated"), and once
 with that function replaced by the raw ratio alone ("raw", the rule
 before the equilibrated look).  The inputs, all at k = -1 and t = 15:
@@ -49,7 +49,7 @@ import oracles  # noqa: E402
 import padepencil as pp  # noqa: E402
 import workloads  # noqa: E402
 from helpers import coefficient_residual, mp_pencil, wide_series  # noqa: E402
-from padepencil import filtering  # noqa: E402
+from padepencil import pencil  # noqa: E402
 from padepencil.numerics import all_finite, singular_values  # noqa: E402
 
 #: ROADMAP item N's table: (m, seed) of its wide-magnitude inputs.
@@ -66,13 +66,13 @@ def raw_accepts(D, t: float) -> bool:
 
 @contextmanager
 def rule(name):
-    saved = filtering.vandermonde_accepts
+    saved = pencil.vandermonde_accepts
     if name == "raw":
-        filtering.vandermonde_accepts = raw_accepts
+        pencil.vandermonde_accepts = raw_accepts
     try:
         yield
     finally:
-        filtering.vandermonde_accepts = saved
+        pencil.vandermonde_accepts = saved
 
 
 def inputs():
