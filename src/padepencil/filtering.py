@@ -15,7 +15,8 @@ remaining poles are trustworthy:
 3. a residue Vandermonde D that is not finite, or whose singular-value
    ratio is below 10^-t both as it stands and with its columns
    equilibrated by powers of two, indicates a still-redundant pole set
-   (``pencil.vandermonde_accepts``, in pm1's residue step too).
+   (``pencil.vandermonde_accepts``; pm1's residue step applies it at
+   t = inf, where only a non-finite D fails).
 
 Each pass returns a FilterIteration: the cause that lowered l (None when
 accepted) and the l it leaves; the report reads its counts from them.
@@ -35,7 +36,7 @@ import numpy as np
 from .baseline import Conformation, _require_length, combined_window
 from .errors import NonFinite, RankDeficient
 from .numerics import SvdResult, complex_pairs, svd
-from .pencil import Solution, _tolerance, _with_head, pm1_poles, residues, to_rational, vandermonde_accepts
+from .pencil import Solution, _tolerance, _with_head, pm1_poles, residues, to_rational
 from .series import PowerSeries
 
 
@@ -167,7 +168,7 @@ def _filter_pass(s: PowerSeries, conf: Conformation, l: int) -> tuple:
     n_inside = int(np.count_nonzero(inside))
     if n_inside:
         return FilterIteration(l, sr.sigma, "origin_drop", l - n_inside, tuple(complex(p) for p in lam[inside])), None
-    if (e := residues(s, lam, conf)) is not None:
+    if (e := residues(s, lam, conf, s.t)) is not None:
         return FilterIteration(l, sr.sigma, None, l), (lam, e)
     return FilterIteration(l, sr.sigma, "vandermonde", l - 1), None
 

@@ -4,10 +4,9 @@ Two shifted Hankel matrices C1, C2 built from the series coefficients
 form the pencil C1 - z^{-1} C2 whose finite generalized eigenvalues are
 the pole locations directly.  Residues then come from a separate
 overdetermined Vandermonde least-squares system in the inverse poles,
-once rule 3 (``vandermonde_accepts``) passes it: ``residues``, the one
-residue step of ``pm1`` and ``filtering.pm2``.  This factors the Pade
-problem into a pole stage and a residue stage, which is what makes
-targeted pole filtering possible.
+``residues``, the one residue step of ``pm1`` and ``filtering.pm2``.
+This factors the Pade problem into a pole stage and a residue stage,
+which is what makes targeted pole filtering possible.
 """
 
 from __future__ import annotations
@@ -206,14 +205,15 @@ def vandermonde_accepts(D, t: float) -> bool:
     A finite D of one column and at least one row passes without an SVD
     for every t >= 0 (and a NaN t), as the ratio rule would pass it: its
     one singular value is both sigma_min and sigma_max, also where it
-    overflows to inf, and 10^-t <= 1.
+    overflows to inf, and 10^-t <= 1.  So does every finite D where 10^-t
+    is 0 (t = inf, or t above about 323.6).
     """
     D = np.asarray(D)
     if not all_finite(D):
         return False
     tol = _tolerance(t)
-    if D.shape[1:] == (1,) and D.shape[0] and not tol > 1:
-        return True  # sigma_min = sigma_max, and tol * sigma <= sigma
+    if not tol or D.shape[1:] == (1,) and D.shape[0] and not tol > 1:
+        return True  # sigma_min >= 0 = tol sigma_max, or sigma_min = sigma_max >= tol sigma_max
     try:
         dsig = singular_values(D)
         if dsig[-1] < tol * float(dsig[0]):  # Python floats overflow to inf quietly
@@ -223,19 +223,13 @@ def vandermonde_accepts(D, t: float) -> bool:
     return not dsig[-1] < tol * float(dsig[0])
 
 
-def residues(s: PowerSeries, poles: np.ndarray, conf: Conformation) -> np.ndarray | None:
-    """Weights of both pencil solvers: QR on the unscaled ``residue_system``
-    once rule 3 at s.t passes it, else None.  A pole exactly at the origin
-    gets weight 0 and no column of D: no other weight keeps e d^r finite."""
-    if np.count_nonzero(poles) < poles.size:
-        e, kept = np.zeros(poles.size, dtype=complex), poles != 0
-        rest = residues(s, poles[kept], conf) if kept.any() else ()
-        if rest is None:
-            return None
-        e[kept] = rest
-        return e
+def residues(s: PowerSeries, poles: np.ndarray, conf: Conformation, t: float) -> np.ndarray | None:
+    """Weights of both pencil solvers: QR on the all-row ``residue_system``
+    once rule 3 at accuracy t passes it, else None.  pm2 passes s.t; pm1,
+    which filters nothing, passes t = inf, where rule 3 asks only for a
+    finite D."""
     D, rhs = residue_system(s, poles, conf)
-    return qr_solve(D, rhs, rtol=0.0) if vandermonde_accepts(D, s.t) else None
+    return qr_solve(D, rhs, rtol=0.0) if vandermonde_accepts(D, t) else None
 
 
 def pm1_residues(s: PowerSeries, poles, conf: Conformation) -> np.ndarray:
@@ -291,12 +285,16 @@ def _unit_scaled(denom: np.ndarray) -> np.ndarray:
 
 def pm1(s: PowerSeries, conf: Conformation) -> Solution:
     """Full pencil solve at l = m: ``pm1_poles`` of the raw window and the
-    weights of ``residues``, as in pm2's accepted pass but with no rank
-    filter or origin drop; SingularVandermonde where rule 3 rejects D.
-    Returns the pole-residue form and the equivalent rational approximant,
-    without a report."""
+    weights of ``residues`` at t = inf, pm2's accepted pass with nothing
+    filtered, so s.t plays no part.  A pole exactly at the origin gets
+    weight 0 and no column of D (no other weight keeps e d^r finite).
+    SingularVandermonde where D is not finite.  Returns the pole-residue
+    form and the equivalent rational approximant, without a report."""
     poles = pm1_poles(build_blocks(s, conf))
-    if (e := residues(s, poles, conf)) is None:
-        raise SingularVandermonde("residue Vandermonde fails rule 3: non-finite, or conditioned below 10^-t")
+    e, kept = np.zeros(poles.size, dtype=complex), poles != 0
+    if kept.any():
+        if (rest := residues(s, poles[kept], conf, math.inf)) is None:
+            raise SingularVandermonde("residue Vandermonde is non-finite: a power of an inverse pole overflows")
+        e[kept] = rest
     prf = _with_head(s, conf.k, poles, e)
     return Solution(prf, to_rational(prf, s, conf))

@@ -22,7 +22,8 @@ from padepencil import (
 )
 from padepencil import filtering, numerics, pencil
 from padepencil.errors import RankDeficient
-from padepencil.filtering import count_filtered, reduced_poles, vandermonde_accepts
+from padepencil.filtering import count_filtered, reduced_poles
+from padepencil.pencil import vandermonde_accepts
 from padepencil.numerics import singular_values, svd
 from padepencil.pencil import combined_window, pm1_poles
 
@@ -159,6 +160,19 @@ class TestVandermondeAccepts:
         calls.clear()
         assert not vandermonde_accepts(vandermonde([0.5, 0.5 * (1 + 1e-10), 2.0j], 10), 8.0)
         assert calls == [(10, 3), (10, 3)]
+
+    @pytest.mark.parametrize("t", [400.0, np.inf])
+    def test_zero_threshold_passes_every_finite_d_without_lapack(self, t, monkeypatch):
+        # 10^-t is 0, so sigma_min >= 0 passes a near-coincident pair too,
+        # as pm1's residue step at t = inf needs; a non-finite D still fails.
+        def no_lapack(D):
+            raise AssertionError("a zero threshold reached LAPACK")
+
+        monkeypatch.setattr(pencil, "singular_values", no_lapack)
+        D = vandermonde([0.5, 0.5 * (1 + 1e-10), 2.0j], 10)
+        assert vandermonde_accepts(D, t)
+        D[9, 0] = np.inf
+        assert not vandermonde_accepts(D, t)
 
     @pytest.mark.parametrize("t", [-308.0, -308.2])
     def test_threshold_times_sigma_max_overflows_quietly(self, t):

@@ -56,7 +56,6 @@ CEILINGS = {
     },
     "pm1 log m=10": {
         "eigvals": (1, (10, 10)),
-        "svd": (1, (20, 10)),
         "zgeqrf": (2, (20, 10)),
         "ztrtrs": (2, (10, 10)),
         "zungqr": (2, (20, 10, 10)),
@@ -79,7 +78,6 @@ CEILINGS = {
     },
     "pm1 poles=5 m=5": {
         "eigvals": (1, (5, 5)),
-        "svd": (1, (10, 5)),
         "zgeqrf": (2, (10, 5)),
         "ztrtrs": (2, (5, 5)),
         "zungqr": (2, (10, 5, 5)),

@@ -431,6 +431,22 @@ class TestPm1Composed:
             err = np.abs(eval_rational(pm1(s, conf).rational, z) - 1.0 / (1.0 - z)).max()
             assert err <= 1e-4, (seed, err)
 
+    @pytest.mark.parametrize("m", [5, 10, 20])
+    def test_low_accuracy_series_returns_whatever_its_t(self, m):
+        # At eps 1e-1 the series' accuracy t is about 1, and rule 3 at that
+        # t would reject D on many seeds.  pm1 filters nothing: it returns
+        # at every seed, with the bits it gives the same coefficients at
+        # t = 15.  The square system raised SingularVandermonde on 6 seeds
+        # at m = 20.
+        conf = Conformation(m, -1)
+        for seed in range(40):
+            s = gen_geometric_noisy(conf.n, 1e-1, np.random.default_rng(seed))
+            assert s.t < 2
+            got, exact = pm1(s, conf), pm1(PowerSeries(s.coeffs, t=15.0), conf)
+            for a, b in ((got.prf.poles, exact.prf.poles), (got.prf.weights, exact.prf.weights),
+                         (got.rational.numer, exact.rational.numer), (got.rational.denom, exact.rational.denom)):
+                assert a.tobytes() == b.tobytes(), seed
+
     def test_exact_origin_pole_gets_weight_zero(self):
         # Poles 0 and 1: the origin pole keeps out of D, and the pole at 1
         # takes the least-squares weight of c_0..c_3 = 1, 1, 1, 0.  The
